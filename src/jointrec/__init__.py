@@ -12,10 +12,9 @@ this behaviour, and the experiments module runs seeded benchmark sweeps.
 
 from .analysis import (BERNSTEIN_SCALE_COEFF, BERNSTEIN_VARIANCE_COEFF,
                        RECOVERY_EXPONENT_COEFF, BoundInputs, BoundValue,
-                       RecoveryReport, concentration_tail_bound,
-                       empirical_tail_frequency, min_measurements_for_recovery,
-                       mse, recovery_rate, recovery_rate_bound, report_trial,
-                       transform_error_rate)
+                       concentration_tail_bound, empirical_tail_frequency,
+                       min_measurements_for_recovery, mse, recovery_rate,
+                       recovery_rate_bound)
 from .decode import (CorrelationVector, DecodeResult, LeastSquaresFit,
                      atom_measurement_correlations, correlation_vector,
                      greedy_joint_threshold_decode, independent_threshold_decode,
@@ -34,10 +33,7 @@ from .experiments import (DictionaryConfig, ExperimentConfig, ResultTable,
                           TrialRecord, config_hash, decode_instance,
                           emit_plot_data, get_preset, load_config,
                           preset_names, read_trials_csv, run_experiment,
-                          run_recovery_vs_views_experiment,
-                          run_transform_error_experiment,
-                          run_two_view_experiment, save_config,
-                          validate_config)
+                          save_config, validate_config)
 from .sensing import (MeasurementSet, SensingMatrix, identity_sensing,
                       measure, measure_ensemble, sample_sensing_matrix)
 from .transforms import (AtomTransform, CandidateSet, TransformVector,
@@ -51,7 +47,7 @@ __all__ = [
     "AtomTransform", "BoundInputs", "BoundValue", "CandidateSet",
     "CorrelationVector", "DecodeResult", "Dictionary", "DictionaryConfig",
     "EnsembleGenerationError", "ExperimentConfig", "GaussianAtom2D",
-    "LeastSquaresFit", "MeasurementSet", "ModulatedAtom1D", "RecoveryReport",
+    "LeastSquaresFit", "MeasurementSet", "ModulatedAtom1D",
     "ResultTable", "SensingMatrix", "SignalEnsemble", "TransformVector",
     "TrialRecord",
     "BERNSTEIN_SCALE_COEFF", "BERNSTEIN_VARIANCE_COEFF",
@@ -69,10 +65,9 @@ __all__ = [
     "measure_ensemble", "min_measurements_for_recovery", "modulated_atom_1d",
     "mse", "noiseless_score", "odd_translations", "preset_names",
     "read_trials_csv", "realize_transform", "recovery_rate",
-    "recovery_rate_bound", "report_trial", "run_experiment",
-    "run_recovery_vs_views_experiment", "run_transform_error_experiment",
-    "run_two_view_experiment", "sample_sensing_matrix", "save_config",
+    "recovery_rate_bound", "run_experiment", "sample_sensing_matrix",
+    "save_config",
     "save_dictionary", "save_ensemble", "select_top_s",
-    "thresholding_margin", "transform_error_rate", "transform_from_mapping",
+    "thresholding_margin", "transform_from_mapping",
     "translation_transform", "validate_config",
 ]

@@ -196,53 +196,3 @@ def empirical_tail_frequency(u_vectors, v_vectors, n_measurements: int,
         max(float(np.linalg.norm(u)) for u in us),
         max(float(np.linalg.norm(v)) for v in vs))
     return frequency, bound
-
-
-def transform_error_rate(true_transforms, estimated_transforms) -> float:
-    """Fraction of trials whose estimated transformation vector is wrong."""
-    true_transforms = list(true_transforms)
-    estimated_transforms = list(estimated_transforms)
-    if len(true_transforms) == 0:
-        raise ValueError("need at least one trial")
-    if len(true_transforms) != len(estimated_transforms):
-        raise ValueError("trial counts differ")
-    wrong = sum(1 for t, e in zip(true_transforms, estimated_transforms)
-                if e is None or t != e)
-    return wrong / len(true_transforms)
-
-
-@dataclass(frozen=True)
-class RecoveryReport:
-    """Per-trial evaluation of a decode against the generating ensemble."""
-
-    recovery_rate: float
-    per_view_hits: tuple[int, ...]
-    mse: float
-    transform_correct: bool | None
-    seed: object = None
-
-    def to_dict(self) -> dict:
-        return {
-            "recovery_rate": self.recovery_rate,
-            "per_view_hits": list(self.per_view_hits),
-            "mse": self.mse,
-            "transform_correct": self.transform_correct,
-            "seed": self.seed,
-        }
-
-
-def report_trial(ensemble, result, seed=None) -> RecoveryReport:
-    """Evaluate one decode result against its ground-truth ensemble."""
-    hits = tuple(int(np.intersect1d(t, e).size)
-                 for t, e in zip(ensemble.supports, result.supports))
-    if result.transforms is None:
-        transform_correct = None
-    else:
-        transform_correct = bool(result.transforms == ensemble.transforms)
-    return RecoveryReport(
-        recovery_rate=recovery_rate(ensemble.supports, result.supports),
-        per_view_hits=hits,
-        mse=mse(ensemble.signals, result.reconstructions),
-        transform_correct=transform_correct,
-        seed=seed,
-    )

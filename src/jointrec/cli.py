@@ -7,8 +7,10 @@ Verbs:
 * ``emit-plots <trials.csv>`` regenerate plot TSVs from a saved run
 * ``decode <instance.json>``  decode one ingested problem instance
 
-``run`` exits with status 1 when ensemble generation fails, so sweep
-drivers can distinguish infeasible configurations from crashes.
+Invalid input (a bad config, instance or signal file) ends with a
+one-line ``error:`` message and exit status 2.  ``run`` exits with
+status 1 when ensemble generation fails, so sweep drivers can
+distinguish infeasible configurations from crashes.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="trial count (overrides the config)")
     run_p.add_argument("--emit-plots", action="store_true",
                        help="also write per-metric plot TSVs")
+    run_p.add_argument("--signals", nargs="+", metavar="VIEW.csv",
+                       help="decode these single-column signal CSVs, one "
+                            "per view, instead of synthetic ensembles")
 
     presets_p = sub.add_parser("presets", help="inspect bundled presets")
     presets_p.add_argument("action", choices=["list"])
@@ -86,6 +91,8 @@ def _cmd_run(args) -> int:
         config.master_seed = args.seed
     if args.trials is not None:
         config.trials = args.trials
+    if args.signals is not None:
+        config.signal_paths = args.signals
 
     try:
         table = run_experiment(config)
@@ -161,7 +168,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "presets": _cmd_presets,
                 "emit-plots": _cmd_emit_plots, "decode": _cmd_decode}
-    return handlers[args.verb](args)
+    try:
+        return handlers[args.verb](args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -306,4 +306,6 @@ def load_signal_csv(path) -> np.ndarray:
         raise ValueError("signal CSV must contain a single column")
     if values.size == 0:
         raise ValueError("signal CSV is empty")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"signal CSV {path} has non-finite samples")
     return values

@@ -1,11 +1,11 @@
-"""Seeded experiment harness: configs, sweep runners, presets, flat output.
+"""Seeded experiment harness: configs, one sweep engine, presets, flat output.
 
 Each experiment is described by one dataclass config that round-trips
-losslessly through JSON.  Runners derive every random draw from the
-config's master seed, so a run is reproducible end to end: repeating a
-preset with the same seed writes byte-identical result CSVs.  Wall-clock
-timings are kept out of the CSVs for that reason and recorded in the run
-metadata JSON instead.
+losslessly through JSON.  :func:`run_experiment` walks the config's sweep
+cells and derives every random draw from the master seed, so a run is
+reproducible end to end: repeating a preset with the same seed writes
+byte-identical result CSVs.  Wall-clock timings are kept out of the CSVs
+for that reason and recorded in the run metadata JSON instead.
 
 Output layout per run (under the config's output directory):
 
@@ -20,8 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,22 +33,38 @@ from .decode import (greedy_joint_threshold_decode, independent_threshold_decode
 from .dictionary import (Dictionary, build_gabor_1d_dictionary,
                          build_gaussian_2d_dictionary, odd_translations)
 from .ensemble import generate_ensemble, load_signal_csv
-from .sensing import identity_sensing, measure_ensemble, sample_sensing_matrix
+from .sensing import (MeasurementSet, identity_sensing, measure_ensemble,
+                      sample_sensing_matrix)
 from .transforms import CandidateSet, TransformVector
 
 KIND_TRANSFORM_ERROR = "transform-error-vs-M"
 KIND_RECOVERY_VS_VIEWS = "recovery-vs-J"
 KIND_TWO_VIEW_1D = "two-view-1d"
 
-EXPERIMENT_KINDS = (KIND_TRANSFORM_ERROR, KIND_RECOVERY_VS_VIEWS,
-                    KIND_TWO_VIEW_1D)
 
-# metrics worth plotting for each experiment kind, in emission order
-_PLOT_METRICS = {
-    KIND_TRANSFORM_ERROR: ("transform_error", "recovery", "mse"),
-    KIND_RECOVERY_VS_VIEWS: ("recovery", "mse"),
-    KIND_TWO_VIEW_1D: ("mse", "recovery"),
+class ExperimentKind(NamedTuple):
+    """Decoders run on every trial, in record order, and the metrics
+    worth plotting, in emission order."""
+
+    algorithms: tuple[str, ...]
+    plot_metrics: tuple[str, ...]
+
+
+EXPERIMENT_KINDS = {
+    KIND_TRANSFORM_ERROR: ExperimentKind(
+        ("jt", "gjt"), ("transform_error", "recovery", "mse")),
+    KIND_RECOVERY_VS_VIEWS: ExperimentKind(("gjt", "it"), ("recovery", "mse")),
+    KIND_TWO_VIEW_1D: ExperimentKind(("jt", "it"), ("mse", "recovery")),
 }
+
+
+def _dataclass_from(cls, data: dict):
+    """``cls(**data)``, raising a ValueError that names unknown keys."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): "
+                         f"{', '.join(map(repr, unknown))}")
+    return cls(**data)
 
 
 @dataclass
@@ -132,8 +149,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
-        data["dictionary"] = DictionaryConfig(**data["dictionary"])
-        return cls(**data)
+        data["dictionary"] = _dataclass_from(DictionaryConfig,
+                                             data["dictionary"])
+        return _dataclass_from(cls, data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
@@ -201,8 +219,17 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ValueError("the two-view experiment needs one measurement count")
         if config.dictionary.variant != "gabor_1d":
             raise ValueError("the two-view experiment uses the 1D dictionary")
-        if config.signal_paths is not None and len(config.signal_paths) != 2:
-            raise ValueError("signal ingestion needs exactly two CSV paths")
+
+    for axis in ("views", "measurements"):
+        values = getattr(config, axis)
+        if isinstance(values, list):
+            for v in values:
+                if values.count(v) > 1:
+                    raise ValueError(f"the {axis} sweep repeats the value {v}")
+    if (config.signal_paths is not None
+            and config.views != len(config.signal_paths)):
+        raise ValueError("signal ingestion needs a fixed view count and one "
+                         "CSV path per view")
 
     if config.identity_sensing:
         n = config.dictionary.signal_length()
@@ -413,7 +440,8 @@ def emit_plot_data(table: ResultTable, out_dir) -> list[Path]:
                    "transform_error": ("transform_error",
                                        "transform_error_se")}
     written = []
-    for metric in _PLOT_METRICS.get(table.kind, ("recovery", "mse")):
+    kind = EXPERIMENT_KINDS.get(table.kind)
+    for metric in kind.plot_metrics if kind else ("recovery", "mse"):
         mean_col, se_col = metric_cols[metric]
         defined = [row for row in rows if row[mean_col] is not None]
         if not defined:
@@ -454,174 +482,120 @@ def _sample_truth(candidates: CandidateSet, rng) -> TransformVector:
     return TransformVector((candidates.identity,) + picks)
 
 
-def _run_joint_trial(config: ExperimentConfig, dictionary, candidates,
-                     n_measurements: int, trial_seed: int, trial_index: int,
-                     sweep: int, algorithms, ensemble_cache=None):
-    """Generate (or reuse) an ensemble, measure it, decode it every way."""
-    trial_ss = np.random.SeedSequence(trial_seed)
-    truth_ss, ensemble_ss, sensing_ss = trial_ss.spawn(3)
+def _load_signals(paths, dictionary: Dictionary) -> list[np.ndarray]:
+    """Read one single-column signal CSV per view."""
+    signals = [load_signal_csv(p) for p in paths]
+    for path, y in zip(paths, signals):
+        if y.size != dictionary.signal_length:
+            raise ValueError(
+                f"signal {path} has {y.size} samples but the dictionary's "
+                f"sample grid has {dictionary.signal_length}")
+    return signals
 
-    if ensemble_cache is not None and ensemble_cache.get("ensemble") is not None:
-        ensemble = ensemble_cache["ensemble"]
-    else:
-        truth = _sample_truth(candidates, np.random.default_rng(truth_ss))
-        ensemble = generate_ensemble(
-            dictionary, config.sparsity, truth, config.coeff_rule,
-            seed=ensemble_ss, max_attempts=config.max_attempts,
-            require_margin=config.require_margin,
-            require_positivity=config.require_positivity,
-            coeff_range=tuple(config.coeff_range))
-        if ensemble_cache is not None:
-            ensemble_cache["ensemble"] = ensemble
 
-    n_views = ensemble.n_views
-    if config.identity_sensing:
-        matrices = [identity_sensing(dictionary.signal_length)] * n_views
+def _sense(dictionary: Dictionary, signals, n_measurements, identity: bool,
+           seed: np.random.SeedSequence) -> MeasurementSet:
+    """Measure every view, with identity sensing or with one Gaussian
+    matrix per view drawn from the children of ``seed``."""
+    n = dictionary.signal_length
+    if identity:
+        matrices = [identity_sensing(n)] * len(signals)
     else:
-        matrices = [sample_sensing_matrix(n_measurements,
-                                          dictionary.signal_length, ss)
-                    for ss in sensing_ss.spawn(n_views)]
-    measurements = measure_ensemble(matrices, ensemble.signals)
+        matrices = [sample_sensing_matrix(int(n_measurements), n, ss)
+                    for ss in seed.spawn(len(signals))]
+    return measure_ensemble(matrices, signals)
+
+
+def _sweep_cells(config: ExperimentConfig) -> list[tuple[int, int, int]]:
+    """(sweep value, J, M) per cell, in sweep order."""
+    if isinstance(config.views, list):
+        return [(j, j, config.measurements) for j in config.views]
+    if isinstance(config.measurements, list):
+        return [(m, config.views, m) for m in config.measurements]
+    return [(config.measurements, config.views, config.measurements)]
+
+
+def _run_trial(config: ExperimentConfig, dictionary, candidates, sweep: int,
+               n_measurements: int, trial: int, seed: int, ensemble, signals):
+    """Sense one trial's signals and decode them with the kind's decoders.
+
+    Without ingested ``signals`` the trial decodes ``ensemble``, or a
+    fresh one drawn from the trial seed when that is None.  Ingested
+    signals have no ground truth, so their recovery and transform metrics
+    are None.  Returns the records and the ensemble decoded.
+    """
+    truth_ss, ensemble_ss, sensing_ss = np.random.SeedSequence(seed).spawn(3)
+    if signals is None:
+        if ensemble is None:
+            truth = _sample_truth(candidates, np.random.default_rng(truth_ss))
+            ensemble = generate_ensemble(
+                dictionary, config.sparsity, truth, config.coeff_rule,
+                seed=ensemble_ss, max_attempts=config.max_attempts,
+                require_margin=config.require_margin,
+                require_positivity=config.require_positivity,
+                coeff_range=tuple(config.coeff_range))
+        signals = ensemble.signals
+    measurements = _sense(dictionary, signals, n_measurements,
+                          config.identity_sensing, sensing_ss)
 
     records = []
-    for algorithm in algorithms:
+    for algorithm in EXPERIMENT_KINDS[config.kind].algorithms:
         start = time.perf_counter()
         result = _decode_with(algorithm, measurements, dictionary,
                               config.sparsity, candidates)
         wall = time.perf_counter() - start
-        transform_correct = (None if result.transforms is None
-                             else bool(result.transforms == ensemble.transforms))
+        if ensemble is None:
+            recovery = transform_correct = None
+        else:
+            recovery = recovery_rate(ensemble.supports, result.supports)
+            transform_correct = (
+                None if result.transforms is None
+                else bool(result.transforms == ensemble.transforms))
         records.append(TrialRecord(
-            sweep=sweep, algorithm=algorithm, trial=trial_index,
-            seed=int(trial_seed),
-            recovery_rate=recovery_rate(ensemble.supports, result.supports),
-            mse=compute_mse(ensemble.signals, result.reconstructions),
+            sweep=sweep, algorithm=algorithm, trial=trial, seed=seed,
+            recovery_rate=recovery,
+            mse=compute_mse(signals, result.reconstructions),
             transform_correct=transform_correct,
             rank_deficient=result.rank_deficient,
             wall_time=wall,
         ))
-    return records
+    return records, ensemble
 
 
-def run_transform_error_experiment(config: ExperimentConfig) -> ResultTable:
-    """Sweep the per-view measurement count; decode with jt and gjt.
+def run_experiment(config: ExperimentConfig) -> ResultTable:
+    """Validate the config and run every trial of every sweep cell.
 
-    Every trial draws a fresh true transformation vector from the
-    candidate set, a fresh ensemble, and fresh sensing matrices.
+    The dictionary is built once and the candidate set realized once, for
+    the largest view count; a cell with J views decodes with the first
+    J - 1 candidate lists.  Trial seeds follow (cell, trial) order.  With
+    ``fresh_ensembles`` off, a cell's trials all decode its first trial's
+    ensemble, so only the sensing varies.
     """
     validate_config(config)
-    if config.kind != KIND_TRANSFORM_ERROR:
-        raise ValueError(f"config kind {config.kind!r} does not match runner")
     started = time.perf_counter()
     dictionary = config.dictionary.build()
-    candidates = CandidateSet.from_uniform_offsets(
-        dictionary, config.candidate_offsets, config.views)
-    seeds = _trial_seeds(config.master_seed,
-                         len(config.measurements) * config.trials)
+    cells = _sweep_cells(config)
+    full = CandidateSet.from_uniform_offsets(
+        dictionary, config.candidate_offsets, max(j for _, j, _ in cells))
+    signals = (None if config.signal_paths is None
+               else _load_signals(config.signal_paths, dictionary))
+    seeds = _trial_seeds(config.master_seed, len(cells) * config.trials)
     records = []
-    for sweep_index, n_measurements in enumerate(config.measurements):
-        cache = None if config.fresh_ensembles else {}
+    for index, (sweep, n_views, n_measurements) in enumerate(cells):
+        candidates = CandidateSet(full.identity, full.per_view[:n_views - 1])
+        ensemble = None
         for trial in range(config.trials):
-            seed = int(seeds[sweep_index * config.trials + trial])
-            records.extend(_run_joint_trial(
-                config, dictionary, candidates, n_measurements, seed, trial,
-                sweep=n_measurements, algorithms=("jt", "gjt"),
-                ensemble_cache=cache))
+            seed = int(seeds[index * config.trials + trial])
+            trial_records, decoded = _run_trial(
+                config, dictionary, candidates, sweep, n_measurements, trial,
+                seed, ensemble, signals)
+            records.extend(trial_records)
+            if not config.fresh_ensembles:
+                ensemble = decoded
     return ResultTable(kind=config.kind, config_hash=config_hash(config),
                        master_seed=config.master_seed, records=records,
                        config=config,
                        wall_time_total=time.perf_counter() - started)
-
-
-def run_recovery_vs_views_experiment(config: ExperimentConfig) -> ResultTable:
-    """Sweep the number of views at fixed M; decode with gjt and the
-    independent baseline."""
-    validate_config(config)
-    if config.kind != KIND_RECOVERY_VS_VIEWS:
-        raise ValueError(f"config kind {config.kind!r} does not match runner")
-    started = time.perf_counter()
-    dictionary = config.dictionary.build()
-    seeds = _trial_seeds(config.master_seed, len(config.views) * config.trials)
-    records = []
-    for sweep_index, n_views in enumerate(config.views):
-        candidates = CandidateSet.from_uniform_offsets(
-            dictionary, config.candidate_offsets, n_views)
-        cache = None if config.fresh_ensembles else {}
-        for trial in range(config.trials):
-            seed = int(seeds[sweep_index * config.trials + trial])
-            records.extend(_run_joint_trial(
-                config, dictionary, candidates, config.measurements, seed,
-                trial, sweep=n_views, algorithms=("gjt", "it"),
-                ensemble_cache=cache))
-    return ResultTable(kind=config.kind, config_hash=config_hash(config),
-                       master_seed=config.master_seed, records=records,
-                       config=config,
-                       wall_time_total=time.perf_counter() - started)
-
-
-def run_two_view_experiment(config: ExperimentConfig) -> ResultTable:
-    """Two views, 1D dictionary; decode with jt and the independent baseline.
-
-    Signals are either synthetic ensembles (fresh per trial) or a fixed
-    ingested CSV pair, in which case only sensing varies across trials and
-    ground-truth metrics are undefined.
-    """
-    validate_config(config)
-    if config.kind != KIND_TWO_VIEW_1D:
-        raise ValueError(f"config kind {config.kind!r} does not match runner")
-    started = time.perf_counter()
-    dictionary = config.dictionary.build()
-    candidates = CandidateSet.from_uniform_offsets(
-        dictionary, config.candidate_offsets, 2)
-    seeds = _trial_seeds(config.master_seed, config.trials)
-    records = []
-
-    if config.signal_paths is not None:
-        signals = [load_signal_csv(p) for p in config.signal_paths]
-        for y in signals:
-            if y.size != dictionary.signal_length:
-                raise ValueError("ingested signal length does not match the "
-                                 "dictionary's sample grid")
-        for trial in range(config.trials):
-            seed = int(seeds[trial])
-            if config.identity_sensing:
-                matrices = [identity_sensing(dictionary.signal_length)] * 2
-            else:
-                sensing_ss = np.random.SeedSequence(seed).spawn(3)[2]
-                matrices = [sample_sensing_matrix(config.measurements,
-                                                  dictionary.signal_length, ss)
-                            for ss in sensing_ss.spawn(2)]
-            measurements = measure_ensemble(matrices, signals)
-            for algorithm in ("jt", "it"):
-                start = time.perf_counter()
-                result = _decode_with(algorithm, measurements, dictionary,
-                                      config.sparsity, candidates)
-                wall = time.perf_counter() - start
-                records.append(TrialRecord(
-                    sweep=config.measurements, algorithm=algorithm,
-                    trial=trial, seed=seed, recovery_rate=None,
-                    mse=compute_mse(signals, result.reconstructions),
-                    transform_correct=None,
-                    rank_deficient=result.rank_deficient, wall_time=wall))
-    else:
-        cache = None if config.fresh_ensembles else {}
-        for trial in range(config.trials):
-            seed = int(seeds[trial])
-            records.extend(_run_joint_trial(
-                config, dictionary, candidates, config.measurements, seed,
-                trial, sweep=config.measurements, algorithms=("jt", "it"),
-                ensemble_cache=cache))
-    return ResultTable(kind=config.kind, config_hash=config_hash(config),
-                       master_seed=config.master_seed, records=records,
-                       config=config,
-                       wall_time_total=time.perf_counter() - started)
-
-
-_RUNNERS = {
-    KIND_TRANSFORM_ERROR: run_transform_error_experiment,
-    KIND_RECOVERY_VS_VIEWS: run_recovery_vs_views_experiment,
-    KIND_TWO_VIEW_1D: run_two_view_experiment,
-}
 
 
 def decode_instance(instance: dict):
@@ -635,8 +609,8 @@ def decode_instance(instance: dict):
     default 0).  Returns (DecodeResult, summary dict); the summary is
     JSON-serializable.
     """
-    dict_config = DictionaryConfig(**instance["dictionary"])
-    dictionary = dict_config.build()
+    dictionary = _dataclass_from(DictionaryConfig,
+                                 instance["dictionary"]).build()
     sparsity = int(instance["sparsity"])
     algorithm = instance.get("algorithm", "jt")
     if algorithm not in ("jt", "gjt", "it"):
@@ -645,25 +619,14 @@ def decode_instance(instance: dict):
     paths = instance.get("signal_csvs")
     if not paths:
         raise ValueError("instance needs signal_csvs, one CSV per view")
-    signals = [load_signal_csv(p) for p in paths]
-    for y in signals:
-        if y.size != dictionary.signal_length:
-            raise ValueError("signal length does not match the dictionary's "
-                             "sample grid")
-
-    n_views = len(signals)
-    if instance.get("identity_sensing", False):
-        matrices = [identity_sensing(dictionary.signal_length)] * n_views
-    else:
-        n_measurements = instance.get("measurements")
-        if n_measurements is None:
-            raise ValueError("instance needs measurements unless "
-                             "identity_sensing is set")
-        sensing_ss = np.random.SeedSequence(int(instance.get("seed", 0)))
-        matrices = [sample_sensing_matrix(int(n_measurements),
-                                          dictionary.signal_length, ss)
-                    for ss in sensing_ss.spawn(n_views)]
-    measurements = measure_ensemble(matrices, signals)
+    signals = _load_signals(paths, dictionary)
+    identity = instance.get("identity_sensing", False)
+    n_measurements = instance.get("measurements")
+    if not identity and n_measurements is None:
+        raise ValueError("instance needs measurements unless "
+                         "identity_sensing is set")
+    measurements = _sense(dictionary, signals, n_measurements, identity,
+                          np.random.SeedSequence(int(instance.get("seed", 0))))
 
     candidates = None
     if algorithm in ("jt", "gjt"):
@@ -671,7 +634,7 @@ def decode_instance(instance: dict):
         if not offsets:
             raise ValueError("jt/gjt need candidate_offsets")
         candidates = CandidateSet.from_uniform_offsets(dictionary, offsets,
-                                                       n_views)
+                                                       len(signals))
     result = _decode_with(algorithm, measurements, dictionary, sparsity,
                           candidates)
     summary = {
@@ -686,12 +649,6 @@ def decode_instance(instance: dict):
                          for coeffs in result.coefficients],
     }
     return result, summary
-
-
-def run_experiment(config: ExperimentConfig) -> ResultTable:
-    """Validate the config and dispatch to the kind's runner."""
-    validate_config(config)
-    return _RUNNERS[config.kind](config)
 
 
 def _full_gaussian_dictionary() -> DictionaryConfig:

@@ -9,8 +9,7 @@ from jointrec import (BERNSTEIN_SCALE_COEFF, BERNSTEIN_VARIANCE_COEFF,
                       RECOVERY_EXPONENT_COEFF, BoundInputs,
                       concentration_tail_bound, empirical_tail_frequency,
                       min_measurements_for_recovery, mse, recovery_rate,
-                      recovery_rate_bound, report_trial,
-                      transform_error_rate)
+                      recovery_rate_bound)
 
 
 class TestRecoveryRate:
@@ -58,15 +57,6 @@ class TestMse:
     def test_rejects_mismatch(self):
         with pytest.raises(ValueError):
             mse([np.zeros(4)], [np.zeros(5)])
-
-
-class TestTransformErrorRate:
-    def test_counts_wrong_and_missing(self):
-        rate = transform_error_rate(["a", "b", "c"], ["a", "x", None])
-        assert rate == pytest.approx(2.0 / 3.0)
-
-    def test_all_correct(self):
-        assert transform_error_rate(["t"], ["t"]) == 0.0
 
 
 class TestConstants:
@@ -212,26 +202,3 @@ class TestEmpiricalTail:
         a = empirical_tail_frequency(u, u, 8, 0.3, 200, seed=7)
         b = empirical_tail_frequency(u, u, 8, 0.3, 200, seed=7)
         assert a == b
-
-
-class TestReportTrial:
-    def test_report_fields(self, onb_dict):
-        from jointrec import (CandidateSet, generate_ensemble,
-                              identity_sensing, identity_transform,
-                              joint_threshold_decode, measure_ensemble)
-        from jointrec.transforms import TransformVector
-        ident = identity_transform(onb_dict)
-        ens = generate_ensemble(onb_dict, 3, TransformVector((ident, ident)),
-                                seed=2)
-        mats = [identity_sensing(16)] * 2
-        meas = measure_ensemble(mats, ens.signals)
-        cands = CandidateSet(ident, ((ident,),))
-        result = joint_threshold_decode(meas, onb_dict, 3, cands)
-        report = report_trial(ens, result, seed=123)
-        assert report.recovery_rate == 1.0
-        assert report.transform_correct is True
-        assert report.mse == pytest.approx(0.0, abs=1e-20)
-        assert report.seed == 123
-        payload = report.to_dict()
-        assert payload["recovery_rate"] == 1.0
-        assert payload["per_view_hits"] == [3, 3]

@@ -233,3 +233,10 @@ class TestPersistence:
         path.write_text("0.5\n-1.25\n3.0\n")
         y = load_signal_csv(path)
         assert np.array_equal(y, np.array([0.5, -1.25, 3.0]))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_load_signal_csv_rejects_non_finite(self, tmp_path, bad):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"0.5\n{bad}\n3.0\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_signal_csv(path)

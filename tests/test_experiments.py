@@ -1,14 +1,18 @@
-"""Experiment harness: configs, runners, persistence, plots, and the CLI."""
+"""Experiment harness: configs, the sweep engine, persistence, plots, CLI."""
 
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jointrec import (DictionaryConfig, ExperimentConfig, config_hash,
-                      emit_plot_data, get_preset, preset_names,
+from jointrec import (CandidateSet, DictionaryConfig, ExperimentConfig,
+                      ResultTable, TrialRecord, build_gabor_1d_dictionary,
+                      config_hash, emit_plot_data, get_preset, preset_names,
                       read_trials_csv, run_experiment, validate_config)
+from jointrec import experiments
 from jointrec.cli import main as cli_main
 from jointrec.experiments import load_config, save_config
 
@@ -37,6 +41,62 @@ def tiny_gaussian_config(**overrides):
         master_seed=7, output_dir="unused")
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def write_signal_pair(directory):
+    """Two views of one sparse 1D signal, the second shifted by 10 samples."""
+    d = build_gabor_1d_dictionary(120, scales=[4.0, 8.0], omegas=[2.0, 4.0])
+    rng = np.random.default_rng(0)
+    support = rng.choice(d.n_atoms, size=4, replace=False)
+    y = d.atoms[:, support] @ rng.uniform(0.5, 1.5, size=4)
+    paths = []
+    for name, view in (("a.csv", y), ("b.csv", np.roll(y, 10))):
+        path = directory / name
+        path.write_text("\n".join(repr(float(v)) for v in view) + "\n")
+        paths.append(str(path))
+    return paths
+
+
+def csv_digest(path):
+    """sha256 of a result CSV without its config-hash line, which covers
+    the (temporary) signal paths."""
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(
+        line for line in lines
+        if not line.startswith(b"# config_hash="))).hexdigest()
+
+
+# sha256 of trials.csv and results.csv for one tiny config per kind and
+# per trial mode; they pin the seeding, record order and formatting.
+PINNED_RUNS = {
+    "transform-error": (
+        lambda tmp: tiny_gaussian_config(),
+        "3246f9bdebc12ad97b6a8537be45fc0318863d92a1cc86609a7b6aada8d4a064",
+        "97e4a9855348bca43850886c18b2e20ce72a5e1860d7ae639f124c880b5b8141"),
+    "recovery-vs-J": (
+        lambda tmp: tiny_gaussian_config(kind="recovery-vs-J", views=[1, 2],
+                                         measurements=24),
+        "77bb1e9a16e8788080987faf3851da9866fb93acaf6feac4a4c006155da867dc",
+        "8393a6e1d75db7ca838c1093cdabfcd87e5f8f647a7582c0ee5fdef4c6dcaed5"),
+    "two-view": (
+        lambda tmp: tiny_gabor_config(),
+        "758b27bd87f4dd303249dc8ba3e73751aff63c85964df1c547469b402458b5aa",
+        "886122225726159b4494767da68f2da07726277a825b0cd7da5eb6757ac14575"),
+    "ingested": (
+        lambda tmp: tiny_gabor_config(signal_paths=write_signal_pair(tmp),
+                                      trials=2),
+        "20131bfdf8be7a428bcd82ae26c31a7cb0dece6ff357161ab4f786f5ec63e468",
+        "4fe28fd46d55308391c5ed92fce2fec5aa792d8d0f49ba10f2e895345b21ee54"),
+    "fixed-ensemble": (
+        lambda tmp: tiny_gabor_config(fresh_ensembles=False),
+        "5b9fa1e5dda55602f89985cccf2c3dae311301edcbd65fbc63ab15aa27fe8ffa",
+        "564127a8cc5949370e75a0cb25309040ecf32481e5e294364699f30b86d7a521"),
+    "identity": (
+        lambda tmp: tiny_gaussian_config(identity_sensing=True,
+                                         measurements=[64]),
+        "6a132e4fa72083444a5a3519089b1bfc370754ca4933573eba7800b088ad14b2",
+        "e5f973b7730207d9302b7a5c0561565d75db923030f84930c073b92b5723ef21"),
+}
 
 
 class TestConfig:
@@ -90,6 +150,26 @@ class TestConfig:
         ok = tiny_gaussian_config(identity_sensing=True, measurements=[64])
         validate_config(ok)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"measurements": [20, 32, 20]},
+         "the measurements sweep repeats the value 20$"),
+        ({"kind": "recovery-vs-J", "views": [2, 3, 2], "measurements": 20},
+         "the views sweep repeats the value 2$"),
+    ])
+    def test_repeated_sweep_value_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            validate_config(tiny_gaussian_config(**overrides))
+
+    def test_from_dict_names_unknown_key(self):
+        data = tiny_gabor_config().to_dict()
+        data["dictionary"]["lenght"] = 120
+        with pytest.raises(ValueError, match="'lenght'"):
+            ExperimentConfig.from_dict(data)
+        data = tiny_gabor_config().to_dict()
+        data["trails"] = 3
+        with pytest.raises(ValueError, match="'trails'"):
+            ExperimentConfig.from_dict(data)
+
 
 class TestPresets:
     def test_names_and_retrieval(self):
@@ -127,6 +207,44 @@ class TestPresets:
 
 
 class TestRunners:
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_pinned_outputs(self, tmp_path, name):
+        make, trials_digest, results_digest = PINNED_RUNS[name]
+        paths = run_experiment(make(tmp_path)).write(tmp_path / "out")
+        assert csv_digest(paths["trials"]) == trials_digest
+        assert csv_digest(paths["results"]) == results_digest
+
+    def test_candidates_realized_once(self, monkeypatch):
+        calls = []
+        realize = CandidateSet.from_uniform_offsets
+
+        def counting(cls, dictionary, offsets, n_views):
+            calls.append(n_views)
+            return realize(dictionary, offsets, n_views)
+
+        monkeypatch.setattr(CandidateSet, "from_uniform_offsets",
+                            classmethod(counting))
+        run_experiment(tiny_gaussian_config(
+            kind="recovery-vs-J", views=[3, 1, 2], measurements=24))
+        assert calls == [3]
+
+    def test_cells_decode_sliced_candidate_sets(self, monkeypatch):
+        seen = {}
+        run_trial = experiments._run_trial
+
+        def spy(config, dictionary, candidates, sweep, *args):
+            seen[sweep] = (dictionary, candidates)
+            return run_trial(config, dictionary, candidates, sweep, *args)
+
+        monkeypatch.setattr(experiments, "_run_trial", spy)
+        cfg = tiny_gaussian_config(kind="recovery-vs-J", views=[3, 1, 2],
+                                   measurements=24)
+        run_experiment(cfg)
+        assert sorted(seen) == [1, 2, 3]
+        for n_views, (dictionary, candidates) in seen.items():
+            assert candidates == CandidateSet.from_uniform_offsets(
+                dictionary, cfg.candidate_offsets, n_views)
+
     def test_two_view_synthetic(self, tmp_path):
         cfg = tiny_gabor_config(output_dir=str(tmp_path / "out"))
         table = run_experiment(cfg)
@@ -174,6 +292,7 @@ class TestRunners:
         for rec in table.records:
             assert rec.transform_correct is True
             assert rec.recovery_rate == 1.0
+            assert rec.mse == pytest.approx(0.0, abs=1e-20)
 
     def test_rank_deficient_path_flagged(self):
         cfg = tiny_gabor_config(sparsity=12, measurements=8)
@@ -262,6 +381,29 @@ class TestResultTable:
         for row in rows:
             assert row["n_trials"] == 2
 
+    def test_transform_error_counts_defined_flags_only(self):
+        def record(sweep, algorithm, trial, correct):
+            return TrialRecord(sweep=sweep, algorithm=algorithm, trial=trial,
+                               seed=trial, recovery_rate=1.0, mse=0.0,
+                               transform_correct=correct,
+                               rank_deficient=False, wall_time=None)
+
+        table = ResultTable(kind="transform-error-vs-M", config_hash="",
+                            master_seed=0, records=[
+                                record(16, "jt", 0, True),
+                                record(16, "jt", 1, False),
+                                record(16, "jt", 2, None),
+                                record(16, "it", 0, None),
+                                record(32, "jt", 0, True)])
+        mixed, undefined, all_correct = table.aggregate()
+        assert mixed["n_trials"] == 3
+        assert mixed["transform_error"] == 0.5
+        assert mixed["transform_error_se"] == pytest.approx(
+            math.sqrt(0.25 / 2))
+        assert undefined["transform_error"] is None
+        assert undefined["transform_error_se"] is None
+        assert all_correct["transform_error"] == 0.0
+
     def test_single_trial_zero_stderr(self):
         table = run_experiment(tiny_gabor_config(trials=1))
         for row in table.aggregate():
@@ -338,6 +480,35 @@ class TestCli:
         assert cli_main(["run", "definitely-not-a-preset"]) == 2
         assert "neither" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("make, extra, message", [
+        (lambda tmp: tiny_gaussian_config(measurements=[16, 16]), [],
+         "error: the measurements sweep repeats the value 16"),
+        (lambda tmp: tiny_gabor_config(), ["--signals", "only_one.csv"],
+         "error: signal ingestion needs a fixed view count and one CSV path "
+         "per view"),
+    ])
+    def test_run_invalid_config_exits_2(self, tmp_path, capsys, make, extra,
+                                        message):
+        path = tmp_path / "config.json"
+        save_config(make(tmp_path), path)
+        assert cli_main(["run", str(path), *extra]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_run_signals_decodes_ingested_pair(self, tmp_path):
+        cfg = tiny_gabor_config(output_dir=str(tmp_path / "res"))
+        path = tmp_path / "config.json"
+        save_config(cfg, path)
+        signals = write_signal_pair(tmp_path)
+        assert cli_main(["run", str(path), "--trials", "1",
+                         "--signals", *signals]) == 0
+        table = read_trials_csv(tmp_path / "res" / "trials.csv")
+        assert [r.algorithm for r in table.records] == ["jt", "it"]
+        for rec in table.records:
+            assert rec.recovery_rate is None and rec.transform_correct is None
+            assert rec.mse is not None
+        meta = json.loads((tmp_path / "res" / "run_meta.json").read_text())
+        assert meta["config"]["signal_paths"] == signals
+
     def test_run_generation_failure_exits_1(self, tmp_path, capsys):
         # margin required on the twinned 1D dictionary: infeasible
         cfg = tiny_gabor_config(require_margin=True, max_attempts=20,
@@ -389,3 +560,18 @@ class TestCli:
 
     def test_decode_missing_instance_exits_2(self, tmp_path):
         assert cli_main(["decode", str(tmp_path / "nope.json")]) == 2
+
+    def test_decode_invalid_signal_exits_2(self, tmp_path, capsys):
+        sig = tmp_path / "view.csv"
+        sig.write_text("0.5\nnan\n")
+        instance = {
+            "dictionary": {"variant": "gabor_1d", "length": 120,
+                           "scales": [4.0], "omegas": [2.0]},
+            "sparsity": 3, "identity_sensing": True,
+            "signal_csvs": [str(sig), str(sig)], "candidate_offsets": [0],
+        }
+        inst_path = tmp_path / "instance.json"
+        inst_path.write_text(json.dumps(instance))
+        assert cli_main(["decode", str(inst_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: signal CSV {sig} has non-finite samples\n"
