@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from jointrec import (BERNSTEIN_SCALE_COEFF, BERNSTEIN_VARIANCE_COEFF,
-                      RECOVERY_EXPONENT_COEFF, BoundInputs,
+                      RECOVERY_EXPONENT_COEFF, BoundInputs, DictionaryConfig,
+                      ExperimentConfig, ResultTable, TrialRecord,
                       concentration_tail_bound, empirical_tail_frequency,
-                      min_measurements_for_recovery, mse, recovery_rate,
-                      recovery_rate_bound)
+                      min_measurements_for_recovery, mse, read_trials_csv,
+                      recovery_rate, recovery_rate_bound, run_experiment)
 
 
 class TestRecoveryRate:
@@ -57,6 +58,37 @@ class TestMse:
     def test_rejects_mismatch(self):
         with pytest.raises(ValueError):
             mse([np.zeros(4)], [np.zeros(5)])
+
+
+class TestTransformErrorRate:
+    """The transform error rate comes from ``ResultTable.aggregate``."""
+
+    @staticmethod
+    def table(flags):
+        records = [TrialRecord(sweep=16, algorithm="jt", trial=i, seed=i,
+                               recovery_rate=1.0, mse=0.0,
+                               transform_correct=flag, rank_deficient=False,
+                               wall_time=None)
+                   for i, flag in enumerate(flags)]
+        return ResultTable(kind="transform-error-vs-M", config_hash="",
+                           master_seed=0, records=records)
+
+    def test_counts_wrong_and_missing(self):
+        # wrong estimates count as errors; trials without a defined flag
+        # stay out of the denominator
+        (row,) = self.table([True, False, None]).aggregate()
+        assert row["n_trials"] == 3
+        assert row["transform_error"] == 0.5
+        assert row["transform_error_se"] == pytest.approx(
+            math.sqrt(0.25 / 2))
+        (row,) = self.table([None, None]).aggregate()
+        assert row["transform_error"] is None
+        assert row["transform_error_se"] is None
+
+    def test_all_correct(self):
+        (row,) = self.table([True]).aggregate()
+        assert row["transform_error"] == 0.0
+        assert row["transform_error_se"] == 0.0
 
 
 class TestConstants:
@@ -202,3 +234,39 @@ class TestEmpiricalTail:
         a = empirical_tail_frequency(u, u, 8, 0.3, 200, seed=7)
         b = empirical_tail_frequency(u, u, 8, 0.3, 200, seed=7)
         assert a == b
+
+
+class TestReportTrial:
+    """Per-trial metrics are the fields of the records ``run_experiment``
+    returns and writes to trials.csv."""
+
+    def test_report_fields(self, tmp_path):
+        config = ExperimentConfig(
+            kind="transform-error-vs-M",
+            dictionary=DictionaryConfig(variant="gaussian_2d", width=8,
+                                        height=8, n_theta=3, sx_values=[2.0],
+                                        sy_values=[1.0]),
+            sparsity=2, views=2, measurements=[64],
+            candidate_offsets=[[-2, 0], [0, 0], [2, 0]], trials=2,
+            master_seed=123, output_dir="unused", identity_sensing=True)
+        table = run_experiment(config)
+        # one record per (trial, algorithm), each with its trial's seed
+        assert [(r.trial, r.algorithm) for r in table.records] == [
+            (0, "jt"), (0, "gjt"), (1, "jt"), (1, "gjt")]
+        seeds = np.random.SeedSequence(123).generate_state(2, dtype=np.uint64)
+        for rec in table.records:
+            assert rec.recovery_rate == 1.0
+            assert rec.transform_correct is True
+            assert rec.mse == pytest.approx(0.0, abs=1e-20)
+            assert rec.seed == int(seeds[rec.trial])
+            assert rec.rank_deficient is False
+        for row in table.aggregate():
+            assert row["n_trials"] == 2
+            assert row["recovery_mean"] == 1.0
+            assert row["transform_error"] == 0.0
+        paths = table.write(tmp_path)
+        reread = read_trials_csv(paths["trials"])
+        assert [(r.seed, r.recovery_rate, r.transform_correct)
+                for r in reread.records] == [
+            (r.seed, r.recovery_rate, r.transform_correct)
+            for r in table.records]

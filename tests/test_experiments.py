@@ -2,16 +2,15 @@
 
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jointrec import (CandidateSet, DictionaryConfig, ExperimentConfig,
-                      ResultTable, TrialRecord, build_gabor_1d_dictionary,
-                      config_hash, emit_plot_data, get_preset, preset_names,
-                      read_trials_csv, run_experiment, validate_config)
+                      build_gabor_1d_dictionary, config_hash, emit_plot_data,
+                      get_preset, preset_names, read_trials_csv,
+                      run_experiment, validate_config)
 from jointrec import experiments
 from jointrec.cli import main as cli_main
 from jointrec.experiments import load_config, save_config
@@ -380,29 +379,6 @@ class TestResultTable:
         assert keys == {(16, "jt"), (16, "gjt"), (32, "jt"), (32, "gjt")}
         for row in rows:
             assert row["n_trials"] == 2
-
-    def test_transform_error_counts_defined_flags_only(self):
-        def record(sweep, algorithm, trial, correct):
-            return TrialRecord(sweep=sweep, algorithm=algorithm, trial=trial,
-                               seed=trial, recovery_rate=1.0, mse=0.0,
-                               transform_correct=correct,
-                               rank_deficient=False, wall_time=None)
-
-        table = ResultTable(kind="transform-error-vs-M", config_hash="",
-                            master_seed=0, records=[
-                                record(16, "jt", 0, True),
-                                record(16, "jt", 1, False),
-                                record(16, "jt", 2, None),
-                                record(16, "it", 0, None),
-                                record(32, "jt", 0, True)])
-        mixed, undefined, all_correct = table.aggregate()
-        assert mixed["n_trials"] == 3
-        assert mixed["transform_error"] == 0.5
-        assert mixed["transform_error_se"] == pytest.approx(
-            math.sqrt(0.25 / 2))
-        assert undefined["transform_error"] is None
-        assert undefined["transform_error_se"] is None
-        assert all_correct["transform_error"] == 0.0
 
     def test_single_trial_zero_stderr(self):
         table = run_experiment(tiny_gabor_config(trials=1))
