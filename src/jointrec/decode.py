@@ -11,7 +11,13 @@ atom T_j(atom_i); the winning candidate maximizes the sum of the S
 largest entries of d_T.  Selection is by signed value: under the
 positivity model the true support produces nonnegative contributions, and
 the score being maximized is a sum of signed entries.  The independent
-baseline instead thresholds each view's |c_j| separately.
+baseline instead thresholds each view's |c_j| separately, through the
+same top-S selection.
+
+One candidate search implements the rule.  The exhaustive decoder (jt)
+runs it once over the whole candidate product.  The greedy decoder (gjt)
+runs it once per view: at stage V the earlier views are pinned to their
+chosen transforms, view V is free, and d_T sums views 1..V only.
 
 c_j is computed once per view and d_T assembled by index gathering, so no
 per-candidate matrix product is ever formed.
@@ -90,27 +96,22 @@ def atom_measurement_correlations(measurements: MeasurementSet,
 
 
 def correlation_vector(measurements: MeasurementSet, dictionary: Dictionary,
-                       transforms, view_limit: int | None = None,
-                       base: np.ndarray | None = None) -> CorrelationVector:
+                       transforms, base: np.ndarray | None = None
+                       ) -> CorrelationVector:
     """Aggregate correlation vector for one candidate transformation vector.
 
-    ``view_limit`` restricts the sum to the first views (used by the
-    greedy decoder's partial scores); it defaults to all views of the
-    candidate.  ``base`` may carry precomputed per-view correlations.
+    Sums over the first ``len(transforms)`` views, so a vector shorter
+    than the measurement set gives a partial aggregate.  ``base`` may
+    carry precomputed per-view correlations.
     """
-    n_views = len(transforms)
-    if view_limit is None:
-        view_limit = n_views
-    if not 1 <= view_limit <= n_views:
-        raise ValueError("view_limit must lie in 1..len(transforms)")
-    if view_limit > measurements.n_views:
+    if len(transforms) > measurements.n_views:
         raise ValueError("more transforms requested than measured views")
     if base is None:
         base = atom_measurement_correlations(measurements, dictionary)
     values = np.zeros(dictionary.n_atoms)
     valid = np.ones(dictionary.n_atoms, dtype=bool)
-    for j in range(view_limit):
-        mapping = transforms[j].mapping
+    for j, transform in enumerate(transforms):
+        mapping = transform.mapping
         defined = mapping >= 0
         valid &= defined
         values[defined] += base[mapping[defined], j]
@@ -155,16 +156,17 @@ def least_squares_reconstruct(matrix, dictionary: Dictionary, support,
 
 
 def _finalize(measurements: MeasurementSet, dictionary: Dictionary,
-              reference_support, transforms: TransformVector,
+              supports, transforms: TransformVector | None,
               score: float) -> DecodeResult:
-    supports = tuple(apply_to_support(t, reference_support) for t in transforms)
+    """Fit each view by least squares on its support; view 1's support is
+    the reference support."""
     fits = [least_squares_reconstruct(mat, dictionary, sup, s)
             for mat, sup, s in zip(measurements.matrices, supports,
                                    measurements.measurements)]
     return DecodeResult(
-        reference_support=np.asarray(reference_support, dtype=np.int64),
+        reference_support=supports[0],
         transforms=transforms,
-        supports=supports,
+        supports=tuple(supports),
         coefficients=tuple(f.coefficients for f in fits),
         reconstructions=tuple(f.reconstruction for f in fits),
         score=score,
@@ -172,21 +174,16 @@ def _finalize(measurements: MeasurementSet, dictionary: Dictionary,
     )
 
 
-def joint_threshold_decode(measurements: MeasurementSet,
-                           dictionary: Dictionary, sparsity: int,
-                           candidates: CandidateSet) -> DecodeResult:
-    """Exhaustive joint decoder.
+def _search(measurements: MeasurementSet, dictionary: Dictionary,
+            sparsity: int, candidates: CandidateSet, base: np.ndarray):
+    """The one candidate search: the first strict maximizer of the top-S
+    score over ``enumerate_vectors(candidates)``.
 
-    Scores every candidate transformation vector by the sum of the S
-    largest entries of its aggregate correlation vector, keeps the first
-    maximizer in enumeration order (updates only on strict improvement),
-    then reconstructs each view by least squares on the transformed
-    support.  Candidates that leave fewer than S atoms valid are skipped;
-    if that removes every candidate a ValueError is raised.
+    The candidate set may cover fewer views than the measurements; the
+    aggregate then sums only its views.  Candidates that leave fewer than
+    S atoms valid are skipped; if that removes every candidate a
+    ValueError is raised.  Returns (per-view supports, vector, score).
     """
-    if candidates.n_views != measurements.n_views:
-        raise ValueError("candidate set and measurements disagree on view count")
-    base = atom_measurement_correlations(measurements, dictionary)
     best_score = -np.inf
     best_support = None
     best_vector = None
@@ -203,57 +200,59 @@ def joint_threshold_decode(measurements: MeasurementSet,
         raise ValueError(
             "every candidate transformation leaves fewer valid atoms than "
             "the sparsity level")
-    return _finalize(measurements, dictionary, best_support, best_vector,
-                     best_score)
+    supports = tuple(apply_to_support(t, best_support) for t in best_vector)
+    return supports, best_vector, best_score
+
+
+def _check_views(measurements: MeasurementSet, candidates: CandidateSet):
+    if candidates.n_views != measurements.n_views:
+        raise ValueError("candidate set and measurements disagree on view count")
+
+
+def joint_threshold_decode(measurements: MeasurementSet,
+                           dictionary: Dictionary, sparsity: int,
+                           candidates: CandidateSet) -> DecodeResult:
+    """Exhaustive joint decoder.
+
+    Scores every candidate transformation vector by the sum of the S
+    largest entries of its aggregate correlation vector, keeps the first
+    maximizer in enumeration order (updates only on strict improvement),
+    then reconstructs each view by least squares on the transformed
+    support.  Candidates that leave fewer than S atoms valid are skipped;
+    if that removes every candidate a ValueError is raised.
+    """
+    _check_views(measurements, candidates)
+    base = atom_measurement_correlations(measurements, dictionary)
+    return _finalize(measurements, dictionary,
+                     *_search(measurements, dictionary, sparsity, candidates,
+                              base))
 
 
 def greedy_joint_threshold_decode(measurements: MeasurementSet,
                                   dictionary: Dictionary, sparsity: int,
                                   candidates: CandidateSet) -> DecodeResult:
-    """Greedy joint decoder.
+    """Greedy joint decoder: a sequence of candidate searches.
 
-    Fixes one view's transform at a time: at stage V it scores each
-    candidate for view V through the partial aggregate vector over views
-    1..V, with views below V pinned to their already-chosen transforms,
-    and keeps the first strict maximizer.  The final stage's selection
-    provides the reference support and full score.  With two views the
-    single stage enumerates exactly what the exhaustive decoder does, so
-    the results coincide.
+    Stage V (V = 2..J) runs the exhaustive search over views 1..V with
+    views below V pinned, each to a one-element candidate list holding
+    its already-chosen transform, and only view V free; the partial
+    aggregate sums views 1..V.  The final stage's winner provides the
+    reference support and full score.  With one view the single search
+    covers the identity alone; with two views it enumerates exactly what
+    the exhaustive decoder does, so the results coincide.
     """
-    if candidates.n_views != measurements.n_views:
-        raise ValueError("candidate set and measurements disagree on view count")
+    _check_views(measurements, candidates)
     base = atom_measurement_correlations(measurements, dictionary)
-    chosen = [candidates.identity]
-    if candidates.n_views == 1:
-        vector = TransformVector((candidates.identity,))
-        corr = correlation_vector(measurements, dictionary, vector, base=base)
-        support, score = select_top_s(corr, sparsity)
-        return _finalize(measurements, dictionary, support, vector, score)
-
-    best_support = None
-    best_score = -np.inf
-    for stage, stage_candidates in enumerate(candidates.per_view, start=2):
-        best_score = -np.inf
-        best_support = None
-        best_transform = None
-        for candidate in stage_candidates:
-            vector = TransformVector(tuple(chosen) + (candidate,))
-            corr = correlation_vector(measurements, dictionary, vector,
-                                      view_limit=stage, base=base)
-            if corr.n_valid < sparsity:
-                continue
-            support, score = select_top_s(corr, sparsity)
-            if score > best_score:
-                best_score = score
-                best_support = support
-                best_transform = candidate
-        if best_transform is None:
-            raise ValueError(
-                f"every candidate for view {stage} leaves fewer valid atoms "
-                "than the sparsity level")
-        chosen.append(best_transform)
-    return _finalize(measurements, dictionary, best_support,
-                     TransformVector(tuple(chosen)), best_score)
+    chosen = ()
+    # one stage per free view; a single view still gets one (identity) stage
+    for view in range(max(len(candidates.per_view), 1)):
+        stage = CandidateSet(candidates.identity,
+                             tuple((t,) for t in chosen)
+                             + candidates.per_view[view:view + 1])
+        supports, vector, score = _search(measurements, dictionary, sparsity,
+                                          stage, base)
+        chosen = vector.transforms[1:]
+    return _finalize(measurements, dictionary, supports, vector, score)
 
 
 def independent_threshold_decode(measurements: MeasurementSet,
@@ -270,29 +269,17 @@ def independent_threshold_decode(measurements: MeasurementSet,
     if selection not in ("absolute", "signed"):
         raise ValueError(f"unknown selection rule {selection!r}")
     base = atom_measurement_correlations(measurements, dictionary)
-    if dictionary.n_atoms < sparsity:
-        raise ValueError("fewer atoms than the sparsity level")
+    if selection == "absolute":
+        base = np.abs(base)
+    everywhere = np.ones(dictionary.n_atoms, dtype=bool)
     supports = []
-    fits = []
     total = 0.0
     for j in range(measurements.n_views):
-        criterion = np.abs(base[:, j]) if selection == "absolute" else base[:, j]
-        order = np.argsort(-criterion, kind="stable")
-        chosen = np.sort(order[:sparsity])
-        total += float(criterion[order[:sparsity]].sum())
-        supports.append(chosen)
-        fits.append(least_squares_reconstruct(
-            measurements.matrices[j], dictionary, chosen,
-            measurements.measurements[j]))
-    return DecodeResult(
-        reference_support=supports[0],
-        transforms=None,
-        supports=tuple(supports),
-        coefficients=tuple(f.coefficients for f in fits),
-        reconstructions=tuple(f.reconstruction for f in fits),
-        score=total,
-        rank_deficient=any(f.rank_deficient for f in fits),
-    )
+        support, score = select_top_s(
+            CorrelationVector(base[:, j], everywhere), sparsity)
+        supports.append(support)
+        total += score
+    return _finalize(measurements, dictionary, supports, None, total)
 
 
 def noiseless_score(signals, dictionary: Dictionary, support,

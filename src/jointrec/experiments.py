@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,11 +59,16 @@ EXPERIMENT_KINDS = {
 
 
 def _dataclass_from(cls, data: dict):
-    """``cls(**data)``, raising a ValueError that names unknown keys."""
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s): "
-                         f"{', '.join(map(repr, unknown))}")
+    """``cls(**data)``, raising a ValueError that names unknown or
+    missing keys."""
+    names = {f.name for f in fields(cls)}
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    for problem, keys in (("unknown", set(data) - names),
+                          ("missing", required - set(data))):
+        if keys:
+            raise ValueError(f"{problem} {cls.__name__} key(s): "
+                             f"{', '.join(map(repr, sorted(keys)))}")
     return cls(**data)
 
 
@@ -87,14 +92,30 @@ class DictionaryConfig:
     omegas: list[float] | None = None
     include_negated: bool = True
 
+    # fields each variant needs beyond the defaulted ones
+    _VARIANT_FIELDS = {
+        "gaussian_2d": ("width", "height", "n_theta", "sx_values",
+                        "sy_values"),
+        "gabor_1d": ("length", "scales", "omegas"),
+    }
+
+    def _check_variant(self) -> None:
+        if self.variant not in self._VARIANT_FIELDS:
+            raise ValueError(f"unknown dictionary variant {self.variant!r}")
+        missing = [name for name in self._VARIANT_FIELDS[self.variant]
+                   if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"the {self.variant} dictionary needs "
+                             f"{', '.join(map(repr, missing))}")
+
     def signal_length(self) -> int:
+        self._check_variant()
         if self.variant == "gaussian_2d":
             return int(self.width) * int(self.height)
-        if self.variant == "gabor_1d":
-            return int(self.length)
-        raise ValueError(f"unknown dictionary variant {self.variant!r}")
+        return int(self.length)
 
     def build(self) -> Dictionary:
+        self._check_variant()
         if self.variant == "gaussian_2d":
             thetas = np.linspace(0.0, np.pi, int(self.n_theta))
             if self.translations == "odd":
@@ -108,12 +129,10 @@ class DictionaryConfig:
             return build_gaussian_2d_dictionary(
                 self.width, self.height, thetas, self.sx_values,
                 self.sy_values, shifts)
-        if self.variant == "gabor_1d":
-            return build_gabor_1d_dictionary(
-                self.length, t_start=self.t_start, t_step=self.t_step,
-                scales=self.scales, omegas=self.omegas,
-                include_negated=self.include_negated)
-        raise ValueError(f"unknown dictionary variant {self.variant!r}")
+        return build_gabor_1d_dictionary(
+            self.length, t_start=self.t_start, t_step=self.t_step,
+            scales=self.scales, omegas=self.omegas,
+            include_negated=self.include_negated)
 
 
 @dataclass
@@ -148,10 +167,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        data["dictionary"] = _dataclass_from(DictionaryConfig,
-                                             data["dictionary"])
-        return _dataclass_from(cls, data)
+        config = _dataclass_from(cls, data)
+        config.dictionary = _dataclass_from(DictionaryConfig,
+                                            config.dictionary)
+        return config
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
@@ -609,6 +628,11 @@ def decode_instance(instance: dict):
     default 0).  Returns (DecodeResult, summary dict); the summary is
     JSON-serializable.
     """
+    missing = [key for key in ("dictionary", "sparsity")
+               if key not in instance]
+    if missing:
+        raise ValueError("missing instance key(s): "
+                         f"{', '.join(map(repr, missing))}")
     dictionary = _dataclass_from(DictionaryConfig,
                                  instance["dictionary"]).build()
     sparsity = int(instance["sparsity"])

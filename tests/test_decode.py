@@ -118,9 +118,10 @@ class TestCorrelations:
         d = random_unit_columns(30, 8, seed=6)
         meas, _, _, _ = random_problem(d, 3, 10, 2, seed=7)
         ident = identity_transform(d)
-        vector = TransformVector((ident, ident, ident))
+        # a vector shorter than the measurement set sums its views only
+        vector = TransformVector((ident, ident))
         table = atom_measurement_correlations(meas, d)
-        two = correlation_vector(meas, d, vector, view_limit=2)
+        two = correlation_vector(meas, d, vector)
         assert np.allclose(two.values, table[:, :2].sum(axis=1), atol=1e-12)
 
     def test_precomputed_base_reused(self):
@@ -237,6 +238,31 @@ class TestJointDecoding:
             assert jt.score == gjt.score
             for a, b in zip(jt.reconstructions, gjt.reconstructions):
                 assert np.array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4]),
+           st.integers(1, 3), st.floats(0.0, 0.6))
+    def test_jt_score_at_least_gjt(self, seed, n_views, pool_size, masked):
+        # pools of partial maps: some atoms (or whole candidates) drop out
+        rng = np.random.default_rng(seed)
+        d = random_unit_columns(16, 10, seed=seed % 1000)
+        per_view = []
+        for _ in range(n_views - 1):
+            pool = []
+            for _ in range(pool_size):
+                mapping = rng.permutation(10)
+                mapping[rng.random(10) < masked] = -1
+                pool.append(transform_from_mapping("partial", mapping))
+            per_view.append(tuple(pool))
+        cands = CandidateSet(identity_transform(d), tuple(per_view))
+        meas, _, _, _ = random_problem(d, n_views, 8, 2, seed=seed)
+        try:
+            gjt = greedy_joint_threshold_decode(meas, d, 2, cands)
+        except ValueError:
+            return  # a greedy dead end; jt may still find a full vector
+        # gjt's final vector is one of jt's candidates, scored the same way
+        jt = joint_threshold_decode(meas, d, 2, cands)
+        assert jt.score >= gjt.score
 
     def test_gjt_single_view_matches_signed_baseline(self):
         d = random_unit_columns(32, 16, seed=700)

@@ -77,6 +77,12 @@ PINNED_RUNS = {
                                          measurements=24),
         "77bb1e9a16e8788080987faf3851da9866fb93acaf6feac4a4c006155da867dc",
         "8393a6e1d75db7ca838c1093cdabfcd87e5f8f647a7582c0ee5fdef4c6dcaed5"),
+    # three and four views: gjt's later stages run with earlier views pinned
+    "recovery-vs-J-pinned-stages": (
+        lambda tmp: tiny_gaussian_config(kind="recovery-vs-J", views=[3, 4],
+                                         measurements=24),
+        "189f0d13374d210afb9c1c2dcc0441ac36011a5ab7e102b6bde3f1b3feb9ea3e",
+        "c04797b785aa6308c65331b801277863162431386b988aede1f23e5af3616971"),
     "two-view": (
         lambda tmp: tiny_gabor_config(),
         "758b27bd87f4dd303249dc8ba3e73751aff63c85964df1c547469b402458b5aa",
@@ -168,6 +174,14 @@ class TestConfig:
         data["trails"] = 3
         with pytest.raises(ValueError, match="'trails'"):
             ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("key", ["sparsity", "dictionary"])
+    def test_from_dict_names_missing_key(self, key):
+        data = tiny_gabor_config().to_dict()
+        del data[key]
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.from_dict(data)
+        assert str(info.value) == f"missing ExperimentConfig key(s): '{key}'"
 
 
 class TestPresets:
@@ -462,6 +476,20 @@ class TestCli:
         (lambda tmp: tiny_gabor_config(), ["--signals", "only_one.csv"],
          "error: signal ingestion needs a fixed view count and one CSV path "
          "per view"),
+        (lambda tmp: tiny_gabor_config(
+            dictionary=DictionaryConfig(variant="gabor_1d", length=120)), [],
+         "error: the gabor_1d dictionary needs 'scales', 'omegas'"),
+        (lambda tmp: tiny_gaussian_config(
+            dictionary=DictionaryConfig(variant="gaussian_2d", width=8,
+                                        height=8, sx_values=[2.0],
+                                        sy_values=[1.0])), [],
+         "error: the gaussian_2d dictionary needs 'n_theta'"),
+        # identity sensing asks for the signal length during validation
+        (lambda tmp: tiny_gabor_config(
+            identity_sensing=True, measurements=120,
+            dictionary=DictionaryConfig(variant="gabor_1d", scales=[4.0],
+                                        omegas=[2.0])), [],
+         "error: the gabor_1d dictionary needs 'length'"),
     ])
     def test_run_invalid_config_exits_2(self, tmp_path, capsys, make, extra,
                                         message):
@@ -533,6 +561,30 @@ class TestCli:
         assert summary["algorithm"] == "jt"
         recon = np.loadtxt(tmp_path / "dec" / "reconstruction_view1.csv")
         assert np.linalg.norm(recon - y) / np.linalg.norm(y) <= 1e-8
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda inst: inst["dictionary"].pop("omegas"),
+         "error: the gabor_1d dictionary needs 'omegas'"),
+        (lambda inst: inst.pop("sparsity"),
+         "error: missing instance key(s): 'sparsity'"),
+        (lambda inst: inst.pop("dictionary"),
+         "error: missing instance key(s): 'dictionary'"),
+    ])
+    def test_decode_invalid_instance_exits_2(self, tmp_path, capsys, edit,
+                                             message):
+        sig = tmp_path / "view.csv"
+        sig.write_text("0.5\n" * 120)
+        instance = {
+            "dictionary": {"variant": "gabor_1d", "length": 120,
+                           "scales": [4.0], "omegas": [2.0]},
+            "sparsity": 3, "identity_sensing": True,
+            "signal_csvs": [str(sig), str(sig)], "candidate_offsets": [0],
+        }
+        edit(instance)
+        inst_path = tmp_path / "instance.json"
+        inst_path.write_text(json.dumps(instance))
+        assert cli_main(["decode", str(inst_path)]) == 2
+        assert capsys.readouterr().err == message + "\n"
 
     def test_decode_missing_instance_exits_2(self, tmp_path):
         assert cli_main(["decode", str(tmp_path / "nope.json")]) == 2
