@@ -15,7 +15,7 @@ from .analysis import (BERNSTEIN_SCALE_COEFF, BERNSTEIN_VARIANCE_COEFF,
                        concentration_tail_bound, empirical_tail_frequency,
                        min_measurements_for_recovery, mse, recovery_rate,
                        recovery_rate_bound)
-from .decode import (CorrelationVector, DecodeResult, LeastSquaresFit,
+from .decode import (DecodeResult, LeastSquaresFit,
                      atom_measurement_correlations, correlation_vector,
                      greedy_joint_threshold_decode, independent_threshold_decode,
                      joint_threshold_decode, least_squares_reconstruct,
@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomTransform", "BoundInputs", "BoundValue", "CandidateSet",
-    "CorrelationVector", "DecodeResult", "Dictionary", "DictionaryConfig",
+    "DecodeResult", "Dictionary", "DictionaryConfig",
     "EnsembleGenerationError", "ExperimentConfig", "GaussianAtom2D",
     "LeastSquaresFit", "MeasurementSet", "ModulatedAtom1D",
     "ResultTable", "SensingMatrix", "SignalEnsemble", "TransformVector",

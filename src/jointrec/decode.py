@@ -8,19 +8,21 @@ candidate transformation vector T through the aggregate vector
 
 whose entry i accumulates each view's correlation with the transformed
 atom T_j(atom_i); the winning candidate maximizes the sum of the S
-largest entries of d_T.  Selection is by signed value: under the
-positivity model the true support produces nonnegative contributions, and
-the score being maximized is a sum of signed entries.  The independent
-baseline instead thresholds each view's |c_j| separately, through the
-same top-S selection.
+largest entries of d_T.  An atom that some view's transform maps outside
+its domain has d_T[i] = -inf, the one encoding of "not selectable".
+Selection is by signed value: under the positivity model the true support
+produces nonnegative contributions, and the score being maximized is a
+sum of signed entries.  The independent baseline instead thresholds each
+view's |c_j| separately, through the same top-S selection.
 
 One candidate search implements the rule.  The exhaustive decoder (jt)
 runs it once over the whole candidate product.  The greedy decoder (gjt)
 runs it once per view: at stage V the earlier views are pinned to their
 chosen transforms, view V is free, and d_T sums views 1..V only.
 
-c_j is computed once per view and d_T assembled by index gathering, so no
-per-candidate matrix product is ever formed.
+c_j is computed once per view into a (K, J) table, and d_T is assembled
+from that table alone by index gathering, so no per-candidate matrix
+product is ever formed.
 """
 
 from __future__ import annotations
@@ -30,28 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary
-from .sensing import MeasurementSet
+from .sensing import MeasurementSet, SensingMatrix
 from .transforms import (CandidateSet, TransformVector, apply_to_support,
                          enumerate_vectors)
 
 LSTSQ_RCOND = 1e-10
-
-
-@dataclass(eq=False)
-class CorrelationVector:
-    """Aggregate correlations d_T plus a validity mask.
-
-    ``valid[i]`` is False when some contributing view's transform leaves
-    atom i outside its domain; such entries hold partial sums and are
-    excluded from selection.
-    """
-
-    values: np.ndarray
-    valid: np.ndarray
-
-    @property
-    def n_valid(self) -> int:
-        return int(self.valid.sum())
 
 
 @dataclass(eq=False)
@@ -95,61 +80,52 @@ def atom_measurement_correlations(measurements: MeasurementSet,
     return base
 
 
-def correlation_vector(measurements: MeasurementSet, dictionary: Dictionary,
-                       transforms, base: np.ndarray | None = None
-                       ) -> CorrelationVector:
-    """Aggregate correlation vector for one candidate transformation vector.
+def correlation_vector(base: np.ndarray, transforms) -> np.ndarray:
+    """Aggregate correlation vector d_T for one candidate transformation
+    vector, gathered from the (K, J) table ``base`` of per-view
+    correlations.
 
-    Sums over the first ``len(transforms)`` views, so a vector shorter
-    than the measurement set gives a partial aggregate.  ``base`` may
-    carry precomputed per-view correlations.
+    Sums views 1..len(transforms) in order, starting from zero, so a
+    vector shorter than the table gives a partial aggregate.  Entry i is
+    -inf when some view's transform maps atom i outside its domain.
     """
-    if len(transforms) > measurements.n_views:
+    if len(transforms) > base.shape[1]:
         raise ValueError("more transforms requested than measured views")
-    if base is None:
-        base = atom_measurement_correlations(measurements, dictionary)
-    values = np.zeros(dictionary.n_atoms)
-    valid = np.ones(dictionary.n_atoms, dtype=bool)
+    values = np.zeros(base.shape[0])
     for j, transform in enumerate(transforms):
         mapping = transform.mapping
-        defined = mapping >= 0
-        valid &= defined
-        values[defined] += base[mapping[defined], j]
-    return CorrelationVector(values, valid)
+        values += np.where(mapping >= 0, base[mapping, j], -np.inf)
+    return values
 
 
-def select_top_s(correlations: CorrelationVector, sparsity: int):
-    """Indices of the S largest valid entries by signed value, plus their sum.
+def select_top_s(values: np.ndarray, sparsity: int):
+    """Indices of the S largest entries by signed value, plus their sum.
 
-    Ties are broken toward the lowest atom index.  The returned support is
-    sorted ascending.  Raises ValueError when fewer than S entries are
-    valid.
+    Entries equal to -inf are not selectable.  Ties are broken toward the
+    lowest atom index.  The returned support is sorted ascending.  Raises
+    ValueError when fewer than S entries are selectable.
     """
     if sparsity < 1:
         raise ValueError("sparsity must be at least 1")
-    if correlations.n_valid < sparsity:
+    if np.count_nonzero(values > -np.inf) < sparsity:
         raise ValueError("fewer valid entries than the sparsity level")
-    scores = np.where(correlations.valid, correlations.values, -np.inf)
-    order = np.argsort(-scores, kind="stable")
-    chosen = order[:sparsity]
-    total = float(scores[chosen].sum())
-    return np.sort(chosen), total
+    chosen = np.argsort(-values, kind="stable")[:sparsity]
+    return np.sort(chosen), float(values[chosen].sum())
 
 
-def least_squares_reconstruct(matrix, dictionary: Dictionary, support,
-                              measurement, rcond: float = LSTSQ_RCOND
-                              ) -> LeastSquaresFit:
+def least_squares_reconstruct(matrix: SensingMatrix, dictionary: Dictionary,
+                              support, measurement) -> LeastSquaresFit:
     """Minimum-norm least squares coefficients on a fixed support.
 
     Solves min_x ||A Phi_support x - s||_2 through a rank-revealing
-    factorization; singular values below ``rcond`` times the largest are
-    treated as zero, and rank deficiency is flagged rather than raised.
+    factorization; singular values below ``LSTSQ_RCOND`` times the
+    largest are treated as zero, and rank deficiency is flagged rather
+    than raised.
     """
     support = np.asarray(support, dtype=np.int64)
-    entries = matrix.entries if hasattr(matrix, "entries") else np.asarray(matrix)
-    design = entries @ dictionary.atoms[:, support]
+    design = matrix.entries @ dictionary.atoms[:, support]
     coeffs, _, rank, _ = np.linalg.lstsq(design, np.asarray(measurement, float),
-                                         rcond=rcond)
+                                         rcond=LSTSQ_RCOND)
     reconstruction = dictionary.atoms[:, support] @ coeffs
     return LeastSquaresFit(coefficients=coeffs, reconstruction=reconstruction,
                            rank=int(rank), rank_deficient=int(rank) < support.size)
@@ -174,24 +150,24 @@ def _finalize(measurements: MeasurementSet, dictionary: Dictionary,
     )
 
 
-def _search(measurements: MeasurementSet, dictionary: Dictionary,
-            sparsity: int, candidates: CandidateSet, base: np.ndarray):
+def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
     """The one candidate search: the first strict maximizer of the top-S
-    score over ``enumerate_vectors(candidates)``.
+    score over ``enumerate_vectors(candidates)``, scored from the (K, J)
+    correlation table ``base`` alone.
 
-    The candidate set may cover fewer views than the measurements; the
-    aggregate then sums only its views.  Candidates that leave fewer than
-    S atoms valid are skipped; if that removes every candidate a
-    ValueError is raised.  Returns (per-view supports, vector, score).
+    The candidate set may cover fewer views than the table; the aggregate
+    then sums only its views.  Candidates that leave fewer than S entries
+    above -inf are skipped; if that removes every candidate a ValueError
+    is raised.  Returns (per-view supports, vector, score).
     """
     best_score = -np.inf
     best_support = None
     best_vector = None
     for vector in enumerate_vectors(candidates):
-        corr = correlation_vector(measurements, dictionary, vector, base=base)
-        if corr.n_valid < sparsity:
+        values = correlation_vector(base, vector)
+        if np.count_nonzero(values > -np.inf) < sparsity:
             continue
-        support, score = select_top_s(corr, sparsity)
+        support, score = select_top_s(values, sparsity)
         if score > best_score:
             best_score = score
             best_support = support
@@ -224,8 +200,7 @@ def joint_threshold_decode(measurements: MeasurementSet,
     _check_views(measurements, candidates)
     base = atom_measurement_correlations(measurements, dictionary)
     return _finalize(measurements, dictionary,
-                     *_search(measurements, dictionary, sparsity, candidates,
-                              base))
+                     *_search(base, sparsity, candidates))
 
 
 def greedy_joint_threshold_decode(measurements: MeasurementSet,
@@ -249,8 +224,7 @@ def greedy_joint_threshold_decode(measurements: MeasurementSet,
         stage = CandidateSet(candidates.identity,
                              tuple((t,) for t in chosen)
                              + candidates.per_view[view:view + 1])
-        supports, vector, score = _search(measurements, dictionary, sparsity,
-                                          stage, base)
+        supports, vector, score = _search(base, sparsity, stage)
         chosen = vector.transforms[1:]
     return _finalize(measurements, dictionary, supports, vector, score)
 
@@ -271,12 +245,10 @@ def independent_threshold_decode(measurements: MeasurementSet,
     base = atom_measurement_correlations(measurements, dictionary)
     if selection == "absolute":
         base = np.abs(base)
-    everywhere = np.ones(dictionary.n_atoms, dtype=bool)
     supports = []
     total = 0.0
     for j in range(measurements.n_views):
-        support, score = select_top_s(
-            CorrelationVector(base[:, j], everywhere), sparsity)
+        support, score = select_top_s(base[:, j], sparsity)
         supports.append(support)
         total += score
     return _finalize(measurements, dictionary, supports, None, total)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -59,8 +60,11 @@ EXPERIMENT_KINDS = {
 
 
 def _dataclass_from(cls, data: dict):
-    """``cls(**data)``, raising a ValueError that names unknown or
-    missing keys."""
+    """``cls(**data)``, raising a ValueError when ``data`` is not a
+    mapping or has unknown or missing keys."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{cls.__name__} must be a mapping of keys to "
+                         f"values, not {data!r}")
     names = {f.name for f in fields(cls)}
     required = {f.name for f in fields(cls)
                 if f.default is MISSING and f.default_factory is MISSING}
@@ -201,16 +205,47 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_types(config: ExperimentConfig) -> None:
+    """Raise a ValueError naming the first field whose value has the
+    wrong type, before any field is compared or unpacked."""
+    for name in ("sparsity", "trials", "master_seed", "max_attempts"):
+        value = getattr(config, name)
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+    for name in ("views", "measurements"):
+        value = getattr(config, name)
+        if not (_is_int(value) or (isinstance(value, list)
+                                   and all(map(_is_int, value)))):
+            raise ValueError(f"{name} must be an integer or a list of "
+                             f"integers, not {value!r}")
+    offsets = config.candidate_offsets
+    if not isinstance(offsets, list) or not offsets:
+        raise ValueError(f"candidate_offsets must be a non-empty list, "
+                         f"not {offsets!r}")
+    bounds = config.coeff_range
+    if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
+            and all(map(_is_number, bounds))):
+        raise ValueError(f"coeff_range must be a pair [lo, hi] of numbers, "
+                         f"not {bounds!r}")
+
+
 def validate_config(config: ExperimentConfig) -> None:
     """Raise ValueError on structurally invalid configs."""
     if config.kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {config.kind!r}")
+    _check_types(config)
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
     if config.sparsity < 1:
         raise ValueError("sparsity must be at least 1")
-    if not config.candidate_offsets:
-        raise ValueError("candidate offset list is empty")
     if config.coeff_rule not in ("shared", "independent"):
         raise ValueError(f"unknown coefficient rule {config.coeff_rule!r}")
     lo, hi = config.coeff_range
@@ -273,6 +308,13 @@ class TrialRecord:
     transform_correct: bool | None
     rank_deficient: bool
     wall_time: float | None
+
+
+# trials.csv columns: the TrialRecord fields but wall_time, in order, with
+# the type of each cell
+_TRIAL_COLUMNS = {"sweep": "int", "algorithm": "str", "trial": "int",
+                  "seed": "int", "recovery_rate": "float", "mse": "float",
+                  "transform_correct": "bool", "rank_deficient": "bool"}
 
 
 @dataclass
@@ -342,8 +384,7 @@ class ResultTable:
                     f"# config_hash={self.config_hash}\n"
                     f"# master_seed={self.master_seed}\n")
 
-        trial_lines = [preamble + "sweep,algorithm,trial,seed,recovery_rate,"
-                                  "mse,transform_correct,rank_deficient"]
+        trial_lines = [preamble + ",".join(_TRIAL_COLUMNS)]
         for r in self.records:
             trial_lines.append(",".join(_format_csv(v) for v in (
                 r.sweep, r.algorithm, r.trial, r.seed, r.recovery_rate,
@@ -398,6 +439,8 @@ def _parse_csv_value(text: str, kind: str):
     if text == "":
         return None
     if kind == "bool":
+        if text not in ("0", "1"):
+            raise ValueError(f"{text!r} is not a 0/1 flag")
         return text == "1"
     if kind == "int":
         return int(text)
@@ -407,41 +450,50 @@ def _parse_csv_value(text: str, kind: str):
 
 
 def read_trials_csv(path) -> ResultTable:
-    """Rebuild a ResultTable (without timings) from a trials.csv file."""
+    """Rebuild a ResultTable (without timings) from a trials.csv file.
+
+    Raises a ValueError naming the file when its preamble lacks a line or
+    names an unknown experiment kind, or when a row is malformed.
+    """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    meta = {"kind": None, "config_hash": None, "master_seed": None}
+    meta = {}
     body = []
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         if line.startswith("# "):
             key, _, value = line[2:].partition("=")
-            if key in meta:
-                meta[key] = value
+            meta[key] = value
         elif line:
-            body.append(line)
-    if not body or meta["kind"] is None:
+            body.append((number, line))
+    if not body or "kind" not in meta:
         raise ValueError(f"{path} is not a trials.csv written by this package")
-    header = body[0].split(",")
-    expected = ["sweep", "algorithm", "trial", "seed", "recovery_rate",
-                "mse", "transform_correct", "rank_deficient"]
-    if header != expected:
+    for key in ("config_hash", "master_seed"):
+        if key not in meta:
+            raise ValueError(f"{path} has no '# {key}=' line")
+    if meta["kind"] not in EXPERIMENT_KINDS:
+        raise ValueError(f"{path} names an unknown experiment kind "
+                         f"{meta['kind']!r}")
+    if body[0][1].split(",") != list(_TRIAL_COLUMNS):
         raise ValueError(f"unexpected trials.csv columns in {path}")
     records = []
-    for line in body[1:]:
+    for number, line in body[1:]:
         cells = line.split(",")
-        records.append(TrialRecord(
-            sweep=_parse_csv_value(cells[0], "int"),
-            algorithm=cells[1],
-            trial=_parse_csv_value(cells[2], "int"),
-            seed=_parse_csv_value(cells[3], "int"),
-            recovery_rate=_parse_csv_value(cells[4], "float"),
-            mse=_parse_csv_value(cells[5], "float"),
-            transform_correct=_parse_csv_value(cells[6], "bool"),
-            rank_deficient=_parse_csv_value(cells[7], "bool"),
-            wall_time=None,
-        ))
+        if len(cells) != len(_TRIAL_COLUMNS):
+            raise ValueError(f"{path} line {number} has {len(cells)} cells, "
+                             f"expected {len(_TRIAL_COLUMNS)}")
+        try:
+            records.append(TrialRecord(
+                *map(_parse_csv_value, cells, _TRIAL_COLUMNS.values()),
+                wall_time=None))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
+    try:
+        master_seed = int(meta["master_seed"])
+    except ValueError:
+        raise ValueError(f"{path} has a non-integer master seed "
+                         f"{meta['master_seed']!r}") from None
     return ResultTable(kind=meta["kind"], config_hash=meta["config_hash"],
-                       master_seed=int(meta["master_seed"]), records=records)
+                       master_seed=master_seed, records=records)
 
 
 def emit_plot_data(table: ResultTable, out_dir) -> list[Path]:
@@ -459,8 +511,7 @@ def emit_plot_data(table: ResultTable, out_dir) -> list[Path]:
                    "transform_error": ("transform_error",
                                        "transform_error_se")}
     written = []
-    kind = EXPERIMENT_KINDS.get(table.kind)
-    for metric in kind.plot_metrics if kind else ("recovery", "mse"):
+    for metric in EXPERIMENT_KINDS[table.kind].plot_metrics:
         mean_col, se_col = metric_cols[metric]
         defined = [row for row in rows if row[mean_col] is not None]
         if not defined:
@@ -476,18 +527,19 @@ def emit_plot_data(table: ResultTable, out_dir) -> list[Path]:
     return written
 
 
+def _independent(measurements, dictionary, sparsity, candidates):
+    """The independent baseline in the decoders' shared call shape; it has
+    no use for the candidate transforms."""
+    return independent_threshold_decode(measurements, dictionary, sparsity)
+
+
+# every decoder by name, each called as
+# (measurements, dictionary, sparsity, candidates)
 _ALGORITHMS = {
     "jt": joint_threshold_decode,
     "gjt": greedy_joint_threshold_decode,
+    "it": _independent,
 }
-
-
-def _decode_with(algorithm: str, measurements, dictionary, sparsity,
-                 candidates):
-    if algorithm == "it":
-        return independent_threshold_decode(measurements, dictionary, sparsity)
-    return _ALGORITHMS[algorithm](measurements, dictionary, sparsity,
-                                  candidates)
 
 
 def _trial_seeds(master_seed: int, count: int) -> np.ndarray:
@@ -559,9 +611,9 @@ def _run_trial(config: ExperimentConfig, dictionary, candidates, sweep: int,
 
     records = []
     for algorithm in EXPERIMENT_KINDS[config.kind].algorithms:
+        decoder = _ALGORITHMS[algorithm]
         start = time.perf_counter()
-        result = _decode_with(algorithm, measurements, dictionary,
-                              config.sparsity, candidates)
+        result = decoder(measurements, dictionary, config.sparsity, candidates)
         wall = time.perf_counter() - start
         if ensemble is None:
             recovery = transform_correct = None
@@ -637,8 +689,9 @@ def decode_instance(instance: dict):
                                  instance["dictionary"]).build()
     sparsity = int(instance["sparsity"])
     algorithm = instance.get("algorithm", "jt")
-    if algorithm not in ("jt", "gjt", "it"):
+    if algorithm not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    decoder = _ALGORITHMS[algorithm]
 
     paths = instance.get("signal_csvs")
     if not paths:
@@ -653,14 +706,13 @@ def decode_instance(instance: dict):
                           np.random.SeedSequence(int(instance.get("seed", 0))))
 
     candidates = None
-    if algorithm in ("jt", "gjt"):
+    if decoder is not _independent:
         offsets = instance.get("candidate_offsets")
         if not offsets:
             raise ValueError("jt/gjt need candidate_offsets")
         candidates = CandidateSet.from_uniform_offsets(dictionary, offsets,
                                                        len(signals))
-    result = _decode_with(algorithm, measurements, dictionary, sparsity,
-                          candidates)
+    result = decoder(measurements, dictionary, sparsity, candidates)
     summary = {
         "algorithm": algorithm,
         "score": result.score,

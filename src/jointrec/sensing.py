@@ -71,7 +71,12 @@ def measure(matrix: SensingMatrix, signal) -> np.ndarray:
 
 @dataclass(eq=False)
 class MeasurementSet:
-    """Per-view sensing matrices and the measurements they produced."""
+    """Per-view sensing matrices and the measurements they produced.
+
+    Every measurement must be finite: a NaN or infinity would reach the
+    decoders' correlations, where -inf is reserved for atoms outside a
+    transform's domain.
+    """
 
     matrices: tuple[SensingMatrix, ...]
     measurements: tuple[np.ndarray, ...]
@@ -82,11 +87,14 @@ class MeasurementSet:
         if len(self.matrices) != len(self.measurements):
             raise ValueError("one measurement vector per matrix required")
         n = self.matrices[0].signal_length
-        for mat, s in zip(self.matrices, self.measurements):
+        for view, (mat, s) in enumerate(zip(self.matrices, self.measurements),
+                                        start=1):
             if mat.signal_length != n:
                 raise ValueError("all views must share the signal length")
             if np.asarray(s).shape != (mat.n_measurements,):
                 raise ValueError("measurement length must match matrix rows")
+            if not np.isfinite(s).all():
+                raise ValueError(f"view {view} has non-finite measurements")
 
     @property
     def n_views(self) -> int:

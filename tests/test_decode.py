@@ -15,7 +15,6 @@ from jointrec import (CandidateSet, Dictionary,
                       least_squares_reconstruct, measure_ensemble,
                       noiseless_score, sample_sensing_matrix, select_top_s,
                       transform_from_mapping, translation_transform)
-from jointrec.decode import CorrelationVector
 from jointrec.transforms import TransformVector, enumerate_vectors
 
 
@@ -78,6 +77,59 @@ def brute_force_joint_decode(measurements, dictionary, sparsity, candidates):
     return best
 
 
+def oracle_search(base, sparsity, candidates):
+    """Per-candidate reference for the candidate search.
+
+    The original mask-based loop: per vector, a validity mask and partial
+    sums over its views, a stable argsort of the masked scores, and the
+    first strict maximizer in enumeration order.  Returns (score, sorted
+    reference support, vector); raises ValueError when no candidate
+    leaves S valid atoms.
+    """
+    best = (-np.inf, None, None)
+    for vector in enumerate_vectors(candidates):
+        values = np.zeros(base.shape[0])
+        valid = np.ones(base.shape[0], dtype=bool)
+        for j, t in enumerate(vector):
+            defined = t.mapping >= 0
+            valid &= defined
+            values[defined] += base[t.mapping[defined], j]
+        if valid.sum() < sparsity:
+            continue
+        scores = np.where(valid, values, -np.inf)
+        chosen = np.argsort(-scores, kind="stable")[:sparsity]
+        score = float(scores[chosen].sum())
+        if score > best[0]:
+            best = (score, np.sort(chosen), vector)
+    if best[2] is None:
+        raise ValueError("no candidate leaves S valid atoms")
+    return best
+
+
+def oracle_greedy(base, sparsity, candidates):
+    """The oracle search once per view, earlier views pinned to their
+    chosen transforms; the last stage's winner is the result."""
+    chosen = ()
+    for view in range(max(len(candidates.per_view), 1)):
+        stage = CandidateSet(candidates.identity,
+                             tuple((t,) for t in chosen)
+                             + candidates.per_view[view:view + 1])
+        best = oracle_search(base, sparsity, stage)
+        chosen = best[2].transforms[1:]
+    return best
+
+
+def assert_matches_oracle(result, oracle):
+    score, support, vector = oracle
+    assert result.score.hex() == score.hex()
+    assert np.array_equal(result.reference_support, support)
+    assert len(result.transforms) == len(vector)
+    for got, want in zip(result.transforms, vector):
+        assert np.array_equal(got.mapping, want.mapping)
+    for got, t in zip(result.supports, vector):
+        assert np.array_equal(got, t.mapping[support])
+
+
 class TestCorrelations:
     def test_matches_naive_double_loop(self):
         d = random_unit_columns(30, 12, seed=0)
@@ -94,25 +146,25 @@ class TestCorrelations:
         d = random_unit_columns(30, 12, seed=2)
         meas, _, _, _ = random_problem(d, 2, 10, 3, seed=3)
         ident = identity_transform(d)
-        vec = correlation_vector(meas, d, TransformVector((ident, ident)))
         table = atom_measurement_correlations(meas, d)
-        assert np.allclose(vec.values, table.sum(axis=1), atol=1e-12)
-        assert vec.valid.all()
+        vec = correlation_vector(table, TransformVector((ident, ident)))
+        assert np.allclose(vec, table.sum(axis=1), atol=1e-12)
+        assert np.isfinite(vec).all()
 
     def test_transform_gathers_entries(self):
         d = random_unit_columns(30, 8, seed=4)
         meas, _, _, _ = random_problem(d, 2, 10, 2, seed=5)
         mapping = np.array([3, 2, 5, -1, 0, 1, 7, 6], dtype=np.int64)
         t = transform_from_mapping("perm", mapping)
-        vec = correlation_vector(
-            meas, d, TransformVector((identity_transform(d), t)))
         table = atom_measurement_correlations(meas, d)
+        vec = correlation_vector(
+            table, TransformVector((identity_transform(d), t)))
         for i in range(8):
             if mapping[i] < 0:
-                assert not vec.valid[i]
+                assert vec[i] == -np.inf
             else:
                 expected = table[i, 0] + table[mapping[i], 1]
-                assert vec.values[i] == pytest.approx(expected, abs=1e-12)
+                assert vec[i] == pytest.approx(expected, abs=1e-12)
 
     def test_view_limit_prefix_sum(self):
         d = random_unit_columns(30, 8, seed=6)
@@ -121,8 +173,8 @@ class TestCorrelations:
         # a vector shorter than the measurement set sums its views only
         vector = TransformVector((ident, ident))
         table = atom_measurement_correlations(meas, d)
-        two = correlation_vector(meas, d, vector)
-        assert np.allclose(two.values, table[:, :2].sum(axis=1), atol=1e-12)
+        two = correlation_vector(table, vector)
+        assert np.allclose(two, table[:, :2].sum(axis=1), atol=1e-12)
 
     def test_precomputed_base_reused(self):
         d = random_unit_columns(30, 8, seed=8)
@@ -130,44 +182,34 @@ class TestCorrelations:
         ident = identity_transform(d)
         vector = TransformVector((ident, ident))
         base = atom_measurement_correlations(meas, d)
-        a = correlation_vector(meas, d, vector)
-        b = correlation_vector(meas, d, vector, base=base)
-        assert np.array_equal(a.values, b.values)
+        # zero plus view 1 plus view 2, in that order: bit for bit
+        assert np.array_equal(correlation_vector(base, vector),
+                              base[:, 0] + base[:, 1])
 
 
 class TestSelectTopS:
     def test_picks_largest_signed_entries(self):
-        vec = CorrelationVector(np.array([0.5, -2.0, 3.0, 1.0]),
-                                np.ones(4, dtype=bool))
-        support, score = select_top_s(vec, 2)
+        support, score = select_top_s(np.array([0.5, -2.0, 3.0, 1.0]), 2)
         assert np.array_equal(support, np.array([2, 3]))
         assert score == pytest.approx(4.0)
 
     def test_signed_not_absolute(self):
-        vec = CorrelationVector(np.array([-5.0, 0.1, 0.2]),
-                                np.ones(3, dtype=bool))
-        support, score = select_top_s(vec, 2)
+        support, score = select_top_s(np.array([-5.0, 0.1, 0.2]), 2)
         assert np.array_equal(support, np.array([1, 2]))
         assert score == pytest.approx(0.3)
 
     def test_tie_breaks_toward_lowest_index(self):
-        vec = CorrelationVector(np.array([1.0, 1.0, 1.0, 1.0]),
-                                np.ones(4, dtype=bool))
-        support, _ = select_top_s(vec, 2)
+        support, _ = select_top_s(np.array([1.0, 1.0, 1.0, 1.0]), 2)
         assert np.array_equal(support, np.array([0, 1]))
 
     def test_masked_entries_excluded(self):
-        vec = CorrelationVector(np.array([9.0, 1.0, 2.0]),
-                                np.array([False, True, True]))
-        support, score = select_top_s(vec, 2)
+        support, score = select_top_s(np.array([-np.inf, 1.0, 2.0]), 2)
         assert np.array_equal(support, np.array([1, 2]))
         assert score == pytest.approx(3.0)
 
     def test_too_few_valid_raises(self):
-        vec = CorrelationVector(np.array([1.0, 2.0, 3.0]),
-                                np.array([True, False, False]))
         with pytest.raises(ValueError):
-            select_top_s(vec, 2)
+            select_top_s(np.array([1.0, -np.inf, -np.inf]), 2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=-10, max_value=10,
@@ -177,8 +219,7 @@ class TestSelectTopS:
         values = np.asarray(values)
         if sparsity > values.size:
             sparsity = values.size
-        vec = CorrelationVector(values, np.ones(values.size, dtype=bool))
-        support, score = select_top_s(vec, sparsity)
+        support, score = select_top_s(values, sparsity)
         # oracle: stable sort by (-value, index)
         order = sorted(range(values.size), key=lambda i: (-values[i], i))
         expected = np.sort(np.array(order[:sparsity]))
@@ -263,6 +304,42 @@ class TestJointDecoding:
         # gjt's final vector is one of jt's candidates, scored the same way
         jt = joint_threshold_decode(meas, d, 2, cands)
         assert jt.score >= gjt.score
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3),
+           st.floats(0.0, 0.7), st.integers(0, 4), st.integers(1, 3))
+    def test_jt_and_gjt_match_oracle(self, seed, n_views, pool_size, masked,
+                                     duplicates, sparsity):
+        # signed basis atoms keep the correlations exact, so duplicated
+        # atoms tie in every view; repeated pool entries tie whole
+        # candidates; -1 entries make atoms (or candidates) invalid
+        rng = np.random.default_rng(seed)
+        distinct = np.eye(16)[:, rng.choice(16, 10 - duplicates, replace=False)]
+        distinct *= rng.choice([-1.0, 1.0], size=10 - duplicates)
+        copies = rng.integers(0, 10 - duplicates, size=duplicates)
+        d = Dictionary(np.hstack([distinct, distinct[:, copies]]))
+        per_view = []
+        for _ in range(n_views - 1):
+            pool = []
+            for _ in range(pool_size):
+                mapping = rng.permutation(10)
+                mapping[rng.random(10) < masked] = -1
+                pool.append(transform_from_mapping("partial", mapping))
+            pool.append(pool[int(rng.integers(0, pool_size))])
+            per_view.append(tuple(pool))
+        cands = CandidateSet(identity_transform(d), tuple(per_view))
+        meas, _, _, _ = random_problem(d, n_views, 8, sparsity, seed=seed)
+        base = atom_measurement_correlations(meas, d)
+        for decode, oracle in ((joint_threshold_decode, oracle_search),
+                               (greedy_joint_threshold_decode,
+                                oracle_greedy)):
+            try:
+                want = oracle(base, sparsity, cands)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    decode(meas, d, sparsity, cands)
+                continue
+            assert_matches_oracle(decode(meas, d, sparsity, cands), want)
 
     def test_gjt_single_view_matches_signed_baseline(self):
         d = random_unit_columns(32, 16, seed=700)

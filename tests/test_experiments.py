@@ -490,6 +490,24 @@ class TestCli:
             dictionary=DictionaryConfig(variant="gabor_1d", scales=[4.0],
                                         omegas=[2.0])), [],
          "error: the gabor_1d dictionary needs 'length'"),
+        # values of the wrong type are named, never unpacked or compared
+        (lambda tmp: tiny_gabor_config(dictionary=5), [],
+         "error: DictionaryConfig must be a mapping of keys to values, "
+         "not 5"),
+        (lambda tmp: tiny_gabor_config(dictionary="gabor_1d"), [],
+         "error: DictionaryConfig must be a mapping of keys to values, "
+         "not 'gabor_1d'"),
+        (lambda tmp: tiny_gabor_config(sparsity="four"), [],
+         "error: sparsity must be an integer, not 'four'"),
+        (lambda tmp: tiny_gabor_config(trials="2"), [],
+         "error: trials must be an integer, not '2'"),
+        (lambda tmp: tiny_gaussian_config(measurements=[16, True]), [],
+         "error: measurements must be an integer or a list of integers, "
+         "not [16, True]"),
+        (lambda tmp: tiny_gabor_config(candidate_offsets=7), [],
+         "error: candidate_offsets must be a non-empty list, not 7"),
+        (lambda tmp: tiny_gabor_config(coeff_range=[1.0]), [],
+         "error: coeff_range must be a pair [lo, hi] of numbers, not [1.0]"),
     ])
     def test_run_invalid_config_exits_2(self, tmp_path, capsys, make, extra,
                                         message):
@@ -533,6 +551,26 @@ class TestCli:
 
     def test_emit_plots_missing_table_exits_2(self, tmp_path):
         assert cli_main(["emit-plots", str(tmp_path / "none.csv")]) == 2
+
+    # a one-trial two-view run: preamble lines 1-3, header 4, rows 5-6
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda text: text.replace("# kind=two-view-1d", "# kind=bogus"),
+         " names an unknown experiment kind 'bogus'"),
+        (lambda text: text.replace("# master_seed=42\n", ""),
+         " has no '# master_seed=' line"),
+        (lambda text: text.replace("# master_seed=42", "# master_seed=x"),
+         " has a non-integer master seed 'x'"),
+        (lambda text: text + "30,jt,1\n", " line 7 has 3 cells, expected 8"),
+        (lambda text: text + "30,jt,1,5,1.0,0.0,yes,0\n",
+         " line 7: 'yes' is not a 0/1 flag"),
+    ])
+    def test_emit_plots_invalid_table_exits_2(self, tmp_path, capsys, edit,
+                                              problem):
+        path = run_experiment(tiny_gabor_config(trials=1)).write(
+            tmp_path)["trials"]
+        path.write_text(edit(path.read_text()))
+        assert cli_main(["emit-plots", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}{problem}\n"
 
     def test_decode_verb(self, tmp_path, capsys):
         # single-scale far-apart atoms keep the problem decodable exactly

@@ -85,6 +85,18 @@ class TestMeasurementSet:
         with pytest.raises(ValueError):
             MeasurementSet(tuple(mats), (np.zeros(6), np.zeros(6)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_measurements(self, bad):
+        mats = [sample_sensing_matrix(6, 12, seed=s) for s in (0, 1)]
+        y = np.ones(12)
+        broken = y.copy()
+        broken[3] = bad
+        with pytest.raises(ValueError,
+                           match="^view 2 has non-finite measurements$"):
+            measure_ensemble(mats, [y, broken])
+        with pytest.raises(ValueError, match="^view 1 "):
+            MeasurementSet(tuple(mats[:1]), (np.full(6, bad),))
+
     def test_seed_recorded(self):
         a = sample_sensing_matrix(5, 10, seed=42)
         assert a.seed == 42
