@@ -76,6 +76,45 @@ def _dataclass_from(cls, data: dict):
     return cls(**data)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, bool)
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+def _optional(test):
+    return lambda value: value is None or test(value)
+
+
+def _check_fields(obj, rules, prefix: str = "") -> None:
+    """Raise a ValueError naming the first (field, test, description) rule
+    whose field value fails its test."""
+    for name, test, what in rules:
+        value = getattr(obj, name)
+        if not test(value):
+            raise ValueError(f"{prefix}{name} must be {what}, not {value!r}")
+
+
+_INT = (_is_int, "an integer")
+_STR = (_is_str, "a string")
+_BOOL = (_is_bool, "true or false")
+_NUMBERS = (_optional(_list_of(_is_number)), "a list of numbers")
+
+
 @dataclass
 class DictionaryConfig:
     """Declarative dictionary description used inside experiment configs."""
@@ -103,7 +142,24 @@ class DictionaryConfig:
         "gabor_1d": ("length", "scales", "omegas"),
     }
 
+    # value types; a None per-variant field is reported by _check_variant
+    _FIELD_TYPES = (
+        ("variant", *_STR),
+        *((name, _optional(_is_int), "an integer")
+          for name in ("width", "height", "n_theta", "length")),
+        *((name, *_NUMBERS)
+          for name in ("sx_values", "sy_values", "scales", "omegas")),
+        ("translations", *_STR),
+        ("t_start", *_INT),
+        ("t_step", *_INT),
+        ("include_negated", *_BOOL),
+    )
+
+    def _check_types(self) -> None:
+        _check_fields(self, self._FIELD_TYPES, prefix="dictionary ")
+
     def _check_variant(self) -> None:
+        self._check_types()
         if self.variant not in self._VARIANT_FIELDS:
             raise ValueError(f"unknown dictionary variant {self.variant!r}")
         missing = [name for name in self._VARIANT_FIELDS[self.variant]
@@ -205,43 +261,40 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# value types of the config's fields, checked in this order
+_CONFIG_TYPES = (
+    ("kind", *_STR),
+    *((name, *_INT)
+      for name in ("sparsity", "trials", "master_seed", "max_attempts")),
+    *((name, lambda v: _is_int(v) or _list_of(_is_int)(v),
+       "an integer or a list of integers")
+      for name in ("views", "measurements")),
+    ("candidate_offsets", lambda v: isinstance(v, list) and bool(v),
+     "a non-empty list"),
+    ("coeff_range", lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
+                               and all(map(_is_number, v))),
+     "a pair [lo, hi] of numbers"),
+    ("coeff_rule", *_STR),
+    *((name, *_BOOL) for name in ("identity_sensing", "require_margin",
+                                  "require_positivity", "fresh_ensembles")),
+    ("signal_paths", _optional(_list_of(_is_str)),
+     "null or a list of strings"),
+)
 
 
 def _check_types(config: ExperimentConfig) -> None:
-    """Raise a ValueError naming the first field whose value has the
-    wrong type, before any field is compared or unpacked."""
-    for name in ("sparsity", "trials", "master_seed", "max_attempts"):
-        value = getattr(config, name)
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
-    for name in ("views", "measurements"):
-        value = getattr(config, name)
-        if not (_is_int(value) or (isinstance(value, list)
-                                   and all(map(_is_int, value)))):
-            raise ValueError(f"{name} must be an integer or a list of "
-                             f"integers, not {value!r}")
-    offsets = config.candidate_offsets
-    if not isinstance(offsets, list) or not offsets:
-        raise ValueError(f"candidate_offsets must be a non-empty list, "
-                         f"not {offsets!r}")
-    bounds = config.coeff_range
-    if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
-            and all(map(_is_number, bounds))):
-        raise ValueError(f"coeff_range must be a pair [lo, hi] of numbers, "
-                         f"not {bounds!r}")
+    """Raise a ValueError naming the first field, of the config or of its
+    dictionary, whose value has the wrong type, before any field is
+    compared or unpacked."""
+    _check_fields(config, _CONFIG_TYPES)
+    config.dictionary._check_types()
 
 
 def validate_config(config: ExperimentConfig) -> None:
     """Raise ValueError on structurally invalid configs."""
+    _check_types(config)
     if config.kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {config.kind!r}")
-    _check_types(config)
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
     if config.sparsity < 1:

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per shipping criterion, stated tolerances.
 
 Each test prints a single ``criterion N (...): PASS/FAIL`` line (visible
-with ``pytest -v -s`` or in failure output).  The two full-scale preset
-runs carry the ``slow`` marker and are deselected by default; run them
-with ``pytest -m slow``.
+with ``pytest -v -s`` or in failure output).  The full-scale view sweep
+carries the ``slow`` marker and is deselected by default; run it with
+``pytest -m slow``.  The full-scale measurement sweep runs by default.
 """
 
 import functools
@@ -259,7 +259,6 @@ def test_criterion_07_full_scale_preset(tmp_path):
     assert rows[(20, "gjt")]["recovery_mean"] > rows[(20, "it")]["recovery_mean"]
 
 
-@pytest.mark.slow
 @criterion(7, "full-scale measurement sweep preset runs inside its budget")
 def test_criterion_07_full_scale_measurement_sweep(tmp_path):
     started = time.perf_counter()

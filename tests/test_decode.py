@@ -1,10 +1,12 @@
 """Decoders: correlation scores, top-S selection, JT/GJT/IT behavior."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import random_orthonormal_dictionary
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointrec import (CandidateSet, Dictionary,
@@ -15,6 +17,7 @@ from jointrec import (CandidateSet, Dictionary,
                       least_squares_reconstruct, measure_ensemble,
                       noiseless_score, sample_sensing_matrix, select_top_s,
                       transform_from_mapping, translation_transform)
+from jointrec import decode
 from jointrec.transforms import TransformVector, enumerate_vectors
 
 
@@ -77,30 +80,35 @@ def brute_force_joint_decode(measurements, dictionary, sparsity, candidates):
     return best
 
 
-def oracle_search(base, sparsity, candidates):
-    """Per-candidate reference for the candidate search.
+def oracle_score(base, sparsity, vector):
+    """Per-candidate reference score: a validity mask and partial sums
+    over the vector's views, then a stable argsort of the masked scores.
+    Returns (score, sorted support), or (-inf, None) when fewer than S
+    atoms are valid."""
+    values = np.zeros(base.shape[0])
+    valid = np.ones(base.shape[0], dtype=bool)
+    for j, t in enumerate(vector):
+        defined = t.mapping >= 0
+        valid &= defined
+        values[defined] += base[t.mapping[defined], j]
+    if valid.sum() < sparsity:
+        return -np.inf, None
+    scores = np.where(valid, values, -np.inf)
+    chosen = np.argsort(-scores, kind="stable")[:sparsity]
+    return float(scores[chosen].sum()), np.sort(chosen)
 
-    The original mask-based loop: per vector, a validity mask and partial
-    sums over its views, a stable argsort of the masked scores, and the
-    first strict maximizer in enumeration order.  Returns (score, sorted
-    reference support, vector); raises ValueError when no candidate
-    leaves S valid atoms.
+
+def oracle_search(base, sparsity, candidates):
+    """Per-candidate reference for the candidate search: the original
+    loop over ``enumerate_vectors``, keeping the first strict maximizer
+    of ``oracle_score``.  Returns (score, sorted reference support,
+    vector); raises ValueError when no candidate leaves S valid atoms.
     """
     best = (-np.inf, None, None)
     for vector in enumerate_vectors(candidates):
-        values = np.zeros(base.shape[0])
-        valid = np.ones(base.shape[0], dtype=bool)
-        for j, t in enumerate(vector):
-            defined = t.mapping >= 0
-            valid &= defined
-            values[defined] += base[t.mapping[defined], j]
-        if valid.sum() < sparsity:
-            continue
-        scores = np.where(valid, values, -np.inf)
-        chosen = np.argsort(-scores, kind="stable")[:sparsity]
-        score = float(scores[chosen].sum())
+        score, support = oracle_score(base, sparsity, vector)
         if score > best[0]:
-            best = (score, np.sort(chosen), vector)
+            best = (score, support, vector)
     if best[2] is None:
         raise ValueError("no candidate leaves S valid atoms")
     return best
@@ -125,7 +133,8 @@ def assert_matches_oracle(result, oracle):
     assert np.array_equal(result.reference_support, support)
     assert len(result.transforms) == len(vector)
     for got, want in zip(result.transforms, vector):
-        assert np.array_equal(got.mapping, want.mapping)
+        # the same candidate object, not just an equal mapping
+        assert got is want
     for got, t in zip(result.supports, vector):
         assert np.array_equal(got, t.mapping[support])
 
@@ -307,12 +316,20 @@ class TestJointDecoding:
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3),
-           st.floats(0.0, 0.7), st.integers(0, 4), st.integers(1, 3))
+           st.floats(0.0, 0.7), st.integers(0, 4), st.integers(1, 3),
+           st.sampled_from([None, 1, 2, 3, 5]))
+    # a tied twin straddles the boundary of one-row blocks
+    @example(seed=0, n_views=2, pool_size=1, masked=0.0, duplicates=0,
+             sparsity=1, block_rows=1)
+    # the last view's four candidates split across blocks of two rows
+    @example(seed=1, n_views=3, pool_size=3, masked=0.2, duplicates=2,
+             sparsity=2, block_rows=2)
     def test_jt_and_gjt_match_oracle(self, seed, n_views, pool_size, masked,
-                                     duplicates, sparsity):
+                                     duplicates, sparsity, block_rows):
         # signed basis atoms keep the correlations exact, so duplicated
-        # atoms tie in every view; repeated pool entries tie whole
-        # candidates; -1 entries make atoms (or candidates) invalid
+        # atoms tie in every view; a twin of a pool entry (same mapping,
+        # another object) ties whole candidates; -1 entries make atoms
+        # (or candidates) invalid; block_rows caps the kernel's blocks
         rng = np.random.default_rng(seed)
         distinct = np.eye(16)[:, rng.choice(16, 10 - duplicates, replace=False)]
         distinct *= rng.choice([-1.0, 1.0], size=10 - duplicates)
@@ -325,21 +342,116 @@ class TestJointDecoding:
                 mapping = rng.permutation(10)
                 mapping[rng.random(10) < masked] = -1
                 pool.append(transform_from_mapping("partial", mapping))
-            pool.append(pool[int(rng.integers(0, pool_size))])
+            twin = pool[int(rng.integers(0, pool_size))]
+            pool.append(transform_from_mapping("twin", twin.mapping))
             per_view.append(tuple(pool))
         cands = CandidateSet(identity_transform(d), tuple(per_view))
         meas, _, _, _ = random_problem(d, n_views, 8, sparsity, seed=seed)
         base = atom_measurement_correlations(meas, d)
-        for decode, oracle in ((joint_threshold_decode, oracle_search),
-                               (greedy_joint_threshold_decode,
-                                oracle_greedy)):
+        block_bytes = (decode._BLOCK_BYTES if block_rows is None
+                       else block_rows * base.shape[0] * base.itemsize)
+        with mock.patch.object(decode, "_BLOCK_BYTES", block_bytes):
+            # every candidate's kernel score, not just the winner's
+            blocks = list(decode._scores(base, sparsity, cands))
+            firsts = np.cumsum([0] + [s.size for _, s in blocks])
+            assert [first for first, _ in blocks] == firsts[:-1].tolist()
+            got = [float(v).hex() for _, s in blocks for v in s]
+            want = [oracle_score(base, sparsity, vector)[0].hex()
+                    for vector in enumerate_vectors(cands)]
+            assert got == want
+            for decoder, oracle in ((joint_threshold_decode, oracle_search),
+                                    (greedy_joint_threshold_decode,
+                                     oracle_greedy)):
+                try:
+                    expected = oracle(base, sparsity, cands)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        decoder(meas, d, sparsity, cands)
+                    continue
+                assert_matches_oracle(decoder(meas, d, sparsity, cands),
+                                      expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3),
+           st.integers(1, 4))
+    def test_identity_sensing_recovers_support_on_onb(self, seed, n_views,
+                                                      pool_size, sparsity):
+        # identity sensing on an orthonormal basis makes c_j view j's
+        # coefficient vector up to rounding: positive on its support and
+        # about 1e-16 elsewhere, so every decoder finds the supports
+        rng = np.random.default_rng(seed)
+        d = random_orthonormal_dictionary(12, seed % 1000)
+        reference = rng.choice(12, size=sparsity, replace=False)
+        outside = np.setdiff1d(np.arange(12), reference)
+        truth, per_view = [identity_transform(d)], []
+        for _ in range(n_views - 1):
+            mapping = rng.permutation(12)
+            mapping[outside[rng.random(outside.size) < 0.3]] = -1
+            truth.append(transform_from_mapping("true", mapping))
+            pool = []
+            for _ in range(pool_size):
+                decoy = rng.permutation(12)
+                decoy[rng.random(12) < 0.3] = -1
+                pool.append(transform_from_mapping("decoy", decoy))
+            pool.insert(int(rng.integers(0, pool_size + 1)), truth[-1])
+            per_view.append(tuple(pool))
+        cands = CandidateSet(truth[0], tuple(per_view))
+        supports = [t.mapping[reference] for t in truth]
+        signals = [d.atoms[:, sup] @ rng.uniform(0.5, 1.5, size=sparsity)
+                   for sup in supports]
+        meas = measure_ensemble([identity_sensing(12)] * n_views, signals)
+        for result in (joint_threshold_decode(meas, d, sparsity, cands),
+                       greedy_joint_threshold_decode(meas, d, sparsity,
+                                                     cands),
+                       independent_threshold_decode(meas, d, sparsity)):
+            assert np.array_equal(result.reference_support,
+                                  np.sort(reference))
+            for got, want in zip(result.supports, supports):
+                assert np.array_equal(np.sort(got), np.sort(want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3),
+           st.floats(0.0, 0.6))
+    def test_relabeling_leaves_result_unchanged(self, seed, n_views,
+                                                pool_size, masked):
+        # fresh objects, fresh labels, same mappings in the same order
+        rng = np.random.default_rng(seed)
+        d = random_unit_columns(16, 10, seed=seed % 1000)
+        per_view = []
+        for _ in range(n_views - 1):
+            pool = []
+            for _ in range(pool_size):
+                mapping = rng.permutation(10)
+                mapping[rng.random(10) < masked] = -1
+                pool.append(transform_from_mapping("partial", mapping))
+            per_view.append(tuple(pool))
+        cands = CandidateSet(identity_transform(d), tuple(per_view))
+        relabeled = CandidateSet(
+            transform_from_mapping("reference", np.arange(10)),
+            tuple(tuple(transform_from_mapping(f"view{v}-{i}", t.mapping)
+                        for i, t in enumerate(pool))
+                  for v, pool in enumerate(per_view)))
+        meas, _, _, _ = random_problem(d, n_views, 8, 2, seed=seed)
+
+        def positions(result, candidates):
+            return [next(i for i, t in enumerate(pool) if t is chosen)
+                    for chosen, pool in zip(result.transforms[1:],
+                                            candidates.per_view)]
+
+        for decoder in (joint_threshold_decode,
+                        greedy_joint_threshold_decode):
             try:
-                want = oracle(base, sparsity, cands)
+                a = decoder(meas, d, 2, cands)
             except ValueError:
                 with pytest.raises(ValueError):
-                    decode(meas, d, sparsity, cands)
+                    decoder(meas, d, 2, relabeled)
                 continue
-            assert_matches_oracle(decode(meas, d, sparsity, cands), want)
+            b = decoder(meas, d, 2, relabeled)
+            assert a.transforms == b.transforms
+            assert positions(a, cands) == positions(b, relabeled)
+            assert a.score.hex() == b.score.hex()
+            for x, y in zip(a.supports, b.supports):
+                assert np.array_equal(x, y)
 
     def test_gjt_single_view_matches_signed_baseline(self):
         d = random_unit_columns(32, 16, seed=700)

@@ -508,6 +508,19 @@ class TestCli:
          "error: candidate_offsets must be a non-empty list, not 7"),
         (lambda tmp: tiny_gabor_config(coeff_range=[1.0]), [],
          "error: coeff_range must be a pair [lo, hi] of numbers, not [1.0]"),
+        (lambda tmp: tiny_gabor_config(kind=["two-view-1d"]), [],
+         "error: kind must be a string, not ['two-view-1d']"),
+        (lambda tmp: tiny_gabor_config(
+            dictionary=DictionaryConfig(variant="gabor_1d", length="120",
+                                        scales=[4.0], omegas=[2.0])), [],
+         "error: dictionary length must be an integer, not '120'"),
+        (lambda tmp: tiny_gabor_config(
+            dictionary=DictionaryConfig(variant="gabor_1d", length=120,
+                                        scales=4.0, omegas=[2.0])), [],
+         "error: dictionary scales must be a list of numbers, not 4.0"),
+        # a non-empty string is truthy; it must not switch the mode on
+        (lambda tmp: tiny_gabor_config(identity_sensing="no"), [],
+         "error: identity_sensing must be true or false, not 'no'"),
     ])
     def test_run_invalid_config_exits_2(self, tmp_path, capsys, make, extra,
                                         message):
