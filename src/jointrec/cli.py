@@ -139,12 +139,14 @@ def _cmd_decode(args) -> int:
         print(f"error: no such file {instance_path}", file=sys.stderr)
         return 2
     instance = json.loads(instance_path.read_text(encoding="utf-8"))
-    if args.algorithm is not None:
-        instance["algorithm"] = args.algorithm
-    if args.sparsity is not None:
-        instance["sparsity"] = args.sparsity
-    if args.offsets is not None:
-        instance["candidate_offsets"] = json.loads(args.offsets)
+    # overrides go into a JSON object only; decode_instance rejects the rest
+    if isinstance(instance, dict):
+        if args.algorithm is not None:
+            instance["algorithm"] = args.algorithm
+        if args.sparsity is not None:
+            instance["sparsity"] = args.sparsity
+        if args.offsets is not None:
+            instance["candidate_offsets"] = json.loads(args.offsets)
 
     result, summary = decode_instance(instance)
 

@@ -313,21 +313,15 @@ def greedy_joint_threshold_decode(measurements: MeasurementSet,
 
 
 def independent_threshold_decode(measurements: MeasurementSet,
-                                 dictionary: Dictionary, sparsity: int,
-                                 selection: str = "absolute") -> DecodeResult:
+                                 dictionary: Dictionary,
+                                 sparsity: int) -> DecodeResult:
     """Per-view thresholding baseline; no information is shared across views.
 
-    Each view keeps the S atoms with the largest selection criterion,
-    absolute correlation by default ("signed" matches the joint decoders'
-    rule and exists for equivalence checks), and reconstructs by least
-    squares.  ``transforms`` is None in the result and the score is the
-    summed selected criterion values over views.
+    Each view keeps the S atoms with the largest absolute correlation and
+    reconstructs by least squares.  ``transforms`` is None in the result
+    and the score is the summed selected absolute correlations over views.
     """
-    if selection not in ("absolute", "signed"):
-        raise ValueError(f"unknown selection rule {selection!r}")
-    base = atom_measurement_correlations(measurements, dictionary)
-    if selection == "absolute":
-        base = np.abs(base)
+    base = np.abs(atom_measurement_correlations(measurements, dictionary))
     supports = []
     total = 0.0
     for j in range(measurements.n_views):

@@ -88,7 +88,6 @@ class Dictionary:
         self.params = params
         self.variant = variant
         self.grid = tuple(grid) if grid is not None else None
-        self._param_index = None
 
     @property
     def n_atoms(self) -> int:
@@ -100,14 +99,6 @@ class Dictionary:
 
     def atom(self, index: int) -> np.ndarray:
         return self.atoms[:, index]
-
-    def index_of(self, params) -> int:
-        """Column index of the atom with exactly these parameters, or -1."""
-        if self.params is None:
-            raise ValueError("dictionary carries no parameter records")
-        if self._param_index is None:
-            self._param_index = {p: i for i, p in enumerate(self.params)}
-        return self._param_index.get(params, -1)
 
     def __repr__(self):
         return (f"Dictionary(variant={self.variant!r}, "

@@ -36,7 +36,7 @@ from .dictionary import (Dictionary, build_gabor_1d_dictionary,
 from .ensemble import generate_ensemble, load_signal_csv
 from .sensing import (MeasurementSet, identity_sensing, measure_ensemble,
                       sample_sensing_matrix)
-from .transforms import CandidateSet, TransformVector
+from .transforms import CandidateSet, TransformVector, translation_shift
 
 KIND_TRANSFORM_ERROR = "transform-error-vs-M"
 KIND_RECOVERY_VS_VIEWS = "recovery-vs-J"
@@ -59,11 +59,13 @@ EXPERIMENT_KINDS = {
 }
 
 
-def _dataclass_from(cls, data: dict):
+def _dataclass_from(cls, data: dict, noun: str | None = None):
     """``cls(**data)``, raising a ValueError when ``data`` is not a
-    mapping or has unknown or missing keys."""
+    mapping or has unknown or missing keys.  The message calls the input
+    ``noun``, by default the class name."""
+    noun = noun or cls.__name__
     if not isinstance(data, Mapping):
-        raise ValueError(f"{cls.__name__} must be a mapping of keys to "
+        raise ValueError(f"{noun} must be a mapping of keys to "
                          f"values, not {data!r}")
     names = {f.name for f in fields(cls)}
     required = {f.name for f in fields(cls)
@@ -71,7 +73,7 @@ def _dataclass_from(cls, data: dict):
     for problem, keys in (("unknown", set(data) - names),
                           ("missing", required - set(data))):
         if keys:
-            raise ValueError(f"{problem} {cls.__name__} key(s): "
+            raise ValueError(f"{problem} {noun} key(s): "
                              f"{', '.join(map(repr, sorted(keys)))}")
     return cls(**data)
 
@@ -90,6 +92,10 @@ def _is_str(value) -> bool:
 
 def _is_bool(value) -> bool:
     return isinstance(value, bool)
+
+
+def _is_non_empty_list(value) -> bool:
+    return isinstance(value, list) and bool(value)
 
 
 def _list_of(test):
@@ -269,8 +275,7 @@ _CONFIG_TYPES = (
     *((name, lambda v: _is_int(v) or _list_of(_is_int)(v),
        "an integer or a list of integers")
       for name in ("views", "measurements")),
-    ("candidate_offsets", lambda v: isinstance(v, list) and bool(v),
-     "a non-empty list"),
+    ("candidate_offsets", _is_non_empty_list, "a non-empty list"),
     ("coeff_range", lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
                                and all(map(_is_number, v))),
      "a pair [lo, hi] of numbers"),
@@ -346,6 +351,9 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ValueError(
                 "identity sensing requires measurement counts equal to the "
                 "signal length")
+    config.dictionary._check_variant()
+    for offset in config.candidate_offsets:
+        translation_shift(config.dictionary.variant, offset)
 
 
 @dataclass
@@ -625,7 +633,7 @@ def _sense(dictionary: Dictionary, signals, n_measurements, identity: bool,
     if identity:
         matrices = [identity_sensing(n)] * len(signals)
     else:
-        matrices = [sample_sensing_matrix(int(n_measurements), n, ss)
+        matrices = [sample_sensing_matrix(n_measurements, n, ss)
                     for ss in seed.spawn(len(signals))]
     return measure_ensemble(matrices, signals)
 
@@ -722,52 +730,71 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                        wall_time_total=time.perf_counter() - started)
 
 
+@dataclass(frozen=True)
+class DecodeInstance:
+    """One problem instance of the ``decode`` verb, as read from JSON."""
+
+    dictionary: dict
+    sparsity: int
+    signal_csvs: list[str]
+    algorithm: str = "jt"
+    candidate_offsets: list | None = None
+    measurements: int | None = None
+    identity_sensing: bool = False
+    seed: int = 0
+
+
+# value types of the instance's fields; the dictionary is checked as in
+# configs when it is built
+_INSTANCE_TYPES = (
+    ("sparsity", *_INT),
+    ("signal_csvs", lambda v: _is_non_empty_list(v) and all(map(_is_str, v)),
+     "a non-empty list of strings"),
+    ("algorithm", *_STR),
+    ("candidate_offsets", _optional(_is_non_empty_list),
+     "null or a non-empty list"),
+    ("measurements", _optional(_is_int), "null or an integer"),
+    ("identity_sensing", *_BOOL),
+    ("seed", *_INT),
+)
+
+
 def decode_instance(instance: dict):
     """Decode one problem instance described by a plain dict (CLI JSON).
 
-    Required keys: ``dictionary`` (a DictionaryConfig mapping), ``sparsity``,
-    ``signal_csvs`` (one single-column CSV path per view).  Optional:
-    ``algorithm`` (jt | gjt | it, default jt), ``candidate_offsets``
-    (required for jt/gjt), ``measurements`` (per-view count for Gaussian
-    sensing), ``identity_sensing`` (bool), ``seed`` (sensing seed,
-    default 0).  Returns (DecodeResult, summary dict); the summary is
+    The keys are the :class:`DecodeInstance` fields: ``dictionary`` (a
+    DictionaryConfig mapping), ``sparsity`` and ``signal_csvs`` (one
+    single-column CSV path per view) are required; ``algorithm`` (jt |
+    gjt | it, default jt), ``candidate_offsets`` (required for jt/gjt),
+    ``measurements`` (per-view count for Gaussian sensing, required
+    unless ``identity_sensing``) and ``seed`` (sensing seed, default 0)
+    are optional.  Returns (DecodeResult, summary dict); the summary is
     JSON-serializable.
     """
-    missing = [key for key in ("dictionary", "sparsity")
-               if key not in instance]
-    if missing:
-        raise ValueError("missing instance key(s): "
-                         f"{', '.join(map(repr, missing))}")
-    dictionary = _dataclass_from(DictionaryConfig,
-                                 instance["dictionary"]).build()
-    sparsity = int(instance["sparsity"])
-    algorithm = instance.get("algorithm", "jt")
-    if algorithm not in _ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    decoder = _ALGORITHMS[algorithm]
-
-    paths = instance.get("signal_csvs")
-    if not paths:
-        raise ValueError("instance needs signal_csvs, one CSV per view")
-    signals = _load_signals(paths, dictionary)
-    identity = instance.get("identity_sensing", False)
-    n_measurements = instance.get("measurements")
-    if not identity and n_measurements is None:
+    inst = _dataclass_from(DecodeInstance, instance, noun="instance")
+    _check_fields(inst, _INSTANCE_TYPES)
+    if inst.algorithm not in _ALGORITHMS:
+        raise ValueError(f"unknown algorithm {inst.algorithm!r}")
+    decoder = _ALGORITHMS[inst.algorithm]
+    if decoder is not _independent and inst.candidate_offsets is None:
+        raise ValueError("jt/gjt need candidate_offsets")
+    if not inst.identity_sensing and inst.measurements is None:
         raise ValueError("instance needs measurements unless "
                          "identity_sensing is set")
-    measurements = _sense(dictionary, signals, n_measurements, identity,
-                          np.random.SeedSequence(int(instance.get("seed", 0))))
-
+    dictionary = _dataclass_from(DictionaryConfig, inst.dictionary).build()
+    for offset in inst.candidate_offsets or ():
+        translation_shift(dictionary.variant, offset)
+    signals = _load_signals(inst.signal_csvs, dictionary)
+    measurements = _sense(dictionary, signals, inst.measurements,
+                          inst.identity_sensing,
+                          np.random.SeedSequence(inst.seed))
     candidates = None
     if decoder is not _independent:
-        offsets = instance.get("candidate_offsets")
-        if not offsets:
-            raise ValueError("jt/gjt need candidate_offsets")
-        candidates = CandidateSet.from_uniform_offsets(dictionary, offsets,
-                                                       len(signals))
-    result = decoder(measurements, dictionary, sparsity, candidates)
+        candidates = CandidateSet.from_uniform_offsets(
+            dictionary, inst.candidate_offsets, len(signals))
+    result = decoder(measurements, dictionary, inst.sparsity, candidates)
     summary = {
-        "algorithm": algorithm,
+        "algorithm": inst.algorithm,
         "score": result.score,
         "rank_deficient": result.rank_deficient,
         "reference_support": [int(i) for i in result.reference_support],

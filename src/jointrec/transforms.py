@@ -10,9 +10,10 @@ atom's center off the grid).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from itertools import product
 from math import prod
+from operator import attrgetter
 
 import numpy as np
 
@@ -79,44 +80,57 @@ def identity_transform(dictionary: Dictionary) -> AtomTransform:
                          spec={"kind": "identity"}, _validate=False)
 
 
-def translation_transform(dictionary: Dictionary, offset) -> AtomTransform:
-    """Translation acting on atom centers, realized as an index map.
+# the parameter fields that locate an atom's center, per dictionary family
+_CENTER_FIELDS = {"gaussian_2d": ("tx", "ty"), "gabor_1d": ("t",)}
 
-    For 2D dictionaries ``offset`` is (dx, dy) in pixels; for 1D
-    dictionaries it is a single integer sample shift.  An atom maps to
-    the atom with identical remaining parameters and shifted center; when
-    the shifted center is not on the parameter grid the atom falls
-    outside the domain.
-    """
+
+def translation_shift(variant: str, offset) -> tuple[int, ...]:
+    """The center shift that ``offset`` names: one integer per center
+    field, [dx, dy] for images and an integer (or [dt]) for 1D.  Python
+    and numpy integers count; anything else, bools too, raises ValueError."""
+    if variant not in _CENTER_FIELDS:
+        raise ValueError(
+            f"translations are not defined for variant {variant!r}")
+    n = len(_CENTER_FIELDS[variant])
+    shift = offset.tolist() if isinstance(offset, np.ndarray) else offset
+    shift = shift if isinstance(shift, (list, tuple)) or n > 1 else [shift]
+    if not (isinstance(shift, (list, tuple)) and len(shift) == n
+            and all(isinstance(v, (int, np.integer))
+                    and not isinstance(v, bool) for v in shift)):
+        what = "an integer" if n == 1 else f"a list of {n} integers"
+        raise ValueError(f"translation offset {offset!r} must be {what} "
+                         f"on a {variant} dictionary")
+    return tuple(int(v) for v in shift)
+
+
+def translation_transform(dictionary: Dictionary, offset) -> AtomTransform:
+    """Translation of atom centers by ``offset``, realized as an index map:
+    an atom maps to the atom with its shape (every other parameter) at the
+    shifted center, read from a (shape, center) grid of atom indices, or
+    to -1 when no atom sits there."""
     if dictionary.params is None:
         raise ValueError("translations need a dictionary with parameter records")
-    if dictionary.variant == "gaussian_2d":
-        try:
-            dx, dy = (int(offset[0]), int(offset[1]))
-        except (TypeError, IndexError):
-            raise ValueError("2D translation offset must be a (dx, dy) pair")
-        mapping = np.fromiter(
-            (dictionary.index_of(replace(p, tx=p.tx + dx, ty=p.ty + dy))
-             for p in dictionary.params),
-            dtype=np.int64, count=dictionary.n_atoms)
-        label = f"shift({dx:+d},{dy:+d})"
-        spec = {"kind": "translation", "offset": [dx, dy]}
-    elif dictionary.variant == "gabor_1d":
-        if np.ndim(offset) != 0:
-            offset = offset[0] if len(offset) == 1 else None
-        if offset is None:
-            raise ValueError("1D translation offset must be a single integer")
-        dt = int(offset)
-        mapping = np.fromiter(
-            (dictionary.index_of(replace(p, t=p.t + dt))
-             for p in dictionary.params),
-            dtype=np.int64, count=dictionary.n_atoms)
-        label = f"shift({dt:+d})"
-        spec = {"kind": "translation", "offset": dt}
-    else:
-        raise ValueError(
-            f"translations are not defined for variant {dictionary.variant!r}")
-    return AtomTransform(label, mapping, spec=spec)
+    shift = translation_shift(dictionary.variant, offset)
+    centers = _CENTER_FIELDS[dictionary.variant]
+    names = [f.name for f in fields(dictionary.params[0])
+             if f.name not in centers]
+    read = attrgetter(*names, *centers)
+    table = np.array([read(p) for p in dictionary.params], dtype=float)
+    _, shape = np.unique(table[:, :len(names)], axis=0, return_inverse=True)
+    cells = table[:, len(names):].astype(np.int64)
+    cells -= cells.min(axis=0)
+    grid = np.full((shape.max() + 1, *(cells.max(axis=0) + 1)), -1)
+    grid[(shape, *cells.T)] = np.arange(dictionary.n_atoms)
+    # clamped into int64: a shift by the grid's extent already leaves it
+    target = cells + [max(-n, min(s, n))
+                      for s, n in zip(shift, grid.shape[1:])]
+    inside = np.all((target >= 0) & (target < grid.shape[1:]), axis=1)
+    mapping = np.full(dictionary.n_atoms, -1)
+    mapping[inside] = grid[(shape[inside], *target[inside].T)]
+    return AtomTransform(
+        f"shift({','.join(f'{s:+d}' for s in shift)})", mapping,
+        spec={"kind": "translation",
+              "offset": list(shift) if len(shift) > 1 else shift[0]})
 
 
 def transform_from_mapping(label: str, mapping) -> AtomTransform:
@@ -216,16 +230,11 @@ class CandidateSet:
         ``offsets_per_view`` holds one offset list per non-reference view.
         Repeated offsets are realized once and shared.
         """
-        cache: dict[tuple, AtomTransform] = {}
-
-        def realized(off):
-            key = tuple(np.atleast_1d(off).tolist())
-            if key not in cache:
-                cache[key] = translation_transform(dictionary, off)
-            return cache[key]
-
-        per_view = tuple(tuple(realized(off) for off in offsets)
-                         for offsets in offsets_per_view)
+        shifts = [[translation_shift(dictionary.variant, offset)
+                   for offset in offsets] for offsets in offsets_per_view]
+        realized = {shift: translation_transform(dictionary, shift)
+                    for shift in set().union(*shifts)}
+        per_view = tuple(tuple(map(realized.get, row)) for row in shifts)
         return cls(identity_transform(dictionary), per_view)
 
     @classmethod

@@ -458,8 +458,9 @@ class TestJointDecoding:
         meas, _, _, _ = random_problem(d, 1, 10, 3, seed=701)
         cands = CandidateSet(identity_transform(d), ())
         gjt = greedy_joint_threshold_decode(meas, d, 3, cands)
-        it = independent_threshold_decode(meas, d, 3, selection="signed")
-        assert np.array_equal(gjt.supports[0], it.supports[0])
+        table = atom_measurement_correlations(meas, d)
+        signed, _ = select_top_s(table[:, 0], 3)
+        assert np.array_equal(gjt.supports[0], signed)
 
     def test_identity_sensing_recovers_exactly(self, small_gaussian_dict):
         ident = identity_transform(small_gaussian_dict)
@@ -539,12 +540,6 @@ class TestIndependentBaseline:
         solo = MeasurementSet((meas.matrices[1],), (meas.measurements[1],))
         alone = independent_threshold_decode(solo, d, 3)
         assert np.array_equal(alone.supports[0], full.supports[1])
-
-    def test_rejects_unknown_selection(self):
-        d = random_unit_columns(20, 8, seed=1004)
-        meas, _, _, _ = random_problem(d, 1, 8, 2, seed=1005)
-        with pytest.raises(ValueError):
-            independent_threshold_decode(meas, d, 2, selection="huge")
 
 
 class TestLeastSquares:

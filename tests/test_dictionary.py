@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jointrec import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
+from jointrec import (Dictionary, GaussianAtom2D,
                       babel_function, build_gabor_1d_dictionary,
                       build_gaussian_2d_dictionary, gaussian_atom_2d,
                       gram_row, load_dictionary, modulated_atom_1d,
@@ -128,12 +128,6 @@ class TestDictionaryType:
         d = Dictionary(2.0 * np.eye(4), normalize=True)
         assert np.allclose(np.linalg.norm(d.atoms, axis=0), 1.0)
 
-    def test_index_of(self, small_gabor_dict):
-        p = small_gabor_dict.params[17]
-        assert small_gabor_dict.index_of(p) == 17
-        missing = ModulatedAtom1D(t=2, s=4.0, omega=2.0, sign=1)
-        assert small_gabor_dict.index_of(missing) == -1
-
     def test_atom_returns_column(self, onb_dict):
         col = onb_dict.atom(3)
         assert col.shape == (16,)
@@ -186,7 +180,6 @@ class TestPersistence:
         assert np.array_equal(loaded.atoms, small_gabor_dict.atoms)
         assert loaded.variant == small_gabor_dict.variant
         assert loaded.params == small_gabor_dict.params
-        assert loaded.index_of(small_gabor_dict.params[7]) == 7
 
     def test_round_trip_2d(self, small_gaussian_dict, tmp_path):
         path = tmp_path / "dict2d.npz"

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,24 @@ class TestConfig:
     def test_repeated_sweep_value_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             validate_config(tiny_gaussian_config(**overrides))
+
+    @pytest.mark.parametrize("config, message", [
+        (tiny_gaussian_config(candidate_offsets=[[2.5, 0], [0, 0, 9]]),
+         "translation offset [2.5, 0] must be a list of 2 integers on a "
+         "gaussian_2d dictionary"),
+        (tiny_gaussian_config(candidate_offsets=[[2, 0], [0, 0, 9]]),
+         "translation offset [0, 0, 9] must be a list of 2 integers on a "
+         "gaussian_2d dictionary"),
+        (tiny_gabor_config(candidate_offsets=[-10, 10.9]),
+         "translation offset 10.9 must be an integer on a gabor_1d "
+         "dictionary"),
+        (tiny_gabor_config(candidate_offsets=[0, True]),
+         "translation offset True must be an integer on a gabor_1d "
+         "dictionary"),
+    ])
+    def test_malformed_offsets_rejected(self, config, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            validate_config(config)
 
     def test_from_dict_names_unknown_key(self):
         data = tiny_gabor_config().to_dict()
@@ -521,6 +540,17 @@ class TestCli:
         # a non-empty string is truthy; it must not switch the mode on
         (lambda tmp: tiny_gabor_config(identity_sensing="no"), [],
          "error: identity_sensing must be true or false, not 'no'"),
+        # offsets are exact integers, never rounded, cut or coerced
+        (lambda tmp: tiny_gaussian_config(
+            candidate_offsets=[[2.5, 0], [0, 0, 9]]), [],
+         "error: translation offset [2.5, 0] must be a list of 2 integers "
+         "on a gaussian_2d dictionary"),
+        (lambda tmp: tiny_gabor_config(candidate_offsets=["10"]), [],
+         "error: translation offset '10' must be an integer on a gabor_1d "
+         "dictionary"),
+        (lambda tmp: tiny_gabor_config(candidate_offsets=[10.9]), [],
+         "error: translation offset 10.9 must be an integer on a gabor_1d "
+         "dictionary"),
     ])
     def test_run_invalid_config_exits_2(self, tmp_path, capsys, make, extra,
                                         message):
@@ -613,6 +643,30 @@ class TestCli:
         recon = np.loadtxt(tmp_path / "dec" / "reconstruction_view1.csv")
         assert np.linalg.norm(recon - y) / np.linalg.norm(y) <= 1e-8
 
+    # decode_result.json of a Gaussian-sensed two-view instance, recorded
+    # before instances were read through the config input path
+    @pytest.mark.parametrize("algorithm, digest", [
+        ("jt",
+         "d0b953c47736178b7abbe45aa6a03af7727065a5532d4039a23cf65e7dda23d3"),
+        ("gjt",
+         "ac931a789cc5eee432874fa130a041275be62a447ec086f0b75be3dce851df2c"),
+        ("it",
+         "41f7e21048e439aecebfcabe562f47c5e859a45a558b41aafe121f9060f0ceb4"),
+    ])
+    def test_decode_pinned_summary(self, tmp_path, algorithm, digest):
+        instance = {
+            "dictionary": {"variant": "gabor_1d", "length": 120,
+                           "scales": [4.0, 8.0], "omegas": [2.0, 4.0]},
+            "sparsity": 4, "measurements": 30, "seed": 5,
+            "algorithm": algorithm, "candidate_offsets": [-10, 0, 10],
+            "signal_csvs": write_signal_pair(tmp_path),
+        }
+        inst_path = tmp_path / "instance.json"
+        inst_path.write_text(json.dumps(instance))
+        assert cli_main(["decode", str(inst_path)]) == 0
+        summary = (tmp_path / "decode_result.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == digest
+
     @pytest.mark.parametrize("edit, message", [
         (lambda inst: inst["dictionary"].pop("omegas"),
          "error: the gabor_1d dictionary needs 'omegas'"),
@@ -620,6 +674,37 @@ class TestCli:
          "error: missing instance key(s): 'sparsity'"),
         (lambda inst: inst.pop("dictionary"),
          "error: missing instance key(s): 'dictionary'"),
+        (lambda inst: inst.pop("signal_csvs"),
+         "error: missing instance key(s): 'signal_csvs'"),
+        (lambda inst: inst.update(seeds=1),
+         "error: unknown instance key(s): 'seeds'"),
+        (lambda inst: inst.update(dictionary=5),
+         "error: DictionaryConfig must be a mapping of keys to values, "
+         "not 5"),
+        # values are checked, never truncated or read for truthiness
+        (lambda inst: inst.update(sparsity=2.9),
+         "error: sparsity must be an integer, not 2.9"),
+        (lambda inst: inst.update(identity_sensing="no", measurements=30),
+         "error: identity_sensing must be true or false, not 'no'"),
+        (lambda inst: inst.update(seed="7"),
+         "error: seed must be an integer, not '7'"),
+        (lambda inst: inst.update(algorithm=["jt"]),
+         "error: algorithm must be a string, not ['jt']"),
+        (lambda inst: inst.update(algorithm="omp"),
+         "error: unknown algorithm 'omp'"),
+        (lambda inst: inst.update(identity_sensing=False, measurements=30.0),
+         "error: measurements must be null or an integer, not 30.0"),
+        (lambda inst: inst.update(signal_csvs="view.csv"),
+         "error: signal_csvs must be a non-empty list of strings, "
+         "not 'view.csv'"),
+        (lambda inst: inst.update(candidate_offsets=7),
+         "error: candidate_offsets must be null or a non-empty list, not 7"),
+        (lambda inst: inst.update(candidate_offsets=[0, 2.5]),
+         "error: translation offset 2.5 must be an integer on a gabor_1d "
+         "dictionary"),
+        (lambda inst: inst.update(candidate_offsets=[True], algorithm="it"),
+         "error: translation offset True must be an integer on a gabor_1d "
+         "dictionary"),
     ])
     def test_decode_invalid_instance_exits_2(self, tmp_path, capsys, edit,
                                              message):
@@ -635,6 +720,44 @@ class TestCli:
         inst_path = tmp_path / "instance.json"
         inst_path.write_text(json.dumps(instance))
         assert cli_main(["decode", str(inst_path)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("5", [], "error: instance must be a mapping of keys to values, "
+                  "not 5"),
+        ("[1, 2]", ["--algorithm", "jt"],
+         "error: instance must be a mapping of keys to values, not [1, 2]"),
+        ('"x"', ["--sparsity", "3", "--offsets", "[0]"],
+         "error: instance must be a mapping of keys to values, not 'x'"),
+    ])
+    def test_decode_non_object_instance_exits_2(self, tmp_path, capsys,
+                                                text, flags, message):
+        inst_path = tmp_path / "instance.json"
+        inst_path.write_text(text)
+        assert cli_main(["decode", str(inst_path), *flags]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("offsets, message", [
+        ("[2.5]", "error: translation offset 2.5 must be an integer on a "
+                  "gabor_1d dictionary"),
+        ("[[10, 0]]", "error: translation offset [10, 0] must be an integer "
+                      "on a gabor_1d dictionary"),
+        ('["10"]', "error: translation offset '10' must be an integer on a "
+                   "gabor_1d dictionary"),
+        ("[]", "error: candidate_offsets must be null or a non-empty list, "
+               "not []"),
+    ])
+    def test_decode_malformed_offsets_exit_2(self, tmp_path, capsys, offsets,
+                                             message):
+        instance = {
+            "dictionary": {"variant": "gabor_1d", "length": 120,
+                           "scales": [4.0], "omegas": [2.0]},
+            "sparsity": 3, "measurements": 30,
+            "signal_csvs": write_signal_pair(tmp_path),
+        }
+        inst_path = tmp_path / "instance.json"
+        inst_path.write_text(json.dumps(instance))
+        assert cli_main(["decode", str(inst_path), "--offsets", offsets]) == 2
         assert capsys.readouterr().err == message + "\n"
 
     def test_decode_missing_instance_exits_2(self, tmp_path):

@@ -1,13 +1,17 @@
 """Atom transforms, candidate sets, and candidate enumeration."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointrec import (AtomTransform, CandidateSet, apply_to_support,
-                      enumerate_vectors, identity_transform,
-                      realize_transform, transform_from_mapping,
+from jointrec import (AtomTransform, CandidateSet, Dictionary,
+                      apply_to_support, enumerate_vectors,
+                      identity_transform, load_dictionary, realize_transform,
+                      save_dictionary, transform_from_mapping,
                       translation_transform)
 from jointrec.transforms import TransformVector
 
@@ -95,6 +99,146 @@ class TestTranslation2D:
         # lands between grid points for every atom
         t = translation_transform(small_gaussian_dict, (1, 0))
         assert not t.domain_mask.any()
+
+
+# the fields that locate an atom's center, per dictionary family
+ORACLE_CENTERS = {"gaussian_2d": ("tx", "ty"), "gabor_1d": ("t",)}
+
+
+def oracle_translation(dictionary, shift):
+    """Per-atom lookup: the index of the record with every center field
+    moved by ``shift`` and every other field equal, or -1."""
+    index = {p: i for i, p in enumerate(dictionary.params)}
+    names = ORACLE_CENTERS[dictionary.variant]
+    return np.array([
+        index.get(replace(p, **{name: getattr(p, name) + s
+                                for name, s in zip(names, shift)}), -1)
+        for p in dictionary.params], dtype=np.int64)
+
+
+def holed(dictionary, step):
+    """The dictionary without every ``step``-th atom, so that some
+    (shape, center) cells of its parameter grid are empty."""
+    keep = [i for i in range(dictionary.n_atoms) if i % step]
+    return Dictionary(dictionary.atoms[:, keep],
+                      params=[dictionary.params[i] for i in keep],
+                      variant=dictionary.variant, grid=dictionary.grid)
+
+
+# every preset offset, including zero, then off-grid and far-out offsets
+OFFSETS_2D = ([(dx, dy) for dx in (-2, 0, 2) for dy in (-2, 0, 2)]
+              + [(1, 0), (0, -1), (40, 0), (-40, 0), (0, 40), (0, -40),
+                 (1000, 1000)])
+OFFSETS_1D = [-10, 0, 10, 3, 40, -40, 1000]
+
+
+class TestTranslationOracle:
+    def assert_matches_oracle(self, dictionary, offsets):
+        for offset in offsets:
+            shift = tuple(np.atleast_1d(offset).tolist())
+            t = translation_transform(dictionary, offset)
+            assert np.array_equal(t.mapping,
+                                  oracle_translation(dictionary, shift))
+            assert t.label == f"shift({','.join(f'{s:+d}' for s in shift)})"
+            assert t.spec() == {"kind": "translation",
+                                "offset": (list(shift) if len(shift) == 2
+                                           else shift[0])}
+
+    def test_full_gaussian_dictionary(self, full_gaussian_dict):
+        self.assert_matches_oracle(full_gaussian_dict, OFFSETS_2D)
+
+    def test_full_gabor_dictionary(self, full_gabor_dict):
+        self.assert_matches_oracle(full_gabor_dict, OFFSETS_1D)
+
+    def test_grid_with_holes(self, small_gaussian_dict, small_gabor_dict):
+        # the odd-pixel translation grid already leaves the even cells
+        # empty; dropping atoms empties cells inside a shape's row too
+        for step in (2, 3, 7):
+            self.assert_matches_oracle(holed(small_gaussian_dict, step),
+                                       OFFSETS_2D)
+            self.assert_matches_oracle(holed(small_gabor_dict, step),
+                                       OFFSETS_1D)
+
+    @pytest.mark.parametrize("name, offsets", [
+        ("small_gaussian_dict", OFFSETS_2D),
+        ("small_gabor_dict", OFFSETS_1D),
+    ])
+    def test_saved_dictionary_realizes_equal_transforms(
+            self, request, tmp_path, name, offsets):
+        dictionary = request.getfixturevalue(name)
+        save_dictionary(dictionary, tmp_path / "dict.npz")
+        loaded = load_dictionary(tmp_path / "dict.npz")
+        for offset in offsets:
+            a = translation_transform(dictionary, offset)
+            b = translation_transform(loaded, offset)
+            assert a == b
+            assert (a.label, a.spec()) == (b.label, b.spec())
+
+
+class TestOffsetParsing:
+    @pytest.mark.parametrize("offset", [
+        [2.7, 0], (2, 0.0), [2, 0, 5], (2,), [], [True, 0], [1, False],
+        "10", ["2", "0"], 3, None, [[2, 0]], np.array([2.0, 0.0]),
+    ])
+    def test_rejects_malformed_2d_offset(self, small_gaussian_dict, offset):
+        message = re.escape(f"translation offset {offset!r} must be a list "
+                            "of 2 integers on a gaussian_2d dictionary")
+        for realize in (
+                lambda: translation_transform(small_gaussian_dict, offset),
+                lambda: CandidateSet.from_uniform_offsets(
+                    small_gaussian_dict, [(0, 0), offset], 3),
+                lambda: realize_transform(small_gaussian_dict,
+                                          {"kind": "translation",
+                                           "offset": offset})):
+            with pytest.raises(ValueError, match=message):
+                realize()
+
+    @pytest.mark.parametrize("offset", [
+        10.9, 10.0, True, np.bool_(True), "10", [10, 0], [10.0], [], None,
+        np.float64(10.0), np.array(10.0),
+    ])
+    def test_rejects_malformed_1d_offset(self, small_gabor_dict, offset):
+        message = re.escape(f"translation offset {offset!r} must be an "
+                            "integer on a gabor_1d dictionary")
+        with pytest.raises(ValueError, match=message):
+            translation_transform(small_gabor_dict, offset)
+        with pytest.raises(ValueError, match=message):
+            CandidateSet.from_offsets(small_gabor_dict, [[0], [10, offset]])
+
+    @pytest.mark.parametrize("offset", [
+        (2, -2), [2, -2], (np.int64(2), np.int32(-2)), np.array([2, -2]),
+    ])
+    def test_accepts_integer_2d_offsets(self, small_gaussian_dict, offset):
+        t = translation_transform(small_gaussian_dict, offset)
+        assert t == translation_transform(small_gaussian_dict, (2, -2))
+        assert t.label == "shift(+2,-2)"
+        assert t.spec() == {"kind": "translation", "offset": [2, -2]}
+        assert all(type(v) is int for v in t.spec()["offset"])
+
+    @pytest.mark.parametrize("offset", [10, np.int64(10), [10], (10,),
+                                        np.array(10), np.array([10])])
+    def test_accepts_integer_1d_offsets(self, small_gabor_dict, offset):
+        t = translation_transform(small_gabor_dict, offset)
+        assert t == translation_transform(small_gabor_dict, 10)
+        assert t.label == "shift(+10)"
+        assert t.spec() == {"kind": "translation", "offset": 10}
+        assert type(t.spec()["offset"]) is int
+
+    def test_equal_offsets_share_one_realization(self, small_gabor_dict):
+        cands = CandidateSet.from_offsets(
+            small_gabor_dict, [[10, np.int64(10)], [[10], -10]])
+        assert cands.per_view[0][0] is cands.per_view[0][1]
+        assert cands.per_view[0][0] is cands.per_view[1][0]
+
+    def test_huge_offset_leaves_the_grid(self, small_gabor_dict):
+        for offset in (2**70, -2**70):
+            t = translation_transform(small_gabor_dict, offset)
+            assert not t.domain_mask.any()
+            assert t.spec() == {"kind": "translation", "offset": offset}
+
+    def test_custom_dictionary_has_no_translations(self, onb_dict):
+        with pytest.raises(ValueError, match="parameter records"):
+            translation_transform(onb_dict, 1)
 
 
 class TestApplyToSupport:
