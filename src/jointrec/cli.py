@@ -7,23 +7,38 @@ Verbs:
 * ``emit-plots <trials.csv>`` regenerate plot TSVs from a saved run
 * ``decode <instance.json>``  decode one ingested problem instance
 
-Invalid input (a bad config, instance or signal file) ends with a
-one-line ``error:`` message and exit status 2.  ``run`` exits with
-status 1 when ensemble generation fails, so sweep drivers can
-distinguish infeasible configurations from crashes.
+Invalid or unreadable input (a bad or missing config, instance, table
+or signal file, or malformed JSON) ends with a one-line ``error:``
+message and exit status 2.  ``run`` exits with status 1 when ensemble
+generation fails, so callers can tell infeasible configurations from
+crashes.  Errors while writing output are not caught.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
 
 from .ensemble import EnsembleGenerationError
-from .experiments import (_ALGORITHMS, decode_instance, describe_presets,
-                          emit_plot_data, get_preset, load_config,
-                          preset_names, read_trials_csv, run_experiment)
+from .experiments import (_ALGORITHMS, _parse_json, decode_instance,
+                          describe_presets, emit_plot_data, get_preset,
+                          load_config, preset_names, read_trials_csv,
+                          run_experiment)
+
+
+@contextlib.contextmanager
+def _reading():
+    """Report an input file that cannot be read as invalid input."""
+    try:
+        yield
+    except OSError as exc:
+        # numpy's loadtxt names a missing file in its message, not in
+        # the exception's filename
+        raise ValueError(f"{exc.filename}: {exc.strerror}" if exc.filename
+                         else str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     name = args.config
     if Path(name).exists():
-        config = load_config(name)
+        with _reading():
+            config = load_config(name)
     elif name in preset_names():
         config = get_preset(name)
     else:
@@ -95,7 +111,8 @@ def _cmd_run(args) -> int:
         config.signal_paths = args.signals
 
     try:
-        table = run_experiment(config)
+        with _reading():
+            table = run_experiment(config)
     except EnsembleGenerationError as exc:
         print(f"error: ensemble generation failed: {exc}", file=sys.stderr)
         return 1
@@ -123,10 +140,8 @@ def _cmd_presets(args) -> int:
 
 def _cmd_emit_plots(args) -> int:
     table_path = Path(args.table)
-    if not table_path.exists():
-        print(f"error: no such file {table_path}", file=sys.stderr)
-        return 2
-    table = read_trials_csv(table_path)
+    with _reading():
+        table = read_trials_csv(table_path)
     out_dir = Path(args.out) if args.out else table_path.parent
     for p in emit_plot_data(table, out_dir):
         print(f"wrote {p}")
@@ -135,10 +150,9 @@ def _cmd_emit_plots(args) -> int:
 
 def _cmd_decode(args) -> int:
     instance_path = Path(args.instance)
-    if not instance_path.exists():
-        print(f"error: no such file {instance_path}", file=sys.stderr)
-        return 2
-    instance = json.loads(instance_path.read_text(encoding="utf-8"))
+    with _reading():
+        text = instance_path.read_text(encoding="utf-8")
+    instance = _parse_json(text, args.instance)
     # overrides go into a JSON object only; decode_instance rejects the rest
     if isinstance(instance, dict):
         if args.algorithm is not None:
@@ -146,9 +160,10 @@ def _cmd_decode(args) -> int:
         if args.sparsity is not None:
             instance["sparsity"] = args.sparsity
         if args.offsets is not None:
-            instance["candidate_offsets"] = json.loads(args.offsets)
-
-    result, summary = decode_instance(instance)
+            instance["candidate_offsets"] = _parse_json(args.offsets,
+                                                        "--offsets")
+    with _reading():
+        result, summary = decode_instance(instance)
 
     out_dir = Path(args.out) if args.out else instance_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)

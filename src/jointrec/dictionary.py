@@ -51,8 +51,8 @@ class Dictionary:
     Parameters
     ----------
     atoms : ndarray, shape (N, K)
-        Atom matrix.  Columns must have unit norm within 1e-9 unless
-        ``normalize`` is set.
+        Atom matrix, stored as a read-only C-ordered copy.  Columns must
+        have unit norm within 1e-9 unless ``normalize`` is set.
     params : sequence, optional
         One hashable parameter record per atom, aligned with the columns.
         Required for parametric transforms; plain matrices may omit it.
@@ -66,7 +66,7 @@ class Dictionary:
 
     def __init__(self, atoms, params=None, variant="custom", grid=None,
                  normalize=False):
-        atoms = np.array(atoms, dtype=float)
+        atoms = np.array(atoms, dtype=float, order="C")
         if atoms.ndim != 2 or atoms.shape[0] == 0 or atoms.shape[1] == 0:
             raise ValueError("atoms must be a nonempty N x K matrix")
         norms = np.linalg.norm(atoms, axis=0)
@@ -205,9 +205,8 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
                       for tx, ty in translations)
     rows = np.concatenate(blocks, axis=0)
     keep = _drop_duplicate_atoms(rows, params)
-    atoms = np.ascontiguousarray(rows[keep].T)
     kept_params = [params[i] for i in keep]
-    return Dictionary(atoms, params=kept_params, variant="gaussian_2d",
+    return Dictionary(rows[keep].T, params=kept_params, variant="gaussian_2d",
                       grid=(height, width))
 
 

@@ -17,6 +17,7 @@ Output layout per run (under the config's output directory):
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import time
@@ -57,6 +58,14 @@ EXPERIMENT_KINDS = {
     KIND_RECOVERY_VS_VIEWS: ExperimentKind(("gjt", "it"), ("recovery", "mse")),
     KIND_TWO_VIEW_1D: ExperimentKind(("jt", "it"), ("mse", "recovery")),
 }
+
+
+def _parse_json(text: str, source: str):
+    """``json.loads``, with parse errors naming ``source`` (path, option)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} is not valid JSON: {exc}") from None
 
 
 def _dataclass_from(cls, data: dict, noun: str | None = None):
@@ -161,11 +170,8 @@ class DictionaryConfig:
         ("include_negated", *_BOOL),
     )
 
-    def _check_types(self) -> None:
-        _check_fields(self, self._FIELD_TYPES, prefix="dictionary ")
-
     def _check_variant(self) -> None:
-        self._check_types()
+        _check_fields(self, self._FIELD_TYPES, prefix="dictionary ")
         if self.variant not in self._VARIANT_FIELDS:
             raise ValueError(f"unknown dictionary variant {self.variant!r}")
         missing = [name for name in self._VARIANT_FIELDS[self.variant]
@@ -242,8 +248,8 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
+    def from_json(cls, text: str, source="config") -> "ExperimentConfig":
+        return cls.from_dict(_parse_json(text, source))
 
 
 def save_config(config: ExperimentConfig, path) -> None:
@@ -251,7 +257,8 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_json(Path(path).read_text(encoding="utf-8"))
+    return ExperimentConfig.from_json(Path(path).read_text(encoding="utf-8"),
+                                      str(path))
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -287,23 +294,37 @@ _CONFIG_TYPES = (
 )
 
 
-def _check_types(config: ExperimentConfig) -> None:
-    """Raise a ValueError naming the first field, of the config or of its
-    dictionary, whose value has the wrong type, before any field is
-    compared or unpacked."""
-    _check_fields(config, _CONFIG_TYPES)
-    config.dictionary._check_types()
+def _check_problem(dictionary: DictionaryConfig, sparsity: int,
+                   candidate_offsets, measurements: list[int],
+                   identity_sensing: bool) -> None:
+    """The rules configs and decode instances share, checked after their
+    value types: a positive sparsity, a complete dictionary variant,
+    offsets that parse on it, positive measurement counts, and under
+    identity sensing every given count equal to the signal length."""
+    if sparsity < 1:
+        raise ValueError("sparsity must be at least 1")
+    n = dictionary.signal_length()
+    for offset in candidate_offsets or ():
+        translation_shift(dictionary.variant, offset)
+    if any(m < 1 for m in measurements):
+        raise ValueError("measurement counts must be positive")
+    if identity_sensing and any(m != n for m in measurements):
+        raise ValueError("identity sensing requires measurement counts "
+                         "equal to the signal length")
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    """Raise ValueError on structurally invalid configs."""
-    _check_types(config)
+    """Raise ValueError on structurally invalid configs.
+
+    Value types are checked first, of the config and then of its
+    dictionary (with its variant), so no field is compared or unpacked
+    before its type is known."""
+    _check_fields(config, _CONFIG_TYPES)
+    config.dictionary._check_variant()
     if config.kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {config.kind!r}")
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
-    if config.sparsity < 1:
-        raise ValueError("sparsity must be at least 1")
     if config.coeff_rule not in ("shared", "independent"):
         raise ValueError(f"unknown coefficient rule {config.coeff_rule!r}")
     lo, hi = config.coeff_range
@@ -315,19 +336,17 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ValueError("transform-error sweeps need a fixed view count >= 2")
         if not isinstance(config.measurements, list) or not config.measurements:
             raise ValueError("transform-error sweeps need a nonempty measurement list")
-        if any(m < 1 for m in config.measurements):
-            raise ValueError("measurement counts must be positive")
     elif config.kind == KIND_RECOVERY_VS_VIEWS:
         if not isinstance(config.views, list) or not config.views:
             raise ValueError("view sweeps need a nonempty view-count list")
         if any(v < 1 for v in config.views):
             raise ValueError("view counts must be positive")
-        if not isinstance(config.measurements, int) or config.measurements < 1:
+        if not isinstance(config.measurements, int):
             raise ValueError("view sweeps need one fixed measurement count")
     elif config.kind == KIND_TWO_VIEW_1D:
         if config.views != 2:
             raise ValueError("the two-view experiment is pinned to 2 views")
-        if not isinstance(config.measurements, int) or config.measurements < 1:
+        if not isinstance(config.measurements, int):
             raise ValueError("the two-view experiment needs one measurement count")
         if config.dictionary.variant != "gabor_1d":
             raise ValueError("the two-view experiment uses the 1D dictionary")
@@ -342,18 +361,10 @@ def validate_config(config: ExperimentConfig) -> None:
             and config.views != len(config.signal_paths)):
         raise ValueError("signal ingestion needs a fixed view count and one "
                          "CSV path per view")
-
-    if config.identity_sensing:
-        n = config.dictionary.signal_length()
-        ms = (config.measurements if isinstance(config.measurements, list)
-              else [config.measurements])
-        if any(m != n for m in ms):
-            raise ValueError(
-                "identity sensing requires measurement counts equal to the "
-                "signal length")
-    config.dictionary._check_variant()
-    for offset in config.candidate_offsets:
-        translation_shift(config.dictionary.variant, offset)
+    _check_problem(config.dictionary, config.sparsity,
+                   config.candidate_offsets,
+                   [m for *_, m in _sweep_cells(config)],
+                   config.identity_sensing)
 
 
 @dataclass
@@ -408,25 +419,21 @@ class ResultTable:
                 values = [getattr(r, metric) for r in recs
                           if getattr(r, metric) is not None]
                 key = "recovery" if metric == "recovery_rate" else metric
+                row[f"{key}_mean"] = row[f"{key}_se"] = None
                 if values:
                     arr = np.asarray(values, dtype=float)
                     row[f"{key}_mean"] = float(arr.mean())
                     row[f"{key}_se"] = (
                         float(arr.std(ddof=1) / np.sqrt(arr.size))
                         if arr.size > 1 else 0.0)
-                else:
-                    row[f"{key}_mean"] = None
-                    row[f"{key}_se"] = None
             flags = [r.transform_correct for r in recs
                      if r.transform_correct is not None]
+            row["transform_error"] = row["transform_error_se"] = None
             if flags:
                 p = sum(1 for f in flags if not f) / len(flags)
                 row["transform_error"] = p
                 row["transform_error_se"] = float(
                     np.sqrt(p * (1.0 - p) / len(flags)))
-            else:
-                row["transform_error"] = None
-                row["transform_error_se"] = None
             row["rank_deficient_rate"] = (
                 sum(1 for r in recs if r.rank_deficient) / len(recs))
             rows.append(row)
@@ -447,9 +454,8 @@ class ResultTable:
 
         trial_lines = [preamble + ",".join(_TRIAL_COLUMNS)]
         for r in self.records:
-            trial_lines.append(",".join(_format_csv(v) for v in (
-                r.sweep, r.algorithm, r.trial, r.seed, r.recovery_rate,
-                r.mse, r.transform_correct, r.rank_deficient)))
+            trial_lines.append(",".join(_format_csv(getattr(r, column))
+                                        for column in _TRIAL_COLUMNS))
         trials_path = out_dir / "trials.csv"
         trials_path.write_text("\n".join(trial_lines) + "\n", encoding="utf-8")
 
@@ -744,8 +750,7 @@ class DecodeInstance:
     seed: int = 0
 
 
-# value types of the instance's fields; the dictionary is checked as in
-# configs when it is built
+# value types of the instance's fields; _check_problem checks its dictionary
 _INSTANCE_TYPES = (
     ("sparsity", *_INT),
     ("signal_csvs", lambda v: _is_non_empty_list(v) and all(map(_is_str, v)),
@@ -767,9 +772,10 @@ def decode_instance(instance: dict):
     single-column CSV path per view) are required; ``algorithm`` (jt |
     gjt | it, default jt), ``candidate_offsets`` (required for jt/gjt),
     ``measurements`` (per-view count for Gaussian sensing, required
-    unless ``identity_sensing``) and ``seed`` (sensing seed, default 0)
-    are optional.  Returns (DecodeResult, summary dict); the summary is
-    JSON-serializable.
+    unless ``identity_sensing``, and then the signal length if given)
+    and ``seed`` (sensing seed, default 0) are optional.  The rules a
+    config shares run before any signal file is read.  Returns
+    (DecodeResult, summary dict); the summary is JSON-serializable.
     """
     inst = _dataclass_from(DecodeInstance, instance, noun="instance")
     _check_fields(inst, _INSTANCE_TYPES)
@@ -781,9 +787,11 @@ def decode_instance(instance: dict):
     if not inst.identity_sensing and inst.measurements is None:
         raise ValueError("instance needs measurements unless "
                          "identity_sensing is set")
-    dictionary = _dataclass_from(DictionaryConfig, inst.dictionary).build()
-    for offset in inst.candidate_offsets or ():
-        translation_shift(dictionary.variant, offset)
+    dictionary_config = _dataclass_from(DictionaryConfig, inst.dictionary)
+    _check_problem(dictionary_config, inst.sparsity, inst.candidate_offsets,
+                   [] if inst.measurements is None else [inst.measurements],
+                   inst.identity_sensing)
+    dictionary = dictionary_config.build()
     signals = _load_signals(inst.signal_csvs, dictionary)
     measurements = _sense(dictionary, signals, inst.measurements,
                           inst.identity_sensing,
@@ -807,96 +815,62 @@ def decode_instance(instance: dict):
     return result, summary
 
 
-def _full_gaussian_dictionary() -> DictionaryConfig:
-    return DictionaryConfig(variant="gaussian_2d", width=32, height=32,
-                            n_theta=7, sx_values=[2.0, 4.0],
-                            sy_values=[0.5, 1.0], translations="odd")
-
-
-def _desk_gaussian_dictionary() -> DictionaryConfig:
-    return DictionaryConfig(variant="gaussian_2d", width=16, height=16,
-                            n_theta=7, sx_values=[2.0, 4.0],
-                            sy_values=[0.5, 1.0], translations="odd")
-
-
-def _gabor_dictionary() -> DictionaryConfig:
-    return DictionaryConfig(variant="gabor_1d", length=1000, t_start=1,
-                            t_step=10, scales=[4.0, 8.0, 16.0],
-                            omegas=[2.0, 4.0, 6.0, 8.0, 10.0],
-                            include_negated=True)
-
-
+_GAUSSIAN_2D = {"variant": "gaussian_2d", "n_theta": 7,
+                "sx_values": [2.0, 4.0], "sy_values": [0.5, 1.0],
+                "translations": "odd"}
+# the 32x32 grid holds near-parallel atoms, so positive margins need
+# nearly equal coefficient magnitudes
+_FULL_2D = {"dictionary": {**_GAUSSIAN_2D, "width": 32, "height": 32},
+            "sparsity": 5, "coeff_range": [0.9, 1.1]}
+_DESK_2D = {"dictionary": {**_GAUSSIAN_2D, "width": 16, "height": 16},
+            "sparsity": 3}
 _GRID_OFFSETS_2D = [[dx, dy] for dx in (-2, 0, 2) for dy in (-2, 0, 2)]
 
-
-def _preset_transform_error() -> ExperimentConfig:
-    # the 32x32 grid holds near-parallel atoms, so positive margins need
-    # nearly equal coefficient magnitudes
-    return ExperimentConfig(
-        kind=KIND_TRANSFORM_ERROR, dictionary=_full_gaussian_dictionary(),
-        sparsity=5, views=4, measurements=[40, 60, 80, 100, 120, 150],
-        candidate_offsets=list(_GRID_OFFSETS_2D), trials=20,
-        master_seed=70011, output_dir="results/transform-error-vs-m",
-        coeff_range=[0.9, 1.1])
-
-
-def _preset_transform_error_small() -> ExperimentConfig:
-    return ExperimentConfig(
-        kind=KIND_TRANSFORM_ERROR, dictionary=_desk_gaussian_dictionary(),
-        sparsity=3, views=3, measurements=[20, 60],
-        candidate_offsets=list(_GRID_OFFSETS_2D), trials=3,
-        master_seed=70012, output_dir="results/transform-error-vs-m-small")
-
-
-def _preset_recovery_vs_views() -> ExperimentConfig:
-    return ExperimentConfig(
-        kind=KIND_RECOVERY_VS_VIEWS, dictionary=_full_gaussian_dictionary(),
-        sparsity=5, views=[2, 5, 10, 20], measurements=150,
-        candidate_offsets=list(_GRID_OFFSETS_2D), trials=10,
-        master_seed=70021, output_dir="results/recovery-vs-views",
-        coeff_range=[0.9, 1.1])
-
-
-def _preset_recovery_vs_views_desk() -> ExperimentConfig:
-    return ExperimentConfig(
-        kind=KIND_RECOVERY_VS_VIEWS, dictionary=_desk_gaussian_dictionary(),
-        sparsity=3, views=[2, 5, 10, 20], measurements=60,
-        candidate_offsets=list(_GRID_OFFSETS_2D), trials=10,
-        master_seed=70022, output_dir="results/recovery-vs-views-desk")
-
-
-def _preset_two_view_1d() -> ExperimentConfig:
-    # the 1D dictionary pairs every atom with its negation, which caps the
-    # thresholding margin at zero, so the decodability checks are waived
-    return ExperimentConfig(
-        kind=KIND_TWO_VIEW_1D, dictionary=_gabor_dictionary(),
-        sparsity=50, views=2, measurements=150,
-        candidate_offsets=[-10, 0, 10], trials=200, master_seed=70031,
-        output_dir="results/two-view-1d", require_margin=False,
-        require_positivity=False)
-
-
+# name -> (description, config mapping); get_preset reads a deep copy of
+# the mapping, so no caller can edit the shared lists
 PRESETS = {
     "transform-error-vs-m": (
-        _preset_transform_error,
         "Transform error and recovery vs measurements; 32x32 dictionary, "
-        "4 views, 729 candidates, 20 trials"),
+        "4 views, 729 candidates, 20 trials",
+        {**_FULL_2D, "kind": KIND_TRANSFORM_ERROR, "views": 4,
+         "measurements": [40, 60, 80, 100, 120, 150],
+         "candidate_offsets": _GRID_OFFSETS_2D, "trials": 20,
+         "master_seed": 70011,
+         "output_dir": "results/transform-error-vs-m"}),
     "transform-error-vs-m-small": (
-        _preset_transform_error_small,
         "Minutes-free smoke version of the measurement sweep on a 16x16 "
-        "dictionary"),
+        "dictionary",
+        {**_DESK_2D, "kind": KIND_TRANSFORM_ERROR, "views": 3,
+         "measurements": [20, 60], "candidate_offsets": _GRID_OFFSETS_2D,
+         "trials": 3, "master_seed": 70012,
+         "output_dir": "results/transform-error-vs-m-small"}),
     "recovery-vs-views": (
-        _preset_recovery_vs_views,
         "Recovery rate vs number of views at M=150; 32x32 dictionary, "
-        "greedy joint decoder against the independent baseline"),
+        "greedy joint decoder against the independent baseline",
+        {**_FULL_2D, "kind": KIND_RECOVERY_VS_VIEWS, "views": [2, 5, 10, 20],
+         "measurements": 150, "candidate_offsets": _GRID_OFFSETS_2D,
+         "trials": 10, "master_seed": 70021,
+         "output_dir": "results/recovery-vs-views"}),
     "recovery-vs-views-desk": (
-        _preset_recovery_vs_views_desk,
         "Desk-scale view sweep (16x16 dictionary, M=60) showing the joint "
-        "decoder pulling ahead of the baseline"),
+        "decoder pulling ahead of the baseline",
+        {**_DESK_2D, "kind": KIND_RECOVERY_VS_VIEWS, "views": [2, 5, 10, 20],
+         "measurements": 60, "candidate_offsets": _GRID_OFFSETS_2D,
+         "trials": 10, "master_seed": 70022,
+         "output_dir": "results/recovery-vs-views-desk"}),
+    # the 1D dictionary pairs every atom with its negation, which caps the
+    # thresholding margin at zero, so the decodability checks are waived
     "two-view-1d": (
-        _preset_two_view_1d,
         "Two-view 1D benchmark: S=50 modulated-Gaussian signals, 3 shift "
-        "candidates, MSE of joint vs independent decoding"),
+        "candidates, MSE of joint vs independent decoding",
+        {"kind": KIND_TWO_VIEW_1D,
+         "dictionary": {"variant": "gabor_1d", "length": 1000,
+                        "scales": [4.0, 8.0, 16.0],
+                        "omegas": [2.0, 4.0, 6.0, 8.0, 10.0]},
+         "sparsity": 50, "views": 2, "measurements": 150,
+         "candidate_offsets": [-10, 0, 10], "trials": 200,
+         "master_seed": 70031, "output_dir": "results/two-view-1d",
+         "require_margin": False, "require_positivity": False}),
 }
 
 
@@ -907,12 +881,12 @@ def preset_names() -> list[str]:
 def get_preset(name: str) -> ExperimentConfig:
     """Fresh config instance for a bundled preset name."""
     try:
-        factory, _ = PRESETS[name]
+        _, mapping = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; "
                          f"available: {', '.join(PRESETS)}") from None
-    return factory()
+    return ExperimentConfig.from_dict(copy.deepcopy(mapping))
 
 
 def describe_presets() -> list[tuple[str, str]]:
-    return [(name, description) for name, (_, description) in PRESETS.items()]
+    return [(name, description) for name, (description, _) in PRESETS.items()]

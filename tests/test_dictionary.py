@@ -128,6 +128,15 @@ class TestDictionaryType:
         d = Dictionary(2.0 * np.eye(4), normalize=True)
         assert np.allclose(np.linalg.norm(d.atoms, axis=0), 1.0)
 
+    def test_stores_c_ordered_copy(self):
+        rng = np.random.default_rng(3)
+        cols = rng.standard_normal((5, 8))
+        atoms = np.asfortranarray(cols / np.linalg.norm(cols, axis=0))
+        d = Dictionary(atoms)
+        assert d.atoms.flags["C_CONTIGUOUS"]
+        assert not np.shares_memory(d.atoms, atoms)
+        np.testing.assert_array_equal(d.atoms, atoms)
+
     def test_atom_returns_column(self, onb_dict):
         col = onb_dict.atom(3)
         assert col.shape == (16,)

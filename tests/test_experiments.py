@@ -117,6 +117,14 @@ class TestConfig:
         save_config(cfg, path)
         assert load_config(path) == cfg
 
+    def test_load_config_names_malformed_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"kind": ')
+        message = (f"{path} is not valid JSON: Expecting value: line 1 "
+                   "column 10 (char 9)")
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            load_config(path)
+
     def test_hash_stable_and_seed_sensitive(self):
         a = tiny_gabor_config()
         b = tiny_gabor_config()
@@ -236,6 +244,53 @@ class TestPresets:
         assert cfg.sparsity == 5
         assert cfg.measurements == [40, 60, 80, 100, 120, 150]
         assert len(cfg.candidate_offsets) == 9
+
+    # recorded while each preset was still built by its own factory
+    # function; a preset's hash marks runs that must agree byte for byte
+    @pytest.mark.parametrize("name, digest", [
+        ("transform-error-vs-m",
+         "65c12de1546c8818407fd8b4de39ff4b48177269f7972acf696dfa410f0cb6a7"),
+        ("transform-error-vs-m-small",
+         "76ed57664a0ae004182689d986ec33b291a3b52f0dbe89f167f1801214c72c17"),
+        ("recovery-vs-views",
+         "e001120a75b43ac2a551240173ae24f60db4f0e89ef84dcaaa023b6f145aa4e8"),
+        ("recovery-vs-views-desk",
+         "b9e2ee2d3c01954bfbaca759762e3ef6c626e5fda9e29ea6e4a18e8dc54ad13c"),
+        ("two-view-1d",
+         "a01c9bf01e97bf0e9124907ed19908938d2651250fd70aa06095f464c0bebb27"),
+    ])
+    def test_pinned_config_hash(self, name, digest):
+        assert config_hash(get_preset(name)) == digest
+
+    def test_nested_lists_are_fresh(self):
+        hashes = {name: config_hash(get_preset(name))
+                  for name in preset_names()}
+        for name in ("transform-error-vs-m", "recovery-vs-views-desk"):
+            cfg = get_preset(name)
+            cfg.dictionary.sx_values.append(8.0)
+            cfg.candidate_offsets[0][0] = 99
+            cfg.candidate_offsets.append([4, 4])
+        assert {name: config_hash(get_preset(name))
+                for name in preset_names()} == hashes
+
+
+class TestDocs:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def section(self, heading):
+        text = self.README.read_text(encoding="utf-8")
+        body = text.split(f"\n{heading}\n", 1)[1]
+        return re.split(r"\n#{2,3} ", body, maxsplit=1)[0]
+
+    def test_readme_config_example_validates(self):
+        block = re.search(r"```json\n(.*?)```", self.section("## Config files"),
+                          re.DOTALL).group(1)
+        validate_config(ExperimentConfig.from_dict(json.loads(block)))
+
+    def test_readme_preset_table_lists_presets(self):
+        listed = re.findall(r"^\| `([^`]+)` \|",
+                            self.section("### List presets"), re.MULTILINE)
+        assert listed == preset_names()
 
 
 class TestRunners:
@@ -705,6 +760,16 @@ class TestCli:
         (lambda inst: inst.update(candidate_offsets=[True], algorithm="it"),
          "error: translation offset True must be an integer on a gabor_1d "
          "dictionary"),
+        # the rules a config shares, all checked before a signal is read
+        (lambda inst: inst.update(measurements=30),
+         "error: identity sensing requires measurement counts equal to the "
+         "signal length"),
+        (lambda inst: inst.update(sparsity=0, signal_csvs=["missing.csv"]),
+         "error: sparsity must be at least 1"),
+        (lambda inst: inst.update(identity_sensing=False, measurements=0),
+         "error: measurement counts must be positive"),
+        (lambda inst: inst.update(identity_sensing=False, measurements=-3),
+         "error: measurement counts must be positive"),
     ])
     def test_decode_invalid_instance_exits_2(self, tmp_path, capsys, edit,
                                              message):
@@ -760,8 +825,84 @@ class TestCli:
         assert cli_main(["decode", str(inst_path), "--offsets", offsets]) == 2
         assert capsys.readouterr().err == message + "\n"
 
+    def test_decode_identity_sensing_full_measurements(self, tmp_path):
+        sig = tmp_path / "view.csv"
+        sig.write_text("0.5\n" * 120)
+        instance = {
+            "dictionary": {"variant": "gabor_1d", "length": 120,
+                           "scales": [4.0], "omegas": [2.0]},
+            "sparsity": 3, "identity_sensing": True, "measurements": 120,
+            "signal_csvs": [str(sig), str(sig)], "candidate_offsets": [0],
+        }
+        inst_path = tmp_path / "instance.json"
+        inst_path.write_text(json.dumps(instance))
+        assert cli_main(["decode", str(inst_path)]) == 0
+        assert (tmp_path / "decode_result.json").exists()
+
     def test_decode_missing_instance_exits_2(self, tmp_path):
         assert cli_main(["decode", str(tmp_path / "nope.json")]) == 2
+
+    # the source is named and the parser's position kept
+    @pytest.mark.parametrize("verb, text, offsets, problem", [
+        ("run", '{"kind": "two-v', None,
+         "Unterminated string starting at: line 1 column 10 (char 9)"),
+        ("decode", '{"sparsity": 3,', None,
+         "Expecting property name enclosed in double quotes: line 1 "
+         "column 16 (char 15)"),
+        ("decode", '{"sparsity": 3}', "[2,",
+         "Expecting value: line 1 column 4 (char 3)"),
+    ])
+    def test_malformed_json_exits_2(self, tmp_path, capsys, verb, text,
+                                    offsets, problem):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        flags = [] if offsets is None else ["--offsets", offsets]
+        named = path if offsets is None else "--offsets"
+        assert cli_main([verb, str(path), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {named} is not valid JSON: {problem}\n")
+
+    def test_decode_missing_signal_exits_2(self, tmp_path, capsys):
+        instance = {
+            "dictionary": {"variant": "gabor_1d", "length": 120,
+                           "scales": [4.0], "omegas": [2.0]},
+            "sparsity": 3, "identity_sensing": True,
+            "signal_csvs": [str(tmp_path / "gone.csv")] * 2,
+            "candidate_offsets": [0],
+        }
+        inst_path = tmp_path / "instance.json"
+        inst_path.write_text(json.dumps(instance))
+        assert cli_main(["decode", str(inst_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "gone.csv") in err
+
+    def test_run_missing_signals_exits_2(self, tmp_path, capsys):
+        missing = [str(tmp_path / "nope1.csv"), str(tmp_path / "nope2.csv")]
+        assert cli_main(["run", "two-view-1d", "--out", str(tmp_path),
+                         "--signals", *missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert missing[0] in err
+
+    def test_emit_plots_directory_exits_2(self, tmp_path, capsys):
+        assert cli_main(["emit-plots", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+    def test_decode_unwritable_out_raises(self, tmp_path):
+        # only input errors exit 2; a failed write is not bad input
+        sig = tmp_path / "view.csv"
+        sig.write_text("0.5\n" * 120)
+        instance = {
+            "dictionary": {"variant": "gabor_1d", "length": 120,
+                           "scales": [4.0], "omegas": [2.0]},
+            "sparsity": 3, "identity_sensing": True,
+            "signal_csvs": [str(sig), str(sig)], "candidate_offsets": [0],
+        }
+        inst_path = tmp_path / "instance.json"
+        inst_path.write_text(json.dumps(instance))
+        with pytest.raises(FileExistsError):
+            cli_main(["decode", str(inst_path), "--out", str(sig)])
 
     def test_decode_invalid_signal_exits_2(self, tmp_path, capsys):
         sig = tmp_path / "view.csv"
