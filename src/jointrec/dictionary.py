@@ -14,6 +14,7 @@ bit-identical atom matrix with the same column order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
@@ -70,6 +71,9 @@ class Dictionary:
         if atoms.ndim != 2 or atoms.shape[0] == 0 or atoms.shape[1] == 0:
             raise ValueError("atoms must be a nonempty N x K matrix")
         norms = np.linalg.norm(atoms, axis=0)
+        # a NaN entry makes its column's norm NaN, which no bound rejects
+        if not np.all(np.isfinite(norms)):
+            raise ValueError("atoms must be finite, with finite norms")
         if normalize:
             if np.any(norms == 0.0):
                 raise ValueError("cannot normalize an all-zero atom")
@@ -177,8 +181,11 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
     translations = [(int(tx), int(ty)) for tx, ty in translations]
     if not thetas or not sxs or not sys or not translations:
         raise ValueError("empty parameter grid")
-    if any(s <= 0 for s in sxs) or any(s <= 0 for s in sys):
-        raise ValueError("degenerate scale: all scales must be positive")
+    if not all(map(math.isfinite, thetas)):
+        raise ValueError("angles must be finite")
+    if not all(0 < s < math.inf for s in sxs + sys):
+        raise ValueError("degenerate scale: all scales must be finite and "
+                         "positive")
     for tx, ty in translations:
         if not (0 <= tx < width and 0 <= ty < height):
             raise ValueError(f"translation ({tx}, {ty}) outside the image grid")
@@ -211,25 +218,49 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
 
 
 def _drop_duplicate_atoms(rows, params):
-    """Keep-first duplicate removal over atom rows.
+    """Keep-first duplicate removal over atom rows: a row is dropped when
+    its max-abs gap to an earlier kept row is at most DUPLICATE_ATOM_TOL.
 
     Duplicates come from exact symmetries in the angle/scale parameters,
     which leave the translation fixed, so only atoms sharing a translation
-    need to be compared.
+    need to be compared.  Rows within that gap have exact sums within
+    N * tol, and a float sum of N terms is off by less than N * eps times
+    the sum of their magnitudes.  So only pairs whose float row sums are
+    within N * tol plus twice that error for both rows are compared in
+    full, and the decisions are those of comparing every pair.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(params):
-        groups.setdefault((p.tx, p.ty), []).append(i)
-    keep_mask = np.ones(len(params), dtype=bool)
-    for idxs in groups.values():
-        kept: list[int] = []
-        for i in idxs:
-            if kept:
-                gap = np.abs(rows[kept] - rows[i]).max(axis=1).min()
-                if gap <= DUPLICATE_ATOM_TOL:
-                    keep_mask[i] = False
-                    continue
-            kept.append(i)
+    n_rows, n = rows.shape
+    block = 64  # rows per temporary
+    _, group = np.unique([(p.tx, p.ty) for p in params], axis=0,
+                         return_inverse=True)
+    sums = rows.sum(axis=1)
+    magnitude = max(np.abs(rows[i:i + block]).sum(axis=1).max()
+                    for i in range(0, n_rows, block))
+    window = n * DUPLICATE_ATOM_TOL + 4 * n * np.finfo(float).eps * magnitude
+    # sorted by (translation, sum), a row's candidates follow it directly
+    order = np.lexsort((sums, group))
+    group, sums = group[order], sums[order]
+    lo, hi = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    left = np.arange(n_rows)
+    for step in range(1, n_rows):
+        left = left[left + step < n_rows]
+        right = left + step
+        left = left[(group[right] == group[left])
+                    & (sums[right] - sums[left] <= window)]
+        if not left.size:
+            break
+        lo.append(order[left])
+        hi.append(order[left + step])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    close = np.concatenate([np.zeros(0, dtype=bool)] + [
+        np.abs(rows[lo[i:i + block]] - rows[hi[i:i + block]]).max(axis=1)
+        <= DUPLICATE_ATOM_TOL for i in range(0, lo.size, block)])
+    keep_mask = np.ones(n_rows, dtype=bool)
+    # by later row: every earlier row's fate is settled when it is read
+    for later, earlier in sorted(zip(hi[close].tolist(), lo[close].tolist())):
+        if keep_mask[earlier]:
+            keep_mask[later] = False
     return np.flatnonzero(keep_mask)
 
 
@@ -256,8 +287,11 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
     omegas = [float(w) for w in omegas]
     if not scales or not omegas:
         raise ValueError("empty parameter grid")
-    if any(s <= 0 for s in scales):
-        raise ValueError("degenerate scale: all scales must be positive")
+    if not all(0 < s < math.inf for s in scales):
+        raise ValueError("degenerate scale: all scales must be finite and "
+                         "positive")
+    if not all(map(math.isfinite, omegas)):
+        raise ValueError("frequencies must be finite")
 
     x = np.arange(1, n + 1, dtype=float)
     columns = []

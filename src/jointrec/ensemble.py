@@ -12,7 +12,8 @@ coefficients until every view satisfies two decodability conditions:
   is nonnegative (dictionaries that include negated atoms let a model
   swap an offending atom for its negation instead).
 
-The achieved margin (minimum over views) is recorded with the ensemble.
+The achieved margin (minimum over views) is recorded with the ensemble,
+and so is the number of draws made.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .dictionary import Dictionary
 from .transforms import TransformVector, apply_to_support, realize_transform
 
 COEFF_MAGNITUDE_RANGE = (0.5, 1.5)
+# atoms per block in the margin check on the support's blocks
+_MARGIN_BLOCK = 512
 
 
 class EnsembleGenerationError(RuntimeError):
@@ -47,6 +50,8 @@ class SignalEnsemble:
     max_energy: float
     coeff_rule: str = "shared"
     seed: object = None
+    # draws made, the accepted one included; None when not recorded
+    attempts: int | None = None
 
     @property
     def n_views(self) -> int:
@@ -74,14 +79,40 @@ def thresholding_margin(signal, support, dictionary: Dictionary) -> float:
         raise ValueError("support index out of range")
     if support.size >= dictionary.n_atoms:
         raise ValueError("support covers the whole dictionary; margin undefined")
-    norm = np.linalg.norm(signal)
-    if norm == 0.0:
-        raise ValueError("zero signal has no margin")
-    corr = np.abs(dictionary.atoms.T @ (signal / norm))
+    corr = np.abs(dictionary.atoms.T @ _unit(signal))
     inside = corr[support].min()
     mask = np.ones(dictionary.n_atoms, dtype=bool)
     mask[support] = False
     outside = corr[mask].max()
+    return float(inside - outside)
+
+
+def _unit(signal) -> np.ndarray:
+    norm = np.linalg.norm(signal)
+    if norm == 0.0:
+        raise ValueError("zero signal has no margin")
+    return signal / norm
+
+
+def _support_block_margin(signal, support, dictionary: Dictionary) -> float:
+    """thresholding_margin with the outside atoms cut down to those in the
+    support's blocks of _MARGIN_BLOCK consecutive atoms (+inf when there are
+    none), for a valid support.
+
+    Each block's product equals the same entries of the full product, so
+    this bounds thresholding_margin from above, bit for bit: a value <= 0
+    rejects a draw at the cost of a few blocks.  Raises ValueError on a
+    zero signal, as thresholding_margin does.
+    """
+    unit = _unit(signal)
+    size = _MARGIN_BLOCK
+    inside, outside = np.inf, -np.inf
+    for start in np.unique(support // size) * size:
+        corr = np.abs(dictionary.atoms[:, start:start + size].T @ unit)
+        held = support[support // size * size == start] - start
+        inside = min(inside, corr[held].min())
+        corr[held] = -np.inf
+        outside = max(outside, corr.max())
     return float(inside - outside)
 
 
@@ -133,8 +164,9 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
     if max_attempts < 1:
         raise ValueError("max_attempts must be positive")
     lo, hi = float(coeff_range[0]), float(coeff_range[1])
-    if not 0.0 < lo <= hi:
-        raise ValueError("coefficient range must satisfy 0 < lo <= hi")
+    if not 0.0 < lo <= hi < np.inf:
+        raise ValueError("coeff_range must be finite and satisfy "
+                         "0 < lo <= hi")
     n_views = transforms.n_views
     common = np.ones(dictionary.n_atoms, dtype=bool)
     for t in transforms:
@@ -145,7 +177,7 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
             "fewer atoms than the sparsity level survive every transform's domain")
 
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for attempt in range(1, max_attempts + 1):
         reference = np.sort(rng.choice(candidates, size=sparsity, replace=False))
         if coeff_rule == "shared":
             shared = rng.uniform(lo, hi, size=sparsity)
@@ -160,6 +192,12 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
         for t, x in zip(transforms, coeffs):
             view_support = t.mapping[reference]
             y = dictionary.atoms[:, view_support] @ x
+            # most rejected draws fail next to their support: settle
+            # those from its blocks alone
+            if (require_margin and _support_block_margin(
+                    y, view_support, dictionary) <= 0.0):
+                ok = False
+                break
             margin = thresholding_margin(y, view_support, dictionary)
             if require_margin and margin <= 0.0:
                 ok = False
@@ -186,6 +224,7 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
             max_energy=max(energies),
             coeff_rule=coeff_rule,
             seed=_seed_record(seed),
+            attempts=attempt,
         )
     raise EnsembleGenerationError(
         f"no ensemble satisfied the decodability checks in {max_attempts} attempts")
@@ -259,6 +298,7 @@ def save_ensemble(ensemble: SignalEnsemble, path) -> None:
         "min_energy": ensemble.min_energy,
         "max_energy": ensemble.max_energy,
         "seed": ensemble.seed,
+        "attempts": ensemble.attempts,
         "reference_support": ensemble.reference_support.tolist(),
         "transforms": specs,
         "supports": [s.tolist() for s in ensemble.supports],
@@ -296,6 +336,7 @@ def load_ensemble(path, dictionary: Dictionary) -> SignalEnsemble:
         max_energy=float(bundle["max_energy"]),
         coeff_rule=bundle["coeff_rule"],
         seed=bundle["seed"],
+        attempts=bundle.get("attempts"),
     )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import time
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -128,6 +129,7 @@ _INT = (_is_int, "an integer")
 _STR = (_is_str, "a string")
 _BOOL = (_is_bool, "true or false")
 _NUMBERS = (_optional(_list_of(_is_number)), "a list of numbers")
+_FINITE = (_optional(_list_of(math.isfinite)), "a list of finite numbers")
 
 
 @dataclass
@@ -157,12 +159,14 @@ class DictionaryConfig:
         "gabor_1d": ("length", "scales", "omegas"),
     }
 
-    # value types; a None per-variant field is reported by _check_variant
+    # value types, number lists finite; a None per-variant field is
+    # reported by _check_variant
     _FIELD_TYPES = (
         ("variant", *_STR),
         *((name, _optional(_is_int), "an integer")
           for name in ("width", "height", "n_theta", "length")),
-        *((name, *_NUMBERS)
+        *((name, *rule)
+          for rule in (_NUMBERS, _FINITE)
           for name in ("sx_values", "sy_values", "scales", "omegas")),
         ("translations", *_STR),
         ("t_start", *_INT),
@@ -286,6 +290,8 @@ _CONFIG_TYPES = (
     ("coeff_range", lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
                                and all(map(_is_number, v))),
      "a pair [lo, hi] of numbers"),
+    ("coeff_range", lambda v: all(map(math.isfinite, v)),
+     "a pair [lo, hi] of finite numbers"),
     ("coeff_rule", *_STR),
     *((name, *_BOOL) for name in ("identity_sensing", "require_margin",
                                   "require_positivity", "fresh_ensembles")),
@@ -325,6 +331,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ValueError(f"unknown experiment kind {config.kind!r}")
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
+    if config.max_attempts < 1:
+        raise ValueError("max_attempts must be at least 1")
     if config.coeff_rule not in ("shared", "independent"):
         raise ValueError(f"unknown coefficient rule {config.coeff_rule!r}")
     lo, hi = config.coeff_range

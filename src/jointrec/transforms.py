@@ -37,8 +37,7 @@ class AtomTransform:
         if _validate:
             if mapping.max() >= mapping.size or mapping.min() < -1:
                 raise ValueError("mapping targets must lie in -1..K-1")
-            defined = mapping[mapping >= 0]
-            if defined.size != np.unique(defined).size:
+            if np.bincount(mapping[mapping >= 0], minlength=1).max() > 1:
                 raise ValueError("mapping must be injective on its domain")
         mapping = mapping.copy()
         mapping.setflags(write=False)
@@ -106,11 +105,18 @@ def translation_shift(variant: str, offset) -> tuple[int, ...]:
 def translation_transform(dictionary: Dictionary, offset) -> AtomTransform:
     """Translation of atom centers by ``offset``, realized as an index map:
     an atom maps to the atom with its shape (every other parameter) at the
-    shifted center, read from a (shape, center) grid of atom indices, or
-    to -1 when no atom sits there."""
+    shifted center, or to -1 when no atom sits there."""
+    (transform,) = _translations(dictionary, [offset]).values()
+    return transform
+
+
+def _translations(dictionary: Dictionary, offsets) -> dict:
+    """Parsed shift -> translation transform for each offset, read from one
+    (shape, center) grid of atom indices that every offset shares."""
     if dictionary.params is None:
         raise ValueError("translations need a dictionary with parameter records")
-    shift = translation_shift(dictionary.variant, offset)
+    shifts = {translation_shift(dictionary.variant, offset)
+              for offset in offsets}
     centers = _CENTER_FIELDS[dictionary.variant]
     names = [f.name for f in fields(dictionary.params[0])
              if f.name not in centers]
@@ -121,16 +127,19 @@ def translation_transform(dictionary: Dictionary, offset) -> AtomTransform:
     cells -= cells.min(axis=0)
     grid = np.full((shape.max() + 1, *(cells.max(axis=0) + 1)), -1)
     grid[(shape, *cells.T)] = np.arange(dictionary.n_atoms)
-    # clamped into int64: a shift by the grid's extent already leaves it
-    target = cells + [max(-n, min(s, n))
-                      for s, n in zip(shift, grid.shape[1:])]
-    inside = np.all((target >= 0) & (target < grid.shape[1:]), axis=1)
-    mapping = np.full(dictionary.n_atoms, -1)
-    mapping[inside] = grid[(shape[inside], *target[inside].T)]
-    return AtomTransform(
-        f"shift({','.join(f'{s:+d}' for s in shift)})", mapping,
-        spec={"kind": "translation",
-              "offset": list(shift) if len(shift) > 1 else shift[0]})
+    realized = {}
+    for shift in shifts:
+        # clamped into int64: a shift by the grid's extent already leaves it
+        target = cells + [max(-n, min(s, n))
+                          for s, n in zip(shift, grid.shape[1:])]
+        inside = np.all((target >= 0) & (target < grid.shape[1:]), axis=1)
+        mapping = np.full(dictionary.n_atoms, -1)
+        mapping[inside] = grid[(shape[inside], *target[inside].T)]
+        realized[shift] = AtomTransform(
+            f"shift({','.join(f'{s:+d}' for s in shift)})", mapping,
+            spec={"kind": "translation",
+                  "offset": list(shift) if len(shift) > 1 else shift[0]})
+    return realized
 
 
 def transform_from_mapping(label: str, mapping) -> AtomTransform:
@@ -232,8 +241,7 @@ class CandidateSet:
         """
         shifts = [[translation_shift(dictionary.variant, offset)
                    for offset in offsets] for offsets in offsets_per_view]
-        realized = {shift: translation_transform(dictionary, shift)
-                    for shift in set().union(*shifts)}
+        realized = _translations(dictionary, set().union(*shifts))
         per_view = tuple(tuple(map(realized.get, row)) for row in shifts)
         return cls(identity_transform(dictionary), per_view)
 

@@ -1,14 +1,17 @@
 """Dictionary construction, coherence measures, and persistence."""
 
+import math
+
 import numpy as np
 import pytest
 
+from jointrec import dictionary as dictionary_module
 from jointrec import (Dictionary, GaussianAtom2D,
                       babel_function, build_gabor_1d_dictionary,
                       build_gaussian_2d_dictionary, gaussian_atom_2d,
                       gram_row, load_dictionary, modulated_atom_1d,
                       odd_translations, save_dictionary)
-from jointrec.dictionary import UNIT_NORM_TOL
+from jointrec.dictionary import DUPLICATE_ATOM_TOL, UNIT_NORM_TOL
 
 
 def brute_force_babel(atoms: np.ndarray, m: int) -> float:
@@ -21,6 +24,108 @@ def brute_force_babel(atoms: np.ndarray, m: int) -> float:
         inner.sort(reverse=True)
         worst = max(worst, sum(inner[:m]))
     return worst
+
+
+def oracle_keep_first(rows, params):
+    """Keep-first duplicate removal, one translation at a time: a row is
+    dropped when its max-abs gap to an earlier kept row at the same
+    translation is at most the tolerance."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(params):
+        groups.setdefault((p.tx, p.ty), []).append(i)
+    keep = []
+    for idxs in groups.values():
+        kept: list[int] = []
+        for i in idxs:
+            if (not kept or np.abs(rows[kept] - rows[i]).max(axis=1).min()
+                    > DUPLICATE_ATOM_TOL):
+                kept.append(i)
+        keep.extend(kept)
+    return sorted(keep)
+
+
+def build_against_oracle(monkeypatch, *grid):
+    """Build a 2D dictionary and check that it keeps exactly the atoms
+    oracle_keep_first keeps of the builder's rows; returns (rows, keep)."""
+    seen = {}
+    real = dictionary_module._drop_duplicate_atoms
+
+    def spy(rows, params):
+        seen.update(rows=rows, params=list(params))
+        return real(rows, params)
+
+    monkeypatch.setattr(dictionary_module, "_drop_duplicate_atoms", spy)
+    built = build_gaussian_2d_dictionary(*grid)
+    rows, params = seen["rows"], seen["params"]
+    keep = oracle_keep_first(rows, params)
+    assert built.params == tuple(params[i] for i in keep)
+    assert np.array_equal(built.atoms, rows[keep].T)
+    return rows, keep
+
+
+def gap(rows, i, j):
+    return float(np.abs(rows[i] - rows[j]).max())
+
+
+class TestDuplicateOracle:
+    def test_full_scale_dictionary(self, monkeypatch):
+        _, keep = build_against_oracle(
+            monkeypatch, 32, 32, np.linspace(0.0, np.pi, 7), [2.0, 4.0],
+            [0.5, 1.0], odd_translations(32, 32))
+        assert len(keep) == 6144
+
+    def test_repeated_translation(self, monkeypatch):
+        # the second (3, 3) copies are exact duplicates of the first
+        shifts = odd_translations(8, 8) + [(3, 3)]
+        _, keep = build_against_oracle(
+            monkeypatch, 8, 8, np.linspace(0.0, np.pi, 3), [2.0],
+            [0.5, 1.0], shifts)
+        assert len(keep) == 2 * 2 * 16
+
+    def test_chain_compares_with_kept_rows_only(self, monkeypatch):
+        # rotations by 2.5e-12 rad move this corner atom by about 0.7 tol
+        # and its row sum by more than the rounding slack: b is a
+        # duplicate of a, c of b but not of a, and b is dropped, so c stays
+        step = 2.5e-12
+        rows, keep = build_against_oracle(
+            monkeypatch, 7, 7, [0.0, step, 2 * step], [2.0], [1.0], [(0, 0)])
+        assert gap(rows, 0, 1) <= DUPLICATE_ATOM_TOL
+        assert gap(rows, 1, 2) <= DUPLICATE_ATOM_TOL
+        assert gap(rows, 0, 2) > DUPLICATE_ATOM_TOL
+        assert abs(rows[0].sum() - rows[1].sum()) > 1e-12
+        assert keep == [0, 2]
+
+    def test_equal_sums_just_beyond_tolerance(self, monkeypatch):
+        # mirror images about the center of a 7x7 grid: the same values in
+        # another order, so the row sums agree, 1.2 tol apart
+        angle = 2.5e-12
+        rows, keep = build_against_oracle(
+            monkeypatch, 7, 7, [-angle, angle], [2.0], [1.0], [(3, 3)])
+        assert (DUPLICATE_ATOM_TOL < gap(rows, 0, 1)
+                <= 1.5 * DUPLICATE_ATOM_TOL)
+        assert abs(rows[0].sum() - rows[1].sum()) <= 1e-15
+        assert keep == [0, 1]
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("thetas, sxs, message", [
+        ([0.0, math.nan], [2.0], "angles must be finite"),
+        ([0.0], [2.0, math.inf], "scales must be finite and positive"),
+        ([0.0], [math.nan], "scales must be finite and positive"),
+    ])
+    def test_gaussian_2d(self, thetas, sxs, message):
+        with pytest.raises(ValueError, match=message):
+            build_gaussian_2d_dictionary(8, 8, thetas, sxs, [1.0], [(3, 3)])
+
+    @pytest.mark.parametrize("scales, omegas, message", [
+        ([4.0, math.inf], [2.0], "scales must be finite and positive"),
+        ([math.nan], [2.0], "scales must be finite and positive"),
+        ([4.0], [2.0, math.inf], "frequencies must be finite"),
+        ([4.0], [math.nan], "frequencies must be finite"),
+    ])
+    def test_gabor_1d(self, scales, omegas, message):
+        with pytest.raises(ValueError, match=message):
+            build_gabor_1d_dictionary(100, scales=scales, omegas=omegas)
 
 
 class TestGaussian2D:
@@ -124,6 +229,16 @@ class TestDictionaryType:
         with pytest.raises(ValueError):
             Dictionary(2.0 * np.eye(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_rejects_non_finite_atoms(self, bad, normalize):
+        atoms = np.eye(4)[:, :3]
+        atoms[1, 2] = bad
+        with pytest.raises(ValueError, match="atoms must be finite"):
+            Dictionary(atoms, normalize=normalize)
+        with pytest.raises(ValueError, match="atoms must be finite"):
+            Dictionary(np.full((4, 3), math.nan), normalize=normalize)
+
     def test_normalize_flag(self):
         d = Dictionary(2.0 * np.eye(4), normalize=True)
         assert np.allclose(np.linalg.norm(d.atoms, axis=0), 1.0)
@@ -189,6 +304,16 @@ class TestPersistence:
         assert np.array_equal(loaded.atoms, small_gabor_dict.atoms)
         assert loaded.variant == small_gabor_dict.variant
         assert loaded.params == small_gabor_dict.params
+
+    def test_load_rejects_non_finite_atoms(self, tmp_path):
+        path = tmp_path / "dict.npz"
+        save_dictionary(Dictionary(np.eye(3)), path)
+        with np.load(path) as data:
+            meta = data["meta"]
+        with open(path, "wb") as fh:
+            np.savez(fh, atoms=np.full((3, 3), math.nan), meta=meta)
+        with pytest.raises(ValueError, match="atoms must be finite"):
+            load_dictionary(path)
 
     def test_round_trip_2d(self, small_gaussian_dict, tmp_path):
         path = tmp_path / "dict2d.npz"

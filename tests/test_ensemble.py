@@ -1,12 +1,17 @@
 """Ensemble generation, decodability margins, and persistence."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
-from jointrec import (Dictionary, EnsembleGenerationError, check_positivity,
+from jointrec import (Dictionary, EnsembleGenerationError,
+                      build_gabor_1d_dictionary, check_positivity,
                       generate_ensemble, identity_transform, load_ensemble,
                       load_signal_csv, margin_lower_bound, save_ensemble,
                       thresholding_margin, translation_transform)
+from jointrec import ensemble as ensemble_module
 from jointrec.ensemble import COEFF_MAGNITUDE_RANGE
 from jointrec.transforms import CandidateSet, TransformVector
 
@@ -21,9 +26,65 @@ def brute_force_margin(signal, support, atoms):
     return inside - outside
 
 
+@pytest.fixture(scope="module")
+def untwinned_gabor_dict():
+    """The length-1000 1D dictionary without negated twins (1500 atoms)."""
+    return build_gabor_1d_dictionary(1000, include_negated=False)
+
+
 def identity_vector(dictionary, n_views):
     ident = identity_transform(dictionary)
     return TransformVector((ident,) * n_views)
+
+
+def full_scan_margin(signal, support, atoms):
+    """The margin from one matrix-vector product over every atom."""
+    corr = np.abs(atoms.T @ (signal / np.linalg.norm(signal)))
+    return float(corr[support].min() - np.delete(corr, support).max())
+
+
+def oracle_ensemble(dictionary, sparsity, transforms, seed, max_attempts,
+                    require_margin, coeff_range):
+    """generate_ensemble's rejection loop (shared coefficients, positivity
+    required) with every margin from full_scan_margin.  Returns (attempts,
+    reference support, coefficients, signals, margin), or None when every
+    attempt is rejected."""
+    common = np.logical_and.reduce([t.domain_mask for t in transforms])
+    candidates = np.flatnonzero(common)
+    rng = np.random.default_rng(seed)
+    for attempt in range(1, max_attempts + 1):
+        reference = np.sort(rng.choice(candidates, size=sparsity,
+                                       replace=False))
+        coeffs = rng.uniform(*coeff_range, size=sparsity)
+        signals, margins = [], []
+        for t in transforms:
+            support = t.mapping[reference]
+            y = dictionary.atoms[:, support] @ coeffs
+            margin = full_scan_margin(y, support, dictionary.atoms)
+            if ((require_margin and margin <= 0.0)
+                    or not check_positivity(y, support, dictionary)):
+                break
+            signals.append(y)
+            margins.append(margin)
+        else:
+            return attempt, reference, coeffs, signals, min(margins)
+    return None
+
+
+def random_draws(dictionary, n_draws, seed):
+    """(signal, support) pairs of 5 atoms, every other one with nearly
+    equal coefficients (which admit positive margins) and the rest with
+    mixed-sign ones."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(n_draws):
+        support = rng.choice(dictionary.n_atoms, size=5, replace=False)
+        if i % 2:
+            coeffs = rng.uniform(0.5, 1.5, size=5) * rng.choice([-1, 1], 5)
+        else:
+            coeffs = rng.uniform(0.95, 1.05, size=5)
+        draws.append((dictionary.atoms[:, support] @ coeffs, support))
+    return draws
 
 
 class TestThresholdingMargin:
@@ -67,6 +128,98 @@ class TestThresholdingMargin:
             thresholding_margin(onb_dict.atom(0), [0, 0], onb_dict)
         with pytest.raises(ValueError):
             thresholding_margin(onb_dict.atom(0), list(range(16)), onb_dict)
+
+
+class TestSupportBlockMargin:
+    """The support-block check reads atoms in blocks; its values must be
+    those of one product over every atom, bit for bit, or a draw could be
+    rejected that the full margin accepts."""
+
+    @pytest.mark.parametrize("name, positive", [
+        ("full_gaussian_dict", 16),
+        # negated twins tie their support atoms: no margin is positive
+        ("full_gabor_dict", 0),
+        # 1500 atoms: the last block is a partial one
+        ("untwinned_gabor_dict", 28),
+    ])
+    def test_equals_full_product_on_support_blocks(self, request, name,
+                                                   positive):
+        dictionary = request.getfixturevalue(name)
+        block = ensemble_module._MARGIN_BLOCK
+        assert dictionary.n_atoms > 2 * block
+        blocks = np.arange(dictionary.n_atoms) // block
+        draws = random_draws(dictionary, 60, seed=5)
+        margins, settled = [], 0
+        for y, support in draws:
+            corr = np.abs(dictionary.atoms.T @ (y / np.linalg.norm(y)))
+            full = full_scan_margin(y, support, dictionary.atoms)
+            assert thresholding_margin(y, support, dictionary) == full
+            near = np.isin(blocks, support // block)
+            near[support] = False
+            partial = ensemble_module._support_block_margin(
+                y, support, dictionary)
+            assert partial == corr[support].min() - corr[near].max() >= full
+            margins.append(full)
+            settled += partial <= 0.0
+        assert sum(m > 0.0 for m in margins) == positive
+        assert settled > 0
+        assert sum(len(set(s // block)) > 1 for _, s in draws) > 50
+
+    @pytest.mark.parametrize("require_margin", [True, False])
+    def test_ensembles_match_full_scan_oracle(self, full_gaussian_dict,
+                                              require_margin):
+        d = full_gaussian_dict
+        transforms = TransformVector(
+            (identity_transform(d),)
+            + tuple(translation_transform(d, o)
+                    for o in ((2, 0), (0, -2), (2, 2))))
+        attempts_made = []
+        for seed in range(20):
+            ens = generate_ensemble(d, 5, transforms, seed=seed,
+                                    coeff_range=(0.9, 1.1),
+                                    require_margin=require_margin)
+            attempts, reference, coeffs, signals, margin = oracle_ensemble(
+                d, 5, transforms, seed, 10_000, require_margin, (0.9, 1.1))
+            assert ens.attempts == attempts
+            assert np.array_equal(ens.reference_support, reference)
+            for x, y, y_oracle in zip(ens.coefficients, ens.signals, signals,
+                                      strict=True):
+                assert np.array_equal(x, coeffs)
+                assert np.array_equal(y, y_oracle)
+            assert ens.margin == margin
+            attempts_made.append(attempts)
+        # the early exit is exercised: with the margin required, most
+        # ensembles reject some draws first
+        assert (sum(a > 1 for a in attempts_made) > 10) == require_margin
+
+    @pytest.mark.parametrize("require_margin", [True, False])
+    def test_twinned_dictionary_matches_full_scan_oracle(
+            self, full_gabor_dict, require_margin):
+        # a negated twin ties its support atom, so no margin is positive:
+        # with the margin required, every draw is rejected in both
+        d = full_gabor_dict
+        transforms = TransformVector((identity_transform(d),
+                                      translation_transform(d, 10)))
+        for seed in range(20):
+            expected = oracle_ensemble(d, 5, transforms, seed, 25,
+                                       require_margin, COEFF_MAGNITUDE_RANGE)
+            if expected is None:
+                assert require_margin
+                with pytest.raises(EnsembleGenerationError):
+                    generate_ensemble(d, 5, transforms, seed=seed,
+                                      max_attempts=25,
+                                      require_margin=require_margin)
+                continue
+            ens = generate_ensemble(d, 5, transforms, seed=seed,
+                                    max_attempts=25,
+                                    require_margin=require_margin)
+            attempts, reference, coeffs, signals, margin = expected
+            assert ens.attempts == attempts
+            assert np.array_equal(ens.reference_support, reference)
+            assert all(np.array_equal(x, coeffs) for x in ens.coefficients)
+            assert all(np.array_equal(y, y_oracle) for y, y_oracle
+                       in zip(ens.signals, signals, strict=True))
+            assert ens.margin == margin <= 0.0
 
 
 class TestPositivity:
@@ -172,6 +325,28 @@ class TestGenerateEnsemble:
             generate_ensemble(onb_dict, 2, identity_vector(onb_dict, 2),
                               coeff_range=(2.0, 1.0))
 
+    @pytest.mark.parametrize("coeff_range", [
+        (0.5, math.inf), (math.inf, math.inf), (math.nan, 1.0),
+        (0.5, math.nan),
+    ])
+    def test_rejects_non_finite_coeff_range(self, onb_dict, coeff_range):
+        with pytest.raises(ValueError, match="coeff_range must be finite"):
+            generate_ensemble(onb_dict, 2, identity_vector(onb_dict, 2),
+                              coeff_range=coeff_range)
+
+    def test_attempts_count_draws(self, onb_dict, small_gaussian_dict):
+        # every draw passes on an orthonormal basis
+        ens = generate_ensemble(onb_dict, 3, identity_vector(onb_dict, 2),
+                                seed=4)
+        assert ens.attempts == 1
+        ens = generate_ensemble(small_gaussian_dict, 3,
+                                identity_vector(small_gaussian_dict, 2),
+                                seed=4, coeff_range=(0.9, 1.1))
+        expected = oracle_ensemble(small_gaussian_dict, 3,
+                                   identity_vector(small_gaussian_dict, 2),
+                                   4, 10_000, True, (0.9, 1.1))
+        assert ens.attempts == expected[0] > 1
+
 
 class TestMarginLowerBound:
     def test_single_atom_onb(self):
@@ -215,6 +390,19 @@ class TestPersistence:
             assert np.array_equal(again.supports[j], ens.supports[j])
             assert np.allclose(again.coefficients[j], ens.coefficients[j])
             assert np.allclose(again.signals[j], ens.signals[j], atol=1e-12)
+
+    def test_attempts_round_trip(self, small_gaussian_dict, tmp_path):
+        ens = generate_ensemble(small_gaussian_dict, 3,
+                                identity_vector(small_gaussian_dict, 2),
+                                seed=4, coeff_range=(0.9, 1.1))
+        path = tmp_path / "ensemble.json"
+        save_ensemble(ens, path)
+        assert load_ensemble(path, small_gaussian_dict).attempts == ens.attempts
+        # files written before attempts were recorded load as unknown
+        bundle = json.loads(path.read_text())
+        del bundle["attempts"]
+        path.write_text(json.dumps(bundle))
+        assert load_ensemble(path, small_gaussian_dict).attempts is None
 
     def test_round_trip_with_translation(self, small_gaussian_dict, tmp_path):
         ident = identity_transform(small_gaussian_dict)

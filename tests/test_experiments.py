@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -606,6 +607,27 @@ class TestCli:
         (lambda tmp: tiny_gabor_config(candidate_offsets=[10.9]), [],
          "error: translation offset 10.9 must be an integer on a gabor_1d "
          "dictionary"),
+        # JSON's Infinity and NaN literals parse; they must not reach the
+        # dictionary build or the coefficient draws
+        (lambda tmp: tiny_gabor_config(coeff_range=[0.5, math.inf]), [],
+         "error: coeff_range must be a pair [lo, hi] of finite numbers, "
+         "not [0.5, inf]"),
+        (lambda tmp: tiny_gaussian_config(
+            dictionary=DictionaryConfig(variant="gaussian_2d", width=8,
+                                        height=8, n_theta=3,
+                                        sx_values=[math.inf],
+                                        sy_values=[1.0])), [],
+         "error: dictionary sx_values must be a list of finite numbers, "
+         "not [inf]"),
+        (lambda tmp: tiny_gaussian_config(
+            dictionary=DictionaryConfig(variant="gaussian_2d", width=8,
+                                        height=8, n_theta=3,
+                                        sx_values=[math.nan],
+                                        sy_values=[1.0])), [],
+         "error: dictionary sx_values must be a list of finite numbers, "
+         "not [nan]"),
+        (lambda tmp: tiny_gabor_config(max_attempts=0), [],
+         "error: max_attempts must be at least 1"),
     ])
     def test_run_invalid_config_exits_2(self, tmp_path, capsys, make, extra,
                                         message):

@@ -134,15 +134,35 @@ OFFSETS_1D = [-10, 0, 10, 3, 40, -40, 1000]
 
 class TestTranslationOracle:
     def assert_matches_oracle(self, dictionary, offsets):
-        for offset in offsets:
+        expected = {}
+
+        def check(offset, t):
             shift = tuple(np.atleast_1d(offset).tolist())
-            t = translation_transform(dictionary, offset)
-            assert np.array_equal(t.mapping,
-                                  oracle_translation(dictionary, shift))
+            if shift not in expected:
+                expected[shift] = oracle_translation(dictionary, shift)
+            assert np.array_equal(t.mapping, expected[shift])
             assert t.label == f"shift({','.join(f'{s:+d}' for s in shift)})"
             assert t.spec() == {"kind": "translation",
                                 "offset": (list(shift) if len(shift) == 2
                                            else shift[0])}
+            return shift
+
+        for offset in offsets:
+            check(offset, translation_transform(dictionary, offset))
+        # candidate sets realize every offset from one shared grid; a
+        # repeated offset must give the very same transform object
+        repeated = offsets + offsets[::-1]
+        for cands, rows in (
+                (CandidateSet.from_offsets(dictionary, [offsets, repeated]),
+                 [offsets, repeated]),
+                (CandidateSet.from_uniform_offsets(dictionary, repeated, 3),
+                 [repeated, repeated])):
+            assert cands.identity.is_identity
+            shared = {}
+            for row, transforms in zip(rows, cands.per_view, strict=True):
+                for offset, t in zip(row, transforms, strict=True):
+                    assert shared.setdefault(check(offset, t), t) is t
+            assert len(shared) == len(offsets)
 
     def test_full_gaussian_dictionary(self, full_gaussian_dict):
         self.assert_matches_oracle(full_gaussian_dict, OFFSETS_2D)
@@ -158,6 +178,11 @@ class TestTranslationOracle:
                                        OFFSETS_2D)
             self.assert_matches_oracle(holed(small_gabor_dict, step),
                                        OFFSETS_1D)
+
+    def test_holed_full_dictionaries(self, full_gaussian_dict,
+                                     full_gabor_dict):
+        self.assert_matches_oracle(holed(full_gaussian_dict, 5), OFFSETS_2D)
+        self.assert_matches_oracle(holed(full_gabor_dict, 5), OFFSETS_1D)
 
     @pytest.mark.parametrize("name, offsets", [
         ("small_gaussian_dict", OFFSETS_2D),
