@@ -11,6 +11,7 @@ those closed-form bounds and the matching empirical quantities.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,18 @@ def mse(signals, reconstructions) -> float:
     return total / len(signals)
 
 
+def _require_finite(name: str, value) -> None:
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class BoundInputs:
-    """Problem quantities that the recovery bound depends on."""
+    """Problem quantities that the recovery bound depends on.
+
+    The counts must be positive integers and the margin and energies
+    finite numbers; anything else raises a ValueError naming the field.
+    """
 
     sparsity: int
     n_views: int
@@ -80,6 +90,17 @@ class BoundInputs:
     margin: float
     min_energy: float
     max_energy: float
+
+    def __post_init__(self):
+        for name in ("sparsity", "n_views", "n_atoms", "n_candidates",
+                     "n_measurements"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool) or value < 1):
+                raise ValueError(
+                    f"{name} must be a positive integer, not {value!r}")
+        for name in ("margin", "min_energy", "max_energy"):
+            _require_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -120,8 +141,13 @@ def min_measurements_for_recovery(beta: float, margin: float, alpha: float,
     ``beta`` is the exponential growth rate of the candidate count in the
     number of views.  Subexponential growth (beta = 0) needs only one
     measurement per view; otherwise the threshold grows linearly in beta
-    as beta / (c eta^2 alpha^2) * (M/m)^2.
+    as beta / (c eta^2 alpha^2) * (M/m)^2.  A non-finite beta, margin or
+    energy raises a ValueError naming it.
     """
+    for name, value in (("beta", beta), ("margin", margin),
+                        ("min_energy", min_energy),
+                        ("max_energy", max_energy)):
+        _require_finite(name, value)
     if beta < 0.0:
         raise ValueError("beta cannot be negative")
     if beta == 0.0:

@@ -15,29 +15,40 @@ produces nonnegative contributions, and the score being maximized is a
 sum of signed entries.  The independent baseline instead thresholds each
 view's |c_j| separately, through the same top-S selection.
 
-One candidate search implements the rule.  The exhaustive decoder (jt)
-runs it once over the whole candidate product.  The greedy decoder (gjt)
-runs it once per view: at stage V the earlier views are pinned to their
+One candidate search implements the rule.  The joint decoder (jt) runs
+it once over the whole candidate product.  The greedy decoder (gjt) runs
+it once per view: at stage V the earlier views are pinned to their
 chosen transforms, view V is free, and d_T sums views 1..V only.
 
 c_j is computed once per view into a (K, J) table, and d_T is assembled
 from that table alone by index gathering, so no per-candidate matrix
-product is ever formed.  The search is one batched kernel: each view's
-candidates are gathered once into an (n, K) table, the d_T of many
-candidate vectors are formed as the rows of one block (at most
-``_BLOCK_BYTES``), and ``np.partition`` finds each row's S largest
-entries.  It reproduces the per-candidate rule bit for bit: each row is
-((0.0 + c_1) + c_2) + ... + c_J in view order, as in
-``correlation_vector``; the S largest entries are summed in descending
-order, as ``select_top_s`` sums them; and the winner is the first strict
-maximizer in enumeration order, within and across blocks.  Only the
-winning candidate becomes a ``TransformVector``.
+product is ever formed.  Each view's candidates are gathered once into an
+(n, K) table.  The search is an exact depth-first branch-and-bound over
+views 2..J.  The top-S sum is subadditive, topS(a + b) <= topS(a) +
+topS(b), so the vectors that fix views 1..v score at most the top-S of
+their partial d_T plus, for each later view, the best top-S of that
+view's candidates.  Children are expanded best bound first.  A node is
+pruned when its bound is -inf, or when its bound plus a rounding slack
+is strictly below the incumbent; the slack covers the float error by
+which a leaf's score can exceed its bound.  A leaf with an equal score
+replaces the incumbent only when its enumeration index is lower, so the
+winner is the first strict maximizer in enumeration order whatever order
+the nodes are visited in.  Leading views with one candidate, such as
+gjt's pinned views, are folded into the root, so a search with one free
+view is a plain scan.
+
+The last free view's candidates are scored as leaves, as rows of blocks
+of at most ``_BLOCK_BYTES``, and ``np.partition`` finds each row's S
+largest entries.  Leaf scores reproduce the per-candidate rule bit for
+bit: each row is ((0.0 + c_1) + c_2) + ... + c_J in view order, as in
+``correlation_vector``, and the S largest entries are summed in
+descending order, as ``select_top_s`` sums them.  Only the winning
+candidate becomes a ``TransformVector``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -50,6 +61,15 @@ LSTSQ_RCOND = 1e-10
 # block and its partitioned copy stay in a core's L2 cache (512 KiB was the
 # fastest of 256 KiB..64 MiB for jt at K = 6144 with a 2 MiB L2)
 _BLOCK_BYTES = 1 << 19
+# _search prunes a node only when its bound plus a slack of _SLACK_EPS *
+# S (J + S) * A is below the incumbent, A = sum_j max |c_j|.  A leaf's
+# float top-S can exceed the float bound of its node by at most about
+# S (3S + 2J) u A, u = eps / 2 the unit roundoff (row entries carry J
+# roundings, each top-S sum S, the bound's sum J more); 2 eps leaves a
+# margin over that.
+_SLACK_EPS = 2.0 * np.finfo(float).eps
+_NO_VALID_CANDIDATE = ("every candidate transformation leaves fewer valid "
+                       "atoms than the sparsity level")
 
 
 @dataclass(eq=False)
@@ -164,9 +184,9 @@ def _finalize(measurements: MeasurementSet, dictionary: Dictionary,
 
 
 def _digits(flat, shape):
-    """Per-view candidate indices of flat positions in the product
+    """Per-view candidate indices of a flat position in the product
     ``shape``, the last view varying fastest (``enumerate_vectors``
-    order).  Works on ints and on integer arrays."""
+    order)."""
     digits = []
     for n in reversed(shape):
         flat, digit = divmod(flat, n)
@@ -174,57 +194,34 @@ def _digits(flat, shape):
     return digits[::-1]
 
 
-def _rows(base: np.ndarray, candidates: CandidateSet):
-    """Yield (first, rows) per block: ``rows[r]`` is d_T of candidate
-    vector ``first + r`` in enumeration order.
-
-    View 1 is treated as a view whose one candidate is the identity, and
-    each view's candidates are gathered once into an (n, K) table with
-    -inf where the mapping is -1.  A block holds whole runs of the last
-    view's candidates under consecutive prefixes (views 1..J-1), and each
-    row is ((0.0 + c_1) + c_2) + ... + c_J, the float additions of
-    ``correlation_vector``.  A block has at most ``_BLOCK_BYTES`` of rows,
-    or one row when a row alone is larger.
-    """
-    k = base.shape[0]
+def _gather(base: np.ndarray, candidates: CandidateSet) -> list:
+    """Each view's candidates gathered once from the (K, J) table ``base``
+    into an (n, K) table, -inf where the mapping is -1.  View 1 is a view
+    whose one candidate is the identity."""
     tables = []
     for j, cands in enumerate(((candidates.identity,),)
                               + candidates.per_view):
         maps = np.stack([t.mapping for t in cands])
         tables.append(np.where(maps >= 0, base[maps, j], -np.inf))
-    *prefix_tables, last = tables
-    shape = [len(table) for table in prefix_tables]
-    n_prefix, n_last = prod(shape), len(last)
-    cap = max(1, _BLOCK_BYTES // (k * base.itemsize))
-    step, width = max(1, cap // n_last), min(n_last, cap)
-    for p0 in range(0, n_prefix, step):
-        p1 = min(p0 + step, n_prefix)
-        prefix = np.zeros((p1 - p0, k))
-        for table, index in zip(prefix_tables,
-                                _digits(np.arange(p0, p1), shape)):
-            prefix += table[index]
-        for l0 in range(0, n_last, width):
-            rows = prefix[:, None, :] + last[None, l0:l0 + width]
-            yield p0 * n_last + l0, rows.reshape(-1, k)
+    return tables
 
 
-def _scores(base: np.ndarray, sparsity: int, candidates: CandidateSet):
-    """Yield (first, scores) per block of ``_rows``: the top-S score of
-    each candidate vector, -inf when it leaves fewer than S entries
-    above -inf.
+def _scores(row: np.ndarray, table: np.ndarray, sparsity: int):
+    """Yield (first, scores) per block: ``scores[r]`` is the top-S score
+    of ``row + table[first + r]``, -inf when that row has fewer than S
+    entries above -inf.
 
-    ``np.partition`` finds the S largest entries of each row; sorted in
-    descending order they are the values that ``select_top_s`` sums, in
-    its order, so ``sum(axis=1)`` gives its score bit for bit.  A row
-    with fewer than S entries above -inf has -inf among them and sums to
-    -inf, so it can never be a strict maximizer.
+    A block holds at most ``_BLOCK_BYTES`` of rows, or one row when a row
+    alone is larger.  ``np.partition`` finds the S largest entries of each
+    row; sorted in descending order they are the values that
+    ``select_top_s`` sums, in its order, so ``sum(axis=1)`` gives its
+    score bit for bit.  A row with fewer than S entries above -inf has
+    -inf among them and sums to -inf.
     """
-    if sparsity < 1:
-        raise ValueError("sparsity must be at least 1")
-    k = base.shape[0]
-    if sparsity > k:
-        return
-    for first, rows in _rows(base, candidates):
+    k = row.size
+    width = max(1, _BLOCK_BYTES // (k * row.itemsize))
+    for first in range(0, len(table), width):
+        rows = row + table[first:first + width]
         top = np.partition(rows, k - sparsity, axis=1)[:, k - sparsity:]
         yield first, (-np.sort(-top, axis=1)).sum(axis=1)
 
@@ -234,27 +231,73 @@ def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
     score over ``enumerate_vectors(candidates)``, scored from the (K, J)
     correlation table ``base`` alone.
 
-    ``_scores`` scores every candidate vector block by block; ``argmax``
-    keeps the first maximum within a block and a strict ``>`` the first
-    across blocks, so the winner is the first strict maximizer in
-    enumeration order whatever the block size.  Only the winner becomes
-    a ``TransformVector``; its support comes from ``correlation_vector``
-    and ``select_top_s``.
+    An exact depth-first branch-and-bound over the views.  A node fixes
+    views 1..v and holds their partial d_T, ((0.0 + c_1) + c_2) + ... +
+    c_v, the float additions of ``correlation_vector``; leading views
+    with one candidate are folded into the root.  The top-S sum is
+    subadditive, so no extension of a node scores above the node's own
+    top-S plus, for each later view, the best top-S among that view's
+    candidates.  Children are expanded in descending bound order, and
+    the last free view's candidates are scored as leaves, block by block.
+    A node is pruned when its bound is -inf (it keeps fewer than S
+    entries above -inf under every extension) or when its bound plus a
+    rounding slack is strictly below the incumbent's score; the slack
+    covers the float error by which a leaf's score can exceed its bound
+    (see ``_SLACK_EPS``).  A leaf replaces the incumbent when it scores
+    higher, or the same with a lower enumeration index.  So the winner
+    is the first strict maximizer in enumeration order, as a scan of
+    every vector would find it, whatever order the nodes are visited in,
+    and its score is bit-identical to scoring it alone.  Only the winner
+    becomes a ``TransformVector``; its support comes from
+    ``correlation_vector`` and ``select_top_s``.
 
     The candidate set may cover fewer views than the table; the aggregate
     then sums only its views.  Candidates that leave fewer than S entries
     above -inf are skipped; if that removes every candidate a ValueError
     is raised.  Returns (per-view supports, vector, score).
     """
+    if sparsity < 1:
+        raise ValueError("sparsity must be at least 1")
+    k = base.shape[0]
+    if sparsity > k:
+        raise ValueError(_NO_VALID_CANDIDATE)
+    tables = _gather(base, candidates)
+    root = np.zeros(k)
+    while len(tables) > 1 and len(tables[0]) == 1:
+        root = root + tables.pop(0)[0]
+    # rest[v]: the most that the views after v can add to a top-S score
+    rest = [0.0] * len(tables)
+    for v in range(len(tables) - 2, -1, -1):
+        rest[v] = rest[v + 1] + max(
+            s.max() for _, s in _scores(np.zeros(k), tables[v + 1], sparsity))
+    slack = (_SLACK_EPS * sparsity * (candidates.n_views + sparsity)
+             * np.abs(base[:, :candidates.n_views]).max(axis=0).sum()
+             if len(tables) > 1 else 0.0)
     best_score, best = -np.inf, None
-    for first, scores in _scores(base, sparsity, candidates):
-        i = int(np.argmax(scores))
-        if scores[i] > best_score:
-            best_score, best = scores[i], first + i
+    # (bound, view v, flat index of views before v, their partial d_T);
+    # children are pushed worst first, so the best bound pops first
+    nodes = [(np.inf, 0, 0, root)]
+    while nodes:
+        bound, v, index, row = nodes.pop()
+        if bound == -np.inf or bound + slack < best_score:
+            continue
+        table = tables[v]
+        if v == len(tables) - 1:
+            for first, scores in _scores(row, table, sparsity):
+                i = int(np.argmax(scores))
+                flat = index * len(table) + first + i
+                if (scores[i] > best_score
+                        or scores[i] == best_score > -np.inf and flat < best):
+                    best_score, best = scores[i], flat
+            continue
+        bounds = np.concatenate(
+            [s for _, s in _scores(row, table, sparsity)]) + rest[v]
+        children = row + table
+        for c in np.argsort(-bounds, kind="stable")[::-1]:
+            nodes.append((bounds[c], v + 1, index * len(table) + int(c),
+                          children[c]))
     if best is None:
-        raise ValueError(
-            "every candidate transformation leaves fewer valid atoms than "
-            "the sparsity level")
+        raise ValueError(_NO_VALID_CANDIDATE)
     picks = _digits(best, [len(c) for c in candidates.per_view])
     vector = TransformVector((candidates.identity,) + tuple(
         cands[i] for cands, i in zip(candidates.per_view, picks)))
@@ -271,14 +314,17 @@ def _check_views(measurements: MeasurementSet, candidates: CandidateSet):
 def joint_threshold_decode(measurements: MeasurementSet,
                            dictionary: Dictionary, sparsity: int,
                            candidates: CandidateSet) -> DecodeResult:
-    """Exhaustive joint decoder.
+    """Exact joint decoder.
 
-    Scores every candidate transformation vector by the sum of the S
-    largest entries of its aggregate correlation vector, keeps the first
-    maximizer in enumeration order (updates only on strict improvement),
-    then reconstructs each view by least squares on the transformed
-    support.  Candidates that leave fewer than S atoms valid are skipped;
-    if that removes every candidate a ValueError is raised.
+    Finds the candidate transformation vector whose aggregate correlation
+    vector has the largest sum of S largest entries, the first such
+    maximizer in enumeration order, then reconstructs each view by least
+    squares on the transformed support.  The search is a branch-and-bound
+    that skips only vectors it has proven cannot reach the best score
+    found, with a rounding slack on each bound and ties going to the
+    lower enumeration index; its result is that of scoring every vector.
+    Candidates that leave fewer than S atoms valid are skipped; if that
+    removes every candidate a ValueError is raised.
     """
     _check_views(measurements, candidates)
     base = atom_measurement_correlations(measurements, dictionary)
@@ -291,13 +337,13 @@ def greedy_joint_threshold_decode(measurements: MeasurementSet,
                                   candidates: CandidateSet) -> DecodeResult:
     """Greedy joint decoder: a sequence of candidate searches.
 
-    Stage V (V = 2..J) runs the exhaustive search over views 1..V with
+    Stage V (V = 2..J) runs the candidate search over views 1..V with
     views below V pinned, each to a one-element candidate list holding
     its already-chosen transform, and only view V free; the partial
     aggregate sums views 1..V.  The final stage's winner provides the
     reference support and full score.  With one view the single search
     covers the identity alone; with two views it enumerates exactly what
-    the exhaustive decoder does, so the results coincide.
+    the joint decoder does, so the results coincide.
     """
     _check_views(measurements, candidates)
     base = atom_measurement_correlations(measurements, dictionary)

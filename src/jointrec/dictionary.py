@@ -198,19 +198,22 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
     u = xs[np.newaxis, np.newaxis, :] - txs[:, np.newaxis, np.newaxis]
     v = ys[np.newaxis, :, np.newaxis] - tys[:, np.newaxis, np.newaxis]
 
-    blocks = []
+    # each shape's atoms are written into one array as they are made, so
+    # no second copy of every atom is held through duplicate removal
+    shapes = list(product(thetas, sxs, sys))
+    n_t = len(translations)
+    rows = np.empty((len(shapes) * n_t, width * height))
     params = []
-    for theta, sx, sy in product(thetas, sxs, sys):
+    for i, (theta, sx, sy) in enumerate(shapes):
         c = np.cos(theta)
         s = np.sin(theta)
         rx = (u * c - v * s) / sx
         ry = (v * c + u * s) / sy
-        vals = np.exp(-rx * rx - ry * ry).reshape(len(translations), -1)
+        vals = np.exp(-rx * rx - ry * ry).reshape(n_t, -1)
         vals /= np.linalg.norm(vals, axis=1, keepdims=True)
-        blocks.append(vals)
+        rows[i * n_t:(i + 1) * n_t] = vals
         params.extend(GaussianAtom2D(theta, sx, sy, tx, ty)
                       for tx, ty in translations)
-    rows = np.concatenate(blocks, axis=0)
     keep = _drop_duplicate_atoms(rows, params)
     kept_params = [params[i] for i in keep]
     return Dictionary(rows[keep].T, params=kept_params, variant="gaussian_2d",

@@ -163,6 +163,23 @@ class TestRecoveryRateBound:
             recovery_rate_bound(bound_inputs(min_energy=0.0), alpha=0.5)
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("margin", math.nan), ("margin", math.inf), ("min_energy", math.nan),
+        ("max_energy", -math.inf), ("n_candidates", -729),
+        ("n_measurements", 0), ("sparsity", 2.5), ("n_views", True),
+        ("n_atoms", "6144")])
+    def test_inputs_rejected_by_field(self, field, value):
+        # a NaN margin used to give BoundValue(nan, vacuous=False), and
+        # n_candidates=-729 a "probability" of 3.4e8
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            bound_inputs(**{field: value})
+
+    def test_numpy_counts_accepted(self):
+        inputs = bound_inputs(n_measurements=np.int64(100))
+        assert recovery_rate_bound(inputs, alpha=0.5) == recovery_rate_bound(
+            bound_inputs(), alpha=0.5)
+
+
 class TestMinMeasurements:
     def test_subexponential_growth_needs_one(self):
         assert min_measurements_for_recovery(0.0, 0.05, 0.5, 1.0, 2.0) == 1.0
@@ -180,6 +197,18 @@ class TestMinMeasurements:
     def test_requires_positive_margin(self):
         with pytest.raises(ValueError):
             min_measurements_for_recovery(1.0, 0.0, 0.5, 1.0, 2.0)
+
+    @pytest.mark.parametrize("field, args", [
+        ("beta", (math.nan, 0.05, 0.5, 1.0, 2.0)),
+        ("beta", (math.inf, 0.05, 0.5, 1.0, 2.0)),
+        ("margin", (1.0, math.inf, 0.5, 1.0, 2.0)),
+        ("margin", (0.0, math.nan, 0.5, 1.0, 2.0)),
+        ("min_energy", (1.0, 0.05, 0.5, math.nan, 2.0)),
+        ("max_energy", (1.0, 0.05, 0.5, 1.0, math.inf))])
+    def test_non_finite_inputs_rejected_by_field(self, field, args):
+        # a NaN beta used to give nan and an infinite margin 0.0
+        with pytest.raises(ValueError, match=f"^{field} must be a finite"):
+            min_measurements_for_recovery(*args)
 
 
 class TestConcentrationTailBound:

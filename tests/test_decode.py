@@ -1,6 +1,7 @@
 """Decoders: correlation scores, top-S selection, JT/GJT/IT behavior."""
 
 import itertools
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -125,6 +126,102 @@ def oracle_greedy(base, sparsity, candidates):
         best = oracle_search(base, sparsity, stage)
         chosen = best[2].transforms[1:]
     return best
+
+
+def kernel_scores(base, sparsity, candidates):
+    """Every candidate vector's kernel score, in enumeration order: the
+    exhaustive scan that the pruned search must agree with.  Each prefix
+    row is ((0.0 + c_1) + c_2) + ..., as the search builds it, and
+    ``decode._scores`` scores it against every candidate of the last view
+    in blocks that tile the view."""
+    *prefix_tables, last = decode._gather(base, candidates)
+    scores = []
+    for prefix in itertools.product(*(range(len(t)) for t in prefix_tables)):
+        row = np.zeros(base.shape[0])
+        for table, i in zip(prefix_tables, prefix):
+            row = row + table[i]
+        blocks = list(decode._scores(row, last, sparsity))
+        firsts = np.cumsum([0] + [s.size for _, s in blocks])
+        assert [first for first, _ in blocks] == firsts[:-1].tolist()
+        assert firsts[-1] == len(last)
+        scores.extend(s for _, block in blocks for s in block)
+    return np.array(scores)
+
+
+def exhaustive_search(base, sparsity, candidates):
+    """The first strict maximizer of ``kernel_scores``: (score, vector)."""
+    scores = kernel_scores(base, sparsity, candidates)
+    best = int(np.argmax(scores))
+    if scores[best] == -np.inf:
+        raise ValueError("no candidate leaves S valid atoms")
+    return scores[best], list(enumerate_vectors(candidates))[best]
+
+
+def table_problem(columns, pools, sparsity):
+    """A search problem given by its correlation table: ``columns[j]`` is
+    view j's correlation with every atom and ``pools[v]`` lists the
+    mappings of view v + 2's candidates."""
+    base = np.array(columns, dtype=float).T
+    identity = transform_from_mapping("identity", np.arange(base.shape[0]))
+    per_view = tuple(tuple(transform_from_mapping(f"view{v}-{i}", m)
+                           for i, m in enumerate(pool))
+                     for v, pool in enumerate(pools))
+    return base, sparsity, CandidateSet(identity, per_view)
+
+
+@st.composite
+def table_problems(draw, values):
+    """3 to 6 views, pools of 2 to 4 partial maps with a twin now and
+    then, and correlations drawn from ``values``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, n_views = draw(st.integers(4, 10)), draw(st.integers(3, 6))
+    masked = draw(st.floats(0.0, 0.5))
+    columns = [[draw(values) for _ in range(k)] for _ in range(n_views)]
+    pools = []
+    for _ in range(n_views - 1):
+        pool = []
+        for _ in range(draw(st.integers(2, 4))):
+            mapping = rng.permutation(k)
+            mapping[rng.random(k) < masked] = -1
+            pool.append(mapping)
+        if draw(st.booleans()):
+            pool[-1] = pool[int(rng.integers(0, len(pool) - 1))]
+        pools.append(pool)
+    return columns, pools, draw(st.integers(1, 3))
+
+
+def assert_search_matches_oracle(columns, pools, sparsity):
+    base, sparsity, cands = table_problem(columns, pools, sparsity)
+    try:
+        expected = oracle_search(base, sparsity, cands)
+    except ValueError:
+        with pytest.raises(ValueError):
+            decode._search(base, sparsity, cands)
+        return
+    supports, vector, score = decode._search(base, sparsity, cands)
+    assert_matches_oracle(SimpleNamespace(
+        score=score, reference_support=supports[0], transforms=vector,
+        supports=supports), expected)
+
+
+# Two candidates of view 2 tie at the top score 3 with one of view 3 each:
+# (0, 0) first in enumeration order, (1, 1) last.  Candidate 1 of view 2
+# has the better bound, 5 + 3 against 0 + 3, so the search reaches the
+# tie there first and must still return (0, 0), whose bound equals the
+# incumbent exactly.  Integers, so every sum is exact.
+TIE_AFTER_BETTER_BRANCH = (
+    [[0, 0, 0, 0], [0, 0, 5, -10], [-7, 3, -2, 0]],
+    [[[0, 1, -1, -1], [2, 3, -1, -1]], [[0, 1, -1, -1], [2, 3, -1, -1]]],
+    1)
+# Candidates 0 and 1 of view 2 both score 0x1.8p+0 with view 3's one
+# candidate, but candidate 0's float bound, (0.7 + 0.35) + (0.15 + 0.3),
+# rounds one ulp below that score, while candidate 1's, (0.6 + 0.45) +
+# (0.15 + 0.3), does not.  Only the rounding slack keeps candidate 0,
+# the first maximizer, from being pruned.
+TIE_DECIDED_BY_SLACK = (
+    [[0, 0, 0, 0], [0.7, 0.35, 0.6, 0.45], [0.15, 0.3, -100, -100]],
+    [[[0, 1, -1, -1], [2, 3, -1, -1]], [[0, 1, 2, 3]]],
+    2)
 
 
 def assert_matches_oracle(result, oracle):
@@ -352,10 +449,8 @@ class TestJointDecoding:
                        else block_rows * base.shape[0] * base.itemsize)
         with mock.patch.object(decode, "_BLOCK_BYTES", block_bytes):
             # every candidate's kernel score, not just the winner's
-            blocks = list(decode._scores(base, sparsity, cands))
-            firsts = np.cumsum([0] + [s.size for _, s in blocks])
-            assert [first for first, _ in blocks] == firsts[:-1].tolist()
-            got = [float(v).hex() for _, s in blocks for v in s]
+            got = [float(v).hex()
+                   for v in kernel_scores(base, sparsity, cands)]
             want = [oracle_score(base, sparsity, vector)[0].hex()
                     for vector in enumerate_vectors(cands)]
             assert got == want
@@ -516,6 +611,89 @@ class TestJointDecoding:
         assert a.score == b.score
         for x, y in zip(a.coefficients, b.coefficients):
             assert np.array_equal(x, y)
+
+
+OFFSETS_3X3 = [(dx, dy) for dx in (-2, 0, 2) for dy in (-2, 0, 2)]
+
+
+def full_scale_trial(dictionary, n_views, n_measurements, seed):
+    """One trial of the full-scale presets: 9 translation candidates per
+    view, S = 5, Gaussian sensing.  Returns (measurements, candidate
+    set)."""
+    rng = np.random.default_rng(seed)
+    cands = CandidateSet.from_uniform_offsets(dictionary, OFFSETS_3X3,
+                                              n_views)
+    truth = TransformVector((cands.identity,) + tuple(
+        pool[rng.integers(0, len(pool))] for pool in cands.per_view))
+    ens = generate_ensemble(dictionary, 5, truth, seed=seed,
+                            coeff_range=(0.9, 1.1))
+    matrices = [sample_sensing_matrix(n_measurements,
+                                      dictionary.signal_length, seed=s)
+                for s in rng.integers(0, 2**31, size=n_views)]
+    return measure_ensemble(matrices, ens.signals), cands
+
+
+def assert_jt_matches_exhaustive_scan(dictionary, meas, cands):
+    base = atom_measurement_correlations(meas, dictionary)
+    score, vector = exhaustive_search(base, 5, cands)
+    result = joint_threshold_decode(meas, dictionary, 5, cands)
+    assert result.score.hex() == score.hex()
+    assert all(a is b for a, b in zip(result.transforms, vector))
+
+
+class TestPrunedSearch:
+    """The branch-and-bound search returns what the exhaustive scan of
+    every candidate vector returns, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table_problems(st.one_of(
+        st.integers(-30, 30).map(lambda v: v / 10),
+        st.floats(-3.0, 3.0))))
+    @example(TIE_AFTER_BETTER_BRANCH)
+    @example(TIE_DECIDED_BY_SLACK)
+    def test_matches_oracle(self, problem):
+        # tenths make exact ties and rounded sums; twins tie whole branches
+        assert_search_matches_oracle(*problem)
+
+    @settings(max_examples=80, deadline=None)
+    @given(table_problems(st.integers(-4, 4)))
+    @example(TIE_AFTER_BETTER_BRANCH)
+    def test_exact_arithmetic_needs_no_slack(self, problem):
+        # integer sums are exact, so bounds are too: with no slack a node
+        # whose bound equals the incumbent must still be expanded
+        with mock.patch.object(decode, "_SLACK_EPS", 0.0):
+            assert_search_matches_oracle(*problem)
+
+    def test_slack_decides_the_tie(self):
+        base, sparsity, cands = table_problem(*TIE_DECIDED_BY_SLACK)
+        # the preconditions: equal leaves, one bound an ulp below them
+        scores = kernel_scores(base, sparsity, cands)
+        assert scores[0] == scores[1] == 1.5
+        assert (0.7 + 0.35) + (0.15 + 0.3) < 1.5
+        assert (0.6 + 0.45) + (0.15 + 0.3) == 1.5
+        _, vector, _ = decode._search(base, sparsity, cands)
+        assert vector[1] is cands.per_view[0][0]
+        with mock.patch.object(decode, "_SLACK_EPS", 0.0):
+            _, vector, _ = decode._search(base, sparsity, cands)
+        assert vector[1] is cands.per_view[0][1]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_full_scale_matches_exhaustive_scan(self, full_gaussian_dict,
+                                                seed):
+        # J = 4, M = 40: the fewest measurements of the presets, where
+        # the bounds are loosest and the search prunes least
+        meas, cands = full_scale_trial(full_gaussian_dict, 4, 40, seed)
+        assert_jt_matches_exhaustive_scan(full_gaussian_dict, meas, cands)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n_views", [5, 6])
+    @pytest.mark.parametrize("n_measurements", [40, 150])
+    def test_many_views_match_exhaustive_scan(self, full_gaussian_dict,
+                                              n_views, n_measurements):
+        # 6561 and 59049 candidate vectors
+        meas, cands = full_scale_trial(full_gaussian_dict, n_views,
+                                       n_measurements, seed=n_views)
+        assert_jt_matches_exhaustive_scan(full_gaussian_dict, meas, cands)
 
 
 class TestIndependentBaseline:
