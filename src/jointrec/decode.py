@@ -15,15 +15,15 @@ produces nonnegative contributions, and the score being maximized is a
 sum of signed entries.  The independent baseline instead thresholds each
 view's |c_j| separately, through the same top-S selection.
 
-One candidate search implements the rule.  The joint decoder (jt) runs
-it once over the whole candidate product.  The greedy decoder (gjt) runs
-it once per view: at stage V the earlier views are pinned to their
-chosen transforms, view V is free, and d_T sums views 1..V only.
+The joint decoder (jt) runs one candidate search over the whole product.
+The greedy decoder (gjt) keeps one running aggregate, the partial d_T of
+its chosen transforms: stage V scores view V's candidates against it and
+adds the first best.  Both score with the same top-S kernel.
 
 c_j is computed once per view into a (K, J) table, and d_T is assembled
 from that table alone by index gathering, so no per-candidate matrix
 product is ever formed.  Each view's candidates are gathered once into an
-(n, K) table.  The search is an exact depth-first branch-and-bound over
+(n, K) table.  jt's search is an exact depth-first branch-and-bound over
 views 2..J.  The top-S sum is subadditive, topS(a + b) <= topS(a) +
 topS(b), so the vectors that fix views 1..v score at most the top-S of
 their partial d_T plus, for each later view, the best top-S of that
@@ -34,16 +34,16 @@ which a leaf's score can exceed its bound.  A leaf with an equal score
 replaces the incumbent only when its enumeration index is lower, so the
 winner is the first strict maximizer in enumeration order whatever order
 the nodes are visited in.  Leading views with one candidate, such as
-gjt's pinned views, are folded into the root, so a search with one free
-view is a plain scan.
+view 1's identity or every view of a single-offset list, are folded into
+the root, so a search with one free view is a plain scan.
 
-The last free view's candidates are scored as leaves, as rows of blocks
-of at most ``_BLOCK_BYTES``, and ``np.partition`` finds each row's S
-largest entries.  Leaf scores reproduce the per-candidate rule bit for
-bit: each row is ((0.0 + c_1) + c_2) + ... + c_J in view order, as in
-``correlation_vector``, and the S largest entries are summed in
-descending order, as ``select_top_s`` sums them.  Only the winning
-candidate becomes a ``TransformVector``.
+jt's leaves (the last free view's candidates) and gjt's stages are
+scored as rows of blocks of at most ``_BLOCK_BYTES``; ``np.partition``
+finds each row's S largest entries.  These scores reproduce the
+per-candidate rule bit for bit: each row is ((0.0 + c_1) + c_2) + ... +
+c_J in view order, as in ``correlation_vector``, and the S largest
+entries are summed in descending order, as ``select_top_s`` sums them.
+Only the winning candidate becomes a ``TransformVector``.
 """
 
 from __future__ import annotations
@@ -183,21 +183,13 @@ def _finalize(measurements: MeasurementSet, dictionary: Dictionary,
     )
 
 
-def _digits(flat, shape):
-    """Per-view candidate indices of a flat position in the product
-    ``shape``, the last view varying fastest (``enumerate_vectors``
-    order)."""
-    digits = []
-    for n in reversed(shape):
-        flat, digit = divmod(flat, n)
-        digits.append(digit)
-    return digits[::-1]
-
-
 def _gather(base: np.ndarray, candidates: CandidateSet) -> list:
     """Each view's candidates gathered once from the (K, J) table ``base``
     into an (n, K) table, -inf where the mapping is -1.  View 1 is a view
-    whose one candidate is the identity."""
+    whose one candidate is the identity.  The candidate set must cover
+    every view of the table."""
+    if candidates.n_views != base.shape[1]:
+        raise ValueError("candidate set and measurements disagree on view count")
     tables = []
     for j, cands in enumerate(((candidates.identity,),)
                               + candidates.per_view):
@@ -216,9 +208,13 @@ def _scores(row: np.ndarray, table: np.ndarray, sparsity: int):
     row; sorted in descending order they are the values that
     ``select_top_s`` sums, in its order, so ``sum(axis=1)`` gives its
     score bit for bit.  A row with fewer than S entries above -inf has
-    -inf among them and sums to -inf.
+    -inf among them and sums to -inf.  S outside 1..K raises ValueError.
     """
     k = row.size
+    if sparsity < 1:
+        raise ValueError("sparsity must be at least 1")
+    if sparsity > k:
+        raise ValueError(_NO_VALID_CANDIDATE)
     width = max(1, _BLOCK_BYTES // (k * row.itemsize))
     for first in range(0, len(table), width):
         rows = row + table[first:first + width]
@@ -226,89 +222,91 @@ def _scores(row: np.ndarray, table: np.ndarray, sparsity: int):
         yield first, (-np.sort(-top, axis=1)).sum(axis=1)
 
 
-def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
-    """The one candidate search: the first strict maximizer of the top-S
-    score over ``enumerate_vectors(candidates)``, scored from the (K, J)
-    correlation table ``base`` alone.
+def _best(row: np.ndarray, table: np.ndarray, sparsity: int):
+    """(i, score) for the first i with the highest ``_scores`` score of
+    ``row + table[i]``; -inf when every row keeps fewer than S atoms."""
+    best, best_score = 0, -np.inf
+    for first, scores in _scores(row, table, sparsity):
+        i = int(np.argmax(scores))
+        if scores[i] > best_score:
+            best, best_score = first + i, scores[i]
+    return best, best_score
 
-    An exact depth-first branch-and-bound over the views.  A node fixes
-    views 1..v and holds their partial d_T, ((0.0 + c_1) + c_2) + ... +
-    c_v, the float additions of ``correlation_vector``; leading views
-    with one candidate are folded into the root.  The top-S sum is
-    subadditive, so no extension of a node scores above the node's own
-    top-S plus, for each later view, the best top-S among that view's
-    candidates.  Children are expanded in descending bound order, and
-    the last free view's candidates are scored as leaves, block by block.
-    A node is pruned when its bound is -inf (it keeps fewer than S
-    entries above -inf under every extension) or when its bound plus a
-    rounding slack is strictly below the incumbent's score; the slack
-    covers the float error by which a leaf's score can exceed its bound
-    (see ``_SLACK_EPS``).  A leaf replaces the incumbent when it scores
-    higher, or the same with a lower enumeration index.  So the winner
-    is the first strict maximizer in enumeration order, as a scan of
-    every vector would find it, whatever order the nodes are visited in,
-    and its score is bit-identical to scoring it alone.  Only the winner
-    becomes a ``TransformVector``; its support comes from
-    ``correlation_vector`` and ``select_top_s``.
 
-    The candidate set may cover fewer views than the table; the aggregate
-    then sums only its views.  Candidates that leave fewer than S entries
-    above -inf are skipped; if that removes every candidate a ValueError
-    is raised.  Returns (per-view supports, vector, score).
-    """
-    if sparsity < 1:
-        raise ValueError("sparsity must be at least 1")
-    k = base.shape[0]
-    if sparsity > k:
-        raise ValueError(_NO_VALID_CANDIDATE)
-    tables = _gather(base, candidates)
-    root = np.zeros(k)
-    while len(tables) > 1 and len(tables[0]) == 1:
-        root = root + tables.pop(0)[0]
-    # rest[v]: the most that the views after v can add to a top-S score
-    rest = [0.0] * len(tables)
-    for v in range(len(tables) - 2, -1, -1):
-        rest[v] = rest[v + 1] + max(
-            s.max() for _, s in _scores(np.zeros(k), tables[v + 1], sparsity))
-    slack = (_SLACK_EPS * sparsity * (candidates.n_views + sparsity)
-             * np.abs(base[:, :candidates.n_views]).max(axis=0).sum()
-             if len(tables) > 1 else 0.0)
-    best_score, best = -np.inf, None
-    # (bound, view v, flat index of views before v, their partial d_T);
-    # children are pushed worst first, so the best bound pops first
-    nodes = [(np.inf, 0, 0, root)]
-    while nodes:
-        bound, v, index, row = nodes.pop()
-        if bound == -np.inf or bound + slack < best_score:
-            continue
-        table = tables[v]
-        if v == len(tables) - 1:
-            for first, scores in _scores(row, table, sparsity):
-                i = int(np.argmax(scores))
-                flat = index * len(table) + first + i
-                if (scores[i] > best_score
-                        or scores[i] == best_score > -np.inf and flat < best):
-                    best_score, best = scores[i], flat
-            continue
-        bounds = np.concatenate(
-            [s for _, s in _scores(row, table, sparsity)]) + rest[v]
-        children = row + table
-        for c in np.argsort(-bounds, kind="stable")[::-1]:
-            nodes.append((bounds[c], v + 1, index * len(table) + int(c),
-                          children[c]))
-    if best is None:
-        raise ValueError(_NO_VALID_CANDIDATE)
-    picks = _digits(best, [len(c) for c in candidates.per_view])
-    vector = TransformVector((candidates.identity,) + tuple(
-        cands[i] for cands, i in zip(candidates.per_view, picks)))
+def _winner(base: np.ndarray, sparsity: int, candidates: CandidateSet, picks):
+    """Candidate ``picks[j]`` of each view j (view 1: the identity) as a
+    vector; ``correlation_vector`` and ``select_top_s`` give its supports
+    and score."""
+    vector = TransformVector(tuple(
+        cands[i] for cands, i in zip(((candidates.identity,),)
+                                     + candidates.per_view, picks)))
     support, score = select_top_s(correlation_vector(base, vector), sparsity)
     supports = tuple(apply_to_support(t, support) for t in vector)
     return supports, vector, score
 
 
-def _check_views(measurements: MeasurementSet, candidates: CandidateSet):
-    if candidates.n_views != measurements.n_views:
-        raise ValueError("candidate set and measurements disagree on view count")
+def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
+    """jt's candidate search: the first strict maximizer of the top-S
+    score over ``enumerate_vectors(candidates)``, scored from the (K, J)
+    correlation table ``base`` alone.
+
+    An exact depth-first branch-and-bound over the views.  A node fixes
+    views 1..v, holds its per-view picks as a tuple, and holds their
+    partial d_T, ((0.0 + c_1) + c_2) + ... + c_v, the float additions of
+    ``correlation_vector``; leading views with one candidate are folded
+    into the root.  The top-S sum is subadditive, so no extension of a
+    node scores above the node's own top-S plus, for each later view, the
+    best top-S among that view's candidates.  Children are expanded in
+    descending bound order, and the last free view's candidates are
+    scored as leaves, block by block.  A node is pruned when its bound is
+    -inf (it keeps fewer than S entries above -inf under every extension)
+    or when its bound plus a rounding slack is strictly below the
+    incumbent's score; the slack covers the float error by which a leaf's
+    score can exceed its bound (see ``_SLACK_EPS``).  A leaf replaces the
+    incumbent when it scores higher, or the same with picks that come
+    first in enumeration order (the last view varies fastest, so that is
+    tuple order).  So the winner is the first strict maximizer in
+    enumeration order, as a scan of every vector would find it, whatever
+    order the nodes are visited in, and its score is bit-identical to
+    scoring it alone.  Only the winner becomes a ``TransformVector``.
+
+    Candidates that leave fewer than S entries above -inf are skipped; if
+    that removes every candidate a ValueError is raised.  Returns
+    (per-view supports, vector, score).
+    """
+    tables = _gather(base, candidates)
+    root = zero = np.zeros(base.shape[0])
+    while len(tables) > 1 and len(tables[0]) == 1:
+        root = root + tables.pop(0)[0]
+    # rest[v]: the most that the views after v can add to a top-S score
+    rest = [0.0] * len(tables)
+    for v in range(len(tables) - 2, -1, -1):
+        rest[v] = rest[v + 1] + _best(zero, tables[v + 1], sparsity)[1]
+    slack = (_SLACK_EPS * sparsity * (base.shape[1] + sparsity)
+             * np.abs(base).max(axis=0).sum() if len(tables) > 1 else 0.0)
+    best_score, best = -np.inf, None
+    # (bound, view v, picks of the views before v, their partial d_T);
+    # children are pushed worst first, so the best bound pops first
+    nodes = [(np.inf, 0, (0,) * (candidates.n_views - len(tables)), root)]
+    while nodes:
+        bound, v, picks, row = nodes.pop()
+        if bound == -np.inf or bound + slack < best_score:
+            continue
+        table = tables[v]
+        if v == len(tables) - 1:
+            i, score = _best(row, table, sparsity)
+            if (score > best_score
+                    or score == best_score > -np.inf and picks + (i,) < best):
+                best_score, best = score, picks + (i,)
+            continue
+        bounds = np.concatenate(
+            [s for _, s in _scores(row, table, sparsity)]) + rest[v]
+        children = row + table
+        for c in np.argsort(-bounds, kind="stable")[::-1]:
+            nodes.append((bounds[c], v + 1, picks + (int(c),), children[c]))
+    if best is None:
+        raise ValueError(_NO_VALID_CANDIDATE)
+    return _winner(base, sparsity, candidates, best)
 
 
 def joint_threshold_decode(measurements: MeasurementSet,
@@ -326,7 +324,6 @@ def joint_threshold_decode(measurements: MeasurementSet,
     Candidates that leave fewer than S atoms valid are skipped; if that
     removes every candidate a ValueError is raised.
     """
-    _check_views(measurements, candidates)
     base = atom_measurement_correlations(measurements, dictionary)
     return _finalize(measurements, dictionary,
                      *_search(base, sparsity, candidates))
@@ -335,27 +332,29 @@ def joint_threshold_decode(measurements: MeasurementSet,
 def greedy_joint_threshold_decode(measurements: MeasurementSet,
                                   dictionary: Dictionary, sparsity: int,
                                   candidates: CandidateSet) -> DecodeResult:
-    """Greedy joint decoder: a sequence of candidate searches.
+    """Greedy joint decoder: one running aggregate, one view at a time.
 
-    Stage V (V = 2..J) runs the candidate search over views 1..V with
-    views below V pinned, each to a one-element candidate list holding
-    its already-chosen transform, and only view V free; the partial
-    aggregate sums views 1..V.  The final stage's winner provides the
-    reference support and full score.  With one view the single search
-    covers the identity alone; with two views it enumerates exactly what
-    the joint decoder does, so the results coincide.
+    View 1's one candidate, the identity, keeps all K atoms and is stage
+    1, so the row starts at 0.0 + c_1.  Stage V (V = 2..J) scores
+    row + c_V[T(.)] for each candidate T of view V, takes the first with
+    the highest top-S score, and adds its gathered correlations to the
+    row, so the row is ((0.0 + c_1) + c_2*) + ..., the partial aggregate
+    of the chosen vector.  A stage where every candidate leaves fewer
+    than S atoms valid raises a ValueError.  The chosen vector provides
+    the reference support and full score.  With one view it is the
+    identity alone; with two views the one stage is the scan the joint
+    decoder runs, so the results coincide.
     """
-    _check_views(measurements, candidates)
     base = atom_measurement_correlations(measurements, dictionary)
-    chosen = ()
-    # one stage per free view; a single view still gets one (identity) stage
-    for view in range(max(len(candidates.per_view), 1)):
-        stage = CandidateSet(candidates.identity,
-                             tuple((t,) for t in chosen)
-                             + candidates.per_view[view:view + 1])
-        supports, vector, score = _search(base, sparsity, stage)
-        chosen = vector.transforms[1:]
-    return _finalize(measurements, dictionary, supports, vector, score)
+    row, picks = np.zeros(base.shape[0]), []
+    for table in _gather(base, candidates):
+        i, score = _best(row, table, sparsity)
+        if score == -np.inf:
+            raise ValueError(_NO_VALID_CANDIDATE)
+        row = row + table[i]
+        picks.append(i)
+    return _finalize(measurements, dictionary,
+                     *_winner(base, sparsity, candidates, picks))
 
 
 def independent_threshold_decode(measurements: MeasurementSet,

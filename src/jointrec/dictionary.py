@@ -215,9 +215,10 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
         params.extend(GaussianAtom2D(theta, sx, sy, tx, ty)
                       for tx, ty in translations)
     keep = _drop_duplicate_atoms(rows, params)
-    kept_params = [params[i] for i in keep]
-    return Dictionary(rows[keep].T, params=kept_params, variant="gaussian_2d",
-                      grid=(height, width))
+    # rebinding frees the full array before Dictionary makes its copies
+    rows = rows[keep]
+    return Dictionary(rows.T, params=[params[i] for i in keep],
+                      variant="gaussian_2d", grid=(height, width))
 
 
 def _drop_duplicate_atoms(rows, params):

@@ -126,6 +126,8 @@ def _check_fields(obj, rules, prefix: str = "") -> None:
 
 
 _INT = (_is_int, "an integer")
+# a seed for np.random.SeedSequence, after _INT has checked its type
+_NON_NEGATIVE = (lambda v: v >= 0, "a non-negative integer")
 _STR = (_is_str, "a string")
 _BOOL = (_is_bool, "true or false")
 _NUMBERS = (_optional(_list_of(_is_number)), "a list of numbers")
@@ -283,6 +285,7 @@ _CONFIG_TYPES = (
     ("kind", *_STR),
     *((name, *_INT)
       for name in ("sparsity", "trials", "master_seed", "max_attempts")),
+    ("master_seed", *_NON_NEGATIVE),
     *((name, lambda v: _is_int(v) or _list_of(_is_int)(v),
        "an integer or a list of integers")
       for name in ("views", "measurements")),
@@ -769,6 +772,7 @@ _INSTANCE_TYPES = (
     ("measurements", _optional(_is_int), "null or an integer"),
     ("identity_sensing", *_BOOL),
     ("seed", *_INT),
+    ("seed", *_NON_NEGATIVE),
 )
 
 

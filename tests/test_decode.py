@@ -586,8 +586,26 @@ class TestJointDecoding:
         mapping[0] = 0
         starved = transform_from_mapping("starved", mapping)
         cands = CandidateSet(identity_transform(d), ((starved,),))
-        with pytest.raises(ValueError):
-            joint_threshold_decode(meas, d, 3, cands)
+        for decoder in (joint_threshold_decode,
+                        greedy_joint_threshold_decode):
+            with pytest.raises(ValueError, match=decode._NO_VALID_CANDIDATE):
+                decoder(meas, d, 3, cands)
+
+    @pytest.mark.parametrize("decoder", [joint_threshold_decode,
+                                         greedy_joint_threshold_decode])
+    @pytest.mark.parametrize("n_views", [1, 2])
+    def test_invalid_inputs_raise_named_errors(self, decoder, n_views):
+        d = random_unit_columns(20, 6, seed=804)
+        meas, _, _, _ = random_problem(d, n_views, 8, 2, seed=805)
+        ident = identity_transform(d)
+        cands = CandidateSet(ident, ((ident,),) * (n_views - 1))
+        for sparsity, message in ((0, "sparsity must be at least 1"),
+                                  (7, decode._NO_VALID_CANDIDATE)):
+            with pytest.raises(ValueError, match=message):
+                decoder(meas, d, sparsity, cands)
+        extra = CandidateSet(ident, ((ident,),) * n_views)
+        with pytest.raises(ValueError, match="disagree on view count"):
+            decoder(meas, d, 2, extra)
 
     def test_masked_candidate_skipped_not_fatal(self):
         d = random_unit_columns(20, 6, seed=802)
@@ -694,6 +712,34 @@ class TestPrunedSearch:
         meas, cands = full_scale_trial(full_gaussian_dict, n_views,
                                        n_measurements, seed=n_views)
         assert_jt_matches_exhaustive_scan(full_gaussian_dict, meas, cands)
+
+
+class TestGreedyAggregate:
+    """gjt keeps one running aggregate over the views, built from one
+    gather, and returns what the staged oracle search returns."""
+
+    def test_gathers_once(self):
+        d = random_unit_columns(16, 10, seed=1100)
+        rng = np.random.default_rng(1101)
+        cands = CandidateSet(identity_transform(d), tuple(
+            tuple(transform_from_mapping("perm", rng.permutation(10))
+                  for _ in range(3))
+            for _ in range(3)))
+        meas, _, _, _ = random_problem(d, 4, 8, 2, seed=1102)
+        with mock.patch.object(decode, "_gather",
+                               wraps=decode._gather) as gather:
+            greedy_joint_threshold_decode(meas, d, 2, cands)
+        assert gather.call_count == 1
+
+    @pytest.mark.parametrize("n_views", [
+        10, pytest.param(20, marks=pytest.mark.slow)])
+    def test_many_views_match_oracle(self, full_gaussian_dict, n_views):
+        meas, cands = full_scale_trial(full_gaussian_dict, n_views, 150,
+                                       seed=n_views)
+        base = atom_measurement_correlations(meas, full_gaussian_dict)
+        assert_matches_oracle(
+            greedy_joint_threshold_decode(meas, full_gaussian_dict, 5, cands),
+            oracle_greedy(base, 5, cands))
 
 
 class TestIndependentBaseline:

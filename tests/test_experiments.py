@@ -628,6 +628,11 @@ class TestCli:
          "not [nan]"),
         (lambda tmp: tiny_gabor_config(max_attempts=0), [],
          "error: max_attempts must be at least 1"),
+        # a negative seed is named before the dictionary is built
+        (lambda tmp: tiny_gabor_config(master_seed=-1), [],
+         "error: master_seed must be a non-negative integer, not -1"),
+        (lambda tmp: tiny_gabor_config(), ["--seed", "-1"],
+         "error: master_seed must be a non-negative integer, not -1"),
     ])
     def test_run_invalid_config_exits_2(self, tmp_path, capsys, make, extra,
                                         message):
@@ -792,6 +797,9 @@ class TestCli:
          "error: measurement counts must be positive"),
         (lambda inst: inst.update(identity_sensing=False, measurements=-3),
          "error: measurement counts must be positive"),
+        (lambda inst: inst.update(identity_sensing=False, measurements=30,
+                                  seed=-5, signal_csvs=["missing.csv"]),
+         "error: seed must be a non-negative integer, not -5"),
     ])
     def test_decode_invalid_instance_exits_2(self, tmp_path, capsys, edit,
                                              message):
