@@ -23,12 +23,10 @@ from .decode import (DecodeResult, LeastSquaresFit,
 from .dictionary import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
                          babel_function, build_gabor_1d_dictionary,
                          build_gaussian_2d_dictionary, gaussian_atom_2d,
-                         gram_row, load_dictionary, modulated_atom_1d,
-                         odd_translations, save_dictionary)
+                         gram_row, modulated_atom_1d, odd_translations)
 from .ensemble import (EnsembleGenerationError, SignalEnsemble,
-                       check_positivity, generate_ensemble, load_ensemble,
-                       load_signal_csv, margin_lower_bound, save_ensemble,
-                       thresholding_margin)
+                       check_positivity, generate_ensemble, load_signal_csv,
+                       margin_lower_bound, thresholding_margin)
 from .experiments import (DictionaryConfig, ExperimentConfig, ResultTable,
                           TrialRecord, config_hash, decode_instance,
                           emit_plot_data, get_preset, load_config,
@@ -37,8 +35,7 @@ from .experiments import (DictionaryConfig, ExperimentConfig, ResultTable,
 from .sensing import (MeasurementSet, SensingMatrix, identity_sensing,
                       measure, measure_ensemble, sample_sensing_matrix)
 from .transforms import (AtomTransform, CandidateSet, TransformVector,
-                         apply_to_support, enumerate_vectors,
-                         identity_transform, realize_transform,
+                         apply_to_support, identity_transform,
                          transform_from_mapping, translation_transform)
 
 __version__ = "0.1.0"
@@ -56,18 +53,15 @@ __all__ = [
     "build_gabor_1d_dictionary", "build_gaussian_2d_dictionary",
     "check_positivity", "concentration_tail_bound", "config_hash",
     "correlation_vector", "decode_instance", "emit_plot_data",
-    "empirical_tail_frequency", "enumerate_vectors", "gaussian_atom_2d",
-    "generate_ensemble", "get_preset", "gram_row",
-    "greedy_joint_threshold_decode", "identity_sensing", "identity_transform",
-    "independent_threshold_decode", "joint_threshold_decode",
-    "least_squares_reconstruct", "load_config", "load_dictionary",
-    "load_ensemble", "load_signal_csv", "margin_lower_bound", "measure",
-    "measure_ensemble", "min_measurements_for_recovery", "modulated_atom_1d",
-    "mse", "noiseless_score", "odd_translations", "preset_names",
-    "read_trials_csv", "realize_transform", "recovery_rate",
-    "recovery_rate_bound", "run_experiment", "sample_sensing_matrix",
-    "save_config",
-    "save_dictionary", "save_ensemble", "select_top_s",
-    "thresholding_margin", "transform_from_mapping",
-    "translation_transform", "validate_config",
+    "empirical_tail_frequency", "gaussian_atom_2d", "generate_ensemble",
+    "get_preset", "gram_row", "greedy_joint_threshold_decode",
+    "identity_sensing", "identity_transform", "independent_threshold_decode",
+    "joint_threshold_decode", "least_squares_reconstruct", "load_config",
+    "load_signal_csv", "margin_lower_bound", "measure", "measure_ensemble",
+    "min_measurements_for_recovery", "modulated_atom_1d", "mse",
+    "noiseless_score", "odd_translations", "preset_names", "read_trials_csv",
+    "recovery_rate", "recovery_rate_bound", "run_experiment",
+    "sample_sensing_matrix", "save_config", "select_top_s",
+    "thresholding_margin", "transform_from_mapping", "translation_transform",
+    "validate_config",
 ]

@@ -22,11 +22,11 @@ import json
 import sys
 from pathlib import Path
 
+from .decode import _DECODERS
 from .ensemble import EnsembleGenerationError
-from .experiments import (_ALGORITHMS, _parse_json, decode_instance,
-                          describe_presets, emit_plot_data, get_preset,
-                          load_config, preset_names, read_trials_csv,
-                          run_experiment)
+from .experiments import (_parse_json, decode_instance, describe_presets,
+                          emit_plot_data, get_preset, load_config,
+                          preset_names, read_trials_csv, run_experiment)
 
 
 @contextlib.contextmanager
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     decode_p = sub.add_parser(
         "decode", help="decode one instance described by a JSON file")
     decode_p.add_argument("instance", help="path to an instance JSON")
-    decode_p.add_argument("--algorithm", choices=list(_ALGORITHMS),
+    decode_p.add_argument("--algorithm", choices=list(_DECODERS),
                           default=None, help="override the instance's decoder")
     decode_p.add_argument("--sparsity", type=int, default=None,
                           help="override the instance's sparsity level")

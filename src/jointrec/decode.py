@@ -20,6 +20,13 @@ The greedy decoder (gjt) keeps one running aggregate, the partial d_T of
 its chosen transforms: stage V scores view V's candidates against it and
 adds the first best.  Both score with the same top-S kernel.
 
+Each decoder is a core with one call shape, (base, measurements,
+dictionary, sparsity, candidates), where ``base`` is the (K, J) table of
+c_j; ``_DECODERS`` names the cores, and the independent core takes
+|base| and ignores the candidates.  The caller of the cores computes the
+table once, through ``atom_measurement_correlations``, and passes it to
+every core it runs; each public decoder is that call for one core.
+
 c_j is computed once per view into a (K, J) table, and d_T is assembled
 from that table alone by index gathering, so no per-candidate matrix
 product is ever formed.  Each view's candidates are gathered once into an
@@ -247,7 +254,8 @@ def _winner(base: np.ndarray, sparsity: int, candidates: CandidateSet, picks):
 
 def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
     """jt's candidate search: the first strict maximizer of the top-S
-    score over ``enumerate_vectors(candidates)``, scored from the (K, J)
+    score over every candidate vector in enumeration order (the product
+    of the per-view lists, last view fastest), scored from the (K, J)
     correlation table ``base`` alone.
 
     An exact depth-first branch-and-bound over the views.  A node fixes
@@ -309,6 +317,45 @@ def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
     return _winner(base, sparsity, candidates, best)
 
 
+def _jt(base, measurements, dictionary, sparsity, candidates):
+    """jt's core: the branch-and-bound search on ``base``, then least
+    squares."""
+    return _finalize(measurements, dictionary,
+                     *_search(base, sparsity, candidates))
+
+
+def _gjt(base, measurements, dictionary, sparsity, candidates):
+    """gjt's core: one running aggregate over ``base``, one view at a
+    time, then least squares."""
+    row, picks = np.zeros(base.shape[0]), []
+    for table in _gather(base, candidates):
+        i, score = _best(row, table, sparsity)
+        if score == -np.inf:
+            raise ValueError(_NO_VALID_CANDIDATE)
+        row = row + table[i]
+        picks.append(i)
+    return _finalize(measurements, dictionary,
+                     *_winner(base, sparsity, candidates, picks))
+
+
+def _it(base, measurements, dictionary, sparsity, candidates):
+    """it's core: top-S of each view's |c_j|, then least squares; the
+    candidates are not used."""
+    base = np.abs(base)
+    supports = []
+    total = 0.0
+    for j in range(base.shape[1]):
+        support, score = select_top_s(base[:, j], sparsity)
+        supports.append(support)
+        total += score
+    return _finalize(measurements, dictionary, supports, None, total)
+
+
+# every decoder's core by algorithm name, each called as
+# (base, measurements, dictionary, sparsity, candidates)
+_DECODERS = {"jt": _jt, "gjt": _gjt, "it": _it}
+
+
 def joint_threshold_decode(measurements: MeasurementSet,
                            dictionary: Dictionary, sparsity: int,
                            candidates: CandidateSet) -> DecodeResult:
@@ -324,9 +371,8 @@ def joint_threshold_decode(measurements: MeasurementSet,
     Candidates that leave fewer than S atoms valid are skipped; if that
     removes every candidate a ValueError is raised.
     """
-    base = atom_measurement_correlations(measurements, dictionary)
-    return _finalize(measurements, dictionary,
-                     *_search(base, sparsity, candidates))
+    return _jt(atom_measurement_correlations(measurements, dictionary),
+               measurements, dictionary, sparsity, candidates)
 
 
 def greedy_joint_threshold_decode(measurements: MeasurementSet,
@@ -345,16 +391,8 @@ def greedy_joint_threshold_decode(measurements: MeasurementSet,
     identity alone; with two views the one stage is the scan the joint
     decoder runs, so the results coincide.
     """
-    base = atom_measurement_correlations(measurements, dictionary)
-    row, picks = np.zeros(base.shape[0]), []
-    for table in _gather(base, candidates):
-        i, score = _best(row, table, sparsity)
-        if score == -np.inf:
-            raise ValueError(_NO_VALID_CANDIDATE)
-        row = row + table[i]
-        picks.append(i)
-    return _finalize(measurements, dictionary,
-                     *_winner(base, sparsity, candidates, picks))
+    return _gjt(atom_measurement_correlations(measurements, dictionary),
+                measurements, dictionary, sparsity, candidates)
 
 
 def independent_threshold_decode(measurements: MeasurementSet,
@@ -366,14 +404,8 @@ def independent_threshold_decode(measurements: MeasurementSet,
     reconstructs by least squares.  ``transforms`` is None in the result
     and the score is the summed selected absolute correlations over views.
     """
-    base = np.abs(atom_measurement_correlations(measurements, dictionary))
-    supports = []
-    total = 0.0
-    for j in range(measurements.n_views):
-        support, score = select_top_s(base[:, j], sparsity)
-        supports.append(support)
-        total += score
-    return _finalize(measurements, dictionary, supports, None, total)
+    return _it(atom_measurement_correlations(measurements, dictionary),
+               measurements, dictionary, sparsity, None)
 
 
 def noiseless_score(signals, dictionary: Dictionary, support,

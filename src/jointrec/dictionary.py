@@ -13,11 +13,9 @@ bit-identical atom matrix with the same column order.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
@@ -346,36 +344,3 @@ def gram_row(dictionary: Dictionary, atom_index: int) -> np.ndarray:
     if not 0 <= atom_index < dictionary.n_atoms:
         raise ValueError("atom index out of range")
     return dictionary.atoms.T @ dictionary.atoms[:, atom_index]
-
-
-def save_dictionary(dictionary: Dictionary, path) -> None:
-    """Write the atom matrix plus parameter metadata to an ``.npz`` bundle."""
-    path = Path(path)
-    meta = {
-        "variant": dictionary.variant,
-        "grid": list(dictionary.grid) if dictionary.grid is not None else None,
-        "n_atoms": dictionary.n_atoms,
-        "signal_length": dictionary.signal_length,
-        "params": ([asdict(p) for p in dictionary.params]
-                   if dictionary.params is not None
-                   and dictionary.variant != "custom" else None),
-    }
-    with open(path, "wb") as fh:
-        np.savez(fh, atoms=dictionary.atoms, meta=json.dumps(meta))
-
-
-def load_dictionary(path) -> Dictionary:
-    """Load a dictionary written by :func:`save_dictionary`."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        atoms = data["atoms"]
-        meta = json.loads(str(data["meta"]))
-    params = None
-    if meta["params"] is not None:
-        if meta["variant"] == "gaussian_2d":
-            params = [GaussianAtom2D(**p) for p in meta["params"]]
-        elif meta["variant"] == "gabor_1d":
-            params = [ModulatedAtom1D(**p) for p in meta["params"]]
-        else:
-            raise ValueError(f"unknown dictionary variant {meta['variant']!r}")
-    grid = tuple(meta["grid"]) if meta["grid"] is not None else None
-    return Dictionary(atoms, params=params, variant=meta["variant"], grid=grid)

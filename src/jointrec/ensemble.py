@@ -18,14 +18,13 @@ and so is the number of draws made.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dictionary import Dictionary
-from .transforms import TransformVector, apply_to_support, realize_transform
+from .transforms import TransformVector
 
 COEFF_MAGNITUDE_RANGE = (0.5, 1.5)
 # atoms per block in the margin check on the support's blocks
@@ -49,7 +48,6 @@ class SignalEnsemble:
     min_energy: float
     max_energy: float
     coeff_rule: str = "shared"
-    seed: object = None
     # draws made, the accepted one included; None when not recorded
     attempts: int | None = None
 
@@ -223,25 +221,10 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
             min_energy=min(energies),
             max_energy=max(energies),
             coeff_rule=coeff_rule,
-            seed=_seed_record(seed),
             attempts=attempt,
         )
     raise EnsembleGenerationError(
         f"no ensemble satisfied the decodability checks in {max_attempts} attempts")
-
-
-def _seed_record(seed):
-    if seed is None or isinstance(seed, (int, np.integer)):
-        return None if seed is None else int(seed)
-    if isinstance(seed, np.random.SeedSequence):
-        entropy = seed.entropy
-        if isinstance(entropy, (tuple, list)):
-            entropy = [int(e) for e in entropy]
-        elif entropy is not None:
-            entropy = int(entropy)
-        return {"entropy": entropy,
-                "spawn_key": [int(k) for k in seed.spawn_key]}
-    return repr(seed)
 
 
 def margin_lower_bound(coefficients, mu1_s_minus_1: float, mu1_s: float) -> float:
@@ -277,67 +260,6 @@ def margin_lower_bound(coefficients, mu1_s_minus_1: float, mu1_s: float) -> floa
             value = 0.0
         worst = min(worst, value)
     return float(np.sqrt(worst))
-
-
-def save_ensemble(ensemble: SignalEnsemble, path) -> None:
-    """Write supports, coefficients, transforms, seed and margin as JSON.
-
-    Signals are not stored; they are recomputed from the dictionary on
-    load.  Transforms must be serializable (identity or translations).
-    """
-    specs = []
-    for t in ensemble.transforms:
-        spec = t.spec()
-        if spec is None:
-            raise ValueError(
-                f"transform {t.label!r} has no serializable description")
-        specs.append(spec)
-    bundle = {
-        "coeff_rule": ensemble.coeff_rule,
-        "margin": ensemble.margin,
-        "min_energy": ensemble.min_energy,
-        "max_energy": ensemble.max_energy,
-        "seed": ensemble.seed,
-        "attempts": ensemble.attempts,
-        "reference_support": ensemble.reference_support.tolist(),
-        "transforms": specs,
-        "supports": [s.tolist() for s in ensemble.supports],
-        "coefficients": [x.tolist() for x in ensemble.coefficients],
-    }
-    Path(path).write_text(json.dumps(bundle, indent=1), encoding="utf-8")
-
-
-def load_ensemble(path, dictionary: Dictionary) -> SignalEnsemble:
-    """Rebuild an ensemble saved by :func:`save_ensemble`.
-
-    Signals are recomputed as dictionary combinations; stored supports are
-    checked against the transforms applied to the reference support.
-    """
-    bundle = json.loads(Path(path).read_text(encoding="utf-8"))
-    transforms = TransformVector(tuple(
-        realize_transform(dictionary, spec) for spec in bundle["transforms"]))
-    reference = np.asarray(bundle["reference_support"], dtype=np.int64)
-    supports = tuple(np.asarray(s, dtype=np.int64) for s in bundle["supports"])
-    coefficients = tuple(np.asarray(x, dtype=float)
-                         for x in bundle["coefficients"])
-    for t, stored in zip(transforms, supports):
-        if not np.array_equal(apply_to_support(t, reference), stored):
-            raise ValueError("stored supports do not match the stored transforms")
-    signals = tuple(dictionary.atoms[:, s] @ x
-                    for s, x in zip(supports, coefficients))
-    return SignalEnsemble(
-        reference_support=reference,
-        transforms=transforms,
-        supports=supports,
-        coefficients=coefficients,
-        signals=signals,
-        margin=float(bundle["margin"]),
-        min_energy=float(bundle["min_energy"]),
-        max_energy=float(bundle["max_energy"]),
-        coeff_rule=bundle["coeff_rule"],
-        seed=bundle["seed"],
-        attempts=bundle.get("attempts"),
-    )
 
 
 def load_signal_csv(path) -> np.ndarray:

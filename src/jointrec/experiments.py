@@ -31,8 +31,7 @@ import numpy as np
 
 from .analysis import mse as compute_mse
 from .analysis import recovery_rate
-from .decode import (greedy_joint_threshold_decode, independent_threshold_decode,
-                     joint_threshold_decode)
+from . import decode
 from .dictionary import (Dictionary, build_gabor_1d_dictionary,
                          build_gaussian_2d_dictionary, odd_translations)
 from .ensemble import generate_ensemble, load_signal_csv
@@ -390,6 +389,8 @@ class TrialRecord:
     mse: float | None
     transform_correct: bool | None
     rank_deficient: bool
+    # seconds in the decoder's core, without the trial's shared c_j table;
+    # None for records read back from a trials.csv
     wall_time: float | None
 
 
@@ -605,21 +606,6 @@ def emit_plot_data(table: ResultTable, out_dir) -> list[Path]:
     return written
 
 
-def _independent(measurements, dictionary, sparsity, candidates):
-    """The independent baseline in the decoders' shared call shape; it has
-    no use for the candidate transforms."""
-    return independent_threshold_decode(measurements, dictionary, sparsity)
-
-
-# every decoder by name, each called as
-# (measurements, dictionary, sparsity, candidates)
-_ALGORITHMS = {
-    "jt": joint_threshold_decode,
-    "gjt": greedy_joint_threshold_decode,
-    "it": _independent,
-}
-
-
 def _trial_seeds(master_seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed).generate_state(
         count, dtype=np.uint64)
@@ -669,9 +655,12 @@ def _run_trial(config: ExperimentConfig, dictionary, candidates, sweep: int,
     """Sense one trial's signals and decode them with the kind's decoders.
 
     Without ingested ``signals`` the trial decodes ``ensemble``, or a
-    fresh one drawn from the trial seed when that is None.  Ingested
-    signals have no ground truth, so their recovery and transform metrics
-    are None.  Returns the records and the ensemble decoded.
+    fresh one drawn from the trial seed when that is None.  The per-view
+    correlations c_j are computed once and every decoder's core reads
+    that one table; each record's wall time is its core's alone, without
+    c_j.  Ingested signals have no ground truth, so their recovery and
+    transform metrics are None.  Returns the records and the ensemble
+    decoded.
     """
     truth_ss, ensemble_ss, sensing_ss = np.random.SeedSequence(seed).spawn(3)
     if signals is None:
@@ -687,11 +676,12 @@ def _run_trial(config: ExperimentConfig, dictionary, candidates, sweep: int,
     measurements = _sense(dictionary, signals, n_measurements,
                           config.identity_sensing, sensing_ss)
 
+    base = decode.atom_measurement_correlations(measurements, dictionary)
     records = []
     for algorithm in EXPERIMENT_KINDS[config.kind].algorithms:
-        decoder = _ALGORITHMS[algorithm]
         start = time.perf_counter()
-        result = decoder(measurements, dictionary, config.sparsity, candidates)
+        result = decode._DECODERS[algorithm](
+            base, measurements, dictionary, config.sparsity, candidates)
         wall = time.perf_counter() - start
         if ensemble is None:
             recovery = transform_correct = None
@@ -791,10 +781,10 @@ def decode_instance(instance: dict):
     """
     inst = _dataclass_from(DecodeInstance, instance, noun="instance")
     _check_fields(inst, _INSTANCE_TYPES)
-    if inst.algorithm not in _ALGORITHMS:
+    if inst.algorithm not in decode._DECODERS:
         raise ValueError(f"unknown algorithm {inst.algorithm!r}")
-    decoder = _ALGORITHMS[inst.algorithm]
-    if decoder is not _independent and inst.candidate_offsets is None:
+    joint = inst.algorithm != "it"
+    if joint and inst.candidate_offsets is None:
         raise ValueError("jt/gjt need candidate_offsets")
     if not inst.identity_sensing and inst.measurements is None:
         raise ValueError("instance needs measurements unless "
@@ -809,10 +799,12 @@ def decode_instance(instance: dict):
                           inst.identity_sensing,
                           np.random.SeedSequence(inst.seed))
     candidates = None
-    if decoder is not _independent:
+    if joint:
         candidates = CandidateSet.from_uniform_offsets(
             dictionary, inst.candidate_offsets, len(signals))
-    result = decoder(measurements, dictionary, inst.sparsity, candidates)
+    result = decode._DECODERS[inst.algorithm](
+        decode.atom_measurement_correlations(measurements, dictionary),
+        measurements, dictionary, inst.sparsity, candidates)
     summary = {
         "algorithm": inst.algorithm,
         "score": result.score,

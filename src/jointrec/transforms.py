@@ -11,7 +11,6 @@ atom's center off the grid).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import product
 from math import prod
 from operator import attrgetter
 
@@ -147,16 +146,6 @@ def transform_from_mapping(label: str, mapping) -> AtomTransform:
     return AtomTransform(label, mapping)
 
 
-def realize_transform(dictionary: Dictionary, spec) -> AtomTransform:
-    """Build a transform from its serializable description."""
-    kind = spec.get("kind")
-    if kind == "identity":
-        return identity_transform(dictionary)
-    if kind == "translation":
-        return translation_transform(dictionary, spec["offset"])
-    raise ValueError(f"unknown transform kind {kind!r}")
-
-
 def apply_to_support(transform: AtomTransform, support) -> np.ndarray:
     """Map a support index array through the transform, preserving order.
 
@@ -252,14 +241,3 @@ class CandidateSet:
             raise ValueError("need at least one view")
         made = cls.from_offsets(dictionary, [offsets])
         return cls(made.identity, made.per_view * (n_views - 1))
-
-
-def enumerate_vectors(candidates: CandidateSet):
-    """Yield every candidate TransformVector in lexicographic order.
-
-    The Cartesian product over views runs with the last view varying
-    fastest, matching the order of the per-view candidate lists; a
-    single-view candidate set yields exactly the identity vector.
-    """
-    for combo in product(*candidates.per_view):
-        yield TransformVector((candidates.identity,) + combo)

@@ -2,13 +2,15 @@
 
 The full-size dictionaries take a few seconds to build, so they are
 session-scoped and shared between the unit tests and the acceptance
-suite.
+suite.  ``enumerate_vectors`` is the oracle of enumeration order.
 """
+
+from itertools import product
 
 import numpy as np
 import pytest
 
-from jointrec import (Dictionary, build_gabor_1d_dictionary,
+from jointrec import (Dictionary, TransformVector, build_gabor_1d_dictionary,
                       build_gaussian_2d_dictionary, odd_translations)
 
 
@@ -51,3 +53,14 @@ def random_orthonormal_dictionary(n, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return Dictionary(q)
+
+
+def enumerate_vectors(candidates):
+    """Yield every candidate TransformVector in lexicographic order.
+
+    The Cartesian product over views runs with the last view varying
+    fastest, matching the order of the per-view candidate lists; a
+    single-view candidate set yields exactly the identity vector.
+    """
+    for combo in product(*candidates.per_view):
+        yield TransformVector((candidates.identity,) + combo)

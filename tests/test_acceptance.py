@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import enumerate_vectors
 
 from jointrec import (BERNSTEIN_SCALE_COEFF, BERNSTEIN_VARIANCE_COEFF,
                       RECOVERY_EXPONENT_COEFF, BoundInputs, CandidateSet,
@@ -26,7 +27,7 @@ from jointrec import (BERNSTEIN_SCALE_COEFF, BERNSTEIN_VARIANCE_COEFF,
                       run_experiment, sample_sensing_matrix,
                       transform_from_mapping)
 from jointrec.dictionary import UNIT_NORM_TOL
-from jointrec.transforms import TransformVector, enumerate_vectors
+from jointrec.transforms import TransformVector
 
 
 def criterion(number, title):

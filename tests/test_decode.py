@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import random_orthonormal_dictionary
+from conftest import enumerate_vectors, random_orthonormal_dictionary
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +19,7 @@ from jointrec import (CandidateSet, Dictionary,
                       noiseless_score, sample_sensing_matrix, select_top_s,
                       transform_from_mapping, translation_transform)
 from jointrec import decode
-from jointrec.transforms import TransformVector, enumerate_vectors
+from jointrec.transforms import TransformVector
 
 
 def random_unit_columns(n, k, seed):
@@ -764,6 +764,53 @@ class TestIndependentBaseline:
         solo = MeasurementSet((meas.matrices[1],), (meas.measurements[1],))
         alone = independent_threshold_decode(solo, d, 3)
         assert np.array_equal(alone.supports[0], full.supports[1])
+
+
+class TestDecoderCores:
+    """Each core of the decoder table, given a shared c_j table, returns
+    what its public decoder returns, and leaves the table as it was."""
+
+    PUBLIC = {
+        "jt": joint_threshold_decode,
+        "gjt": greedy_joint_threshold_decode,
+        "it": lambda meas, d, sparsity, cands: independent_threshold_decode(
+            meas, d, sparsity),
+    }
+
+    @pytest.mark.parametrize("name, n_views, n_measurements, offsets", [
+        ("small_gaussian_dict", 3, 32, [(-2, 0), (0, 0), (2, 0)]),
+        ("full_gabor_dict", 2, 150, [-10, 0, 10]),
+    ])
+    def test_core_is_public_decoder(self, request, name, n_views,
+                                    n_measurements, offsets):
+        d = request.getfixturevalue(name)
+        cands = CandidateSet.from_uniform_offsets(d, offsets, n_views)
+        truth = TransformVector((cands.identity,) + tuple(
+            pool[-1] for pool in cands.per_view))
+        ens = generate_ensemble(d, 3, truth, seed=n_views,
+                                require_margin=False,
+                                require_positivity=False)
+        meas = measure_ensemble(
+            [sample_sensing_matrix(n_measurements, d.signal_length, seed=s)
+             for s in range(n_views)], ens.signals)
+        base = atom_measurement_correlations(meas, d)
+        table = base.copy()
+        assert list(decode._DECODERS) == list(self.PUBLIC)
+        for algorithm, core in decode._DECODERS.items():
+            got = core(base, meas, d, 3, cands)
+            want = self.PUBLIC[algorithm](meas, d, 3, cands)
+            assert got.score.hex() == want.score.hex()
+            assert got.rank_deficient == want.rank_deficient
+            if want.transforms is None:
+                assert got.transforms is None
+            else:
+                assert len(got.transforms) == len(want.transforms)
+                assert all(a is b for a, b in zip(got.transforms,
+                                                  want.transforms))
+            for field in ("supports", "coefficients", "reconstructions"):
+                assert ([x.tobytes() for x in getattr(got, field)]
+                        == [x.tobytes() for x in getattr(want, field)])
+        assert np.array_equal(base, table)
 
 
 class TestLeastSquares:

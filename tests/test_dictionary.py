@@ -1,4 +1,4 @@
-"""Dictionary construction, coherence measures, and persistence."""
+"""Dictionary construction and coherence measures."""
 
 import math
 
@@ -9,8 +9,7 @@ from jointrec import dictionary as dictionary_module
 from jointrec import (Dictionary, GaussianAtom2D,
                       babel_function, build_gabor_1d_dictionary,
                       build_gaussian_2d_dictionary, gaussian_atom_2d,
-                      gram_row, load_dictionary, modulated_atom_1d,
-                      odd_translations, save_dictionary)
+                      gram_row, modulated_atom_1d, odd_translations)
 from jointrec.dictionary import DUPLICATE_ATOM_TOL, UNIT_NORM_TOL
 
 
@@ -295,30 +294,3 @@ class TestBabelFunction:
         direct = small_gabor_dict.atoms.T @ small_gabor_dict.atom(4)
         assert np.allclose(row, direct, atol=1e-12)
 
-
-class TestPersistence:
-    def test_round_trip(self, small_gabor_dict, tmp_path):
-        path = tmp_path / "dict.npz"
-        save_dictionary(small_gabor_dict, path)
-        loaded = load_dictionary(path)
-        assert np.array_equal(loaded.atoms, small_gabor_dict.atoms)
-        assert loaded.variant == small_gabor_dict.variant
-        assert loaded.params == small_gabor_dict.params
-
-    def test_load_rejects_non_finite_atoms(self, tmp_path):
-        path = tmp_path / "dict.npz"
-        save_dictionary(Dictionary(np.eye(3)), path)
-        with np.load(path) as data:
-            meta = data["meta"]
-        with open(path, "wb") as fh:
-            np.savez(fh, atoms=np.full((3, 3), math.nan), meta=meta)
-        with pytest.raises(ValueError, match="atoms must be finite"):
-            load_dictionary(path)
-
-    def test_round_trip_2d(self, small_gaussian_dict, tmp_path):
-        path = tmp_path / "dict2d.npz"
-        save_dictionary(small_gaussian_dict, path)
-        loaded = load_dictionary(path)
-        assert np.array_equal(loaded.atoms, small_gaussian_dict.atoms)
-        assert loaded.grid == small_gaussian_dict.grid
-        assert loaded.params == small_gaussian_dict.params

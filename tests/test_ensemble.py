@@ -1,6 +1,5 @@
 """Ensemble generation, decodability margins, and persistence."""
 
-import json
 import math
 
 import numpy as np
@@ -8,9 +7,9 @@ import pytest
 
 from jointrec import (Dictionary, EnsembleGenerationError,
                       build_gabor_1d_dictionary, check_positivity,
-                      generate_ensemble, identity_transform, load_ensemble,
-                      load_signal_csv, margin_lower_bound, save_ensemble,
-                      thresholding_margin, translation_transform)
+                      generate_ensemble, identity_transform, load_signal_csv,
+                      margin_lower_bound, thresholding_margin,
+                      translation_transform)
 from jointrec import ensemble as ensemble_module
 from jointrec.ensemble import COEFF_MAGNITUDE_RANGE
 from jointrec.transforms import CandidateSet, TransformVector
@@ -378,44 +377,6 @@ class TestMarginLowerBound:
 
 
 class TestPersistence:
-    def test_round_trip(self, onb_dict, tmp_path):
-        ens = generate_ensemble(onb_dict, 4, identity_vector(onb_dict, 3),
-                                seed=21)
-        path = tmp_path / "ensemble.json"
-        save_ensemble(ens, path)
-        again = load_ensemble(path, onb_dict)
-        assert np.array_equal(again.reference_support, ens.reference_support)
-        assert again.margin == pytest.approx(ens.margin)
-        for j in range(3):
-            assert np.array_equal(again.supports[j], ens.supports[j])
-            assert np.allclose(again.coefficients[j], ens.coefficients[j])
-            assert np.allclose(again.signals[j], ens.signals[j], atol=1e-12)
-
-    def test_attempts_round_trip(self, small_gaussian_dict, tmp_path):
-        ens = generate_ensemble(small_gaussian_dict, 3,
-                                identity_vector(small_gaussian_dict, 2),
-                                seed=4, coeff_range=(0.9, 1.1))
-        path = tmp_path / "ensemble.json"
-        save_ensemble(ens, path)
-        assert load_ensemble(path, small_gaussian_dict).attempts == ens.attempts
-        # files written before attempts were recorded load as unknown
-        bundle = json.loads(path.read_text())
-        del bundle["attempts"]
-        path.write_text(json.dumps(bundle))
-        assert load_ensemble(path, small_gaussian_dict).attempts is None
-
-    def test_round_trip_with_translation(self, small_gaussian_dict, tmp_path):
-        ident = identity_transform(small_gaussian_dict)
-        shift = translation_transform(small_gaussian_dict, (0, 2))
-        ens = generate_ensemble(small_gaussian_dict, 2,
-                                TransformVector((ident, shift)), seed=22,
-                                require_margin=False,
-                                require_positivity=False)
-        path = tmp_path / "ensemble.json"
-        save_ensemble(ens, path)
-        again = load_ensemble(path, small_gaussian_dict)
-        assert again.transforms == ens.transforms
-
     def test_load_signal_csv(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("0.5\n-1.25\n3.0\n")

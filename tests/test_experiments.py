@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,8 @@ from jointrec import (CandidateSet, DictionaryConfig, ExperimentConfig,
                       build_gabor_1d_dictionary, config_hash, emit_plot_data,
                       get_preset, preset_names, read_trials_csv,
                       run_experiment, validate_config)
-from jointrec import experiments
+from jointrec import decode, experiments
+from jointrec.cli import _build_parser
 from jointrec.cli import main as cli_main
 from jointrec.experiments import load_config, save_config
 
@@ -293,6 +297,29 @@ class TestDocs:
                             self.section("### List presets"), re.MULTILINE)
         assert listed == preset_names()
 
+    def test_readme_library_example_runs(self):
+        block = re.search(r"```python\n(.*?)```",
+                          self.section("## Library use"), re.DOTALL).group(1)
+        src = self.README.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", block], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1.0\n"
+
+
+def count_correlation_tables(monkeypatch):
+    """Record the per-view measurement count of every c_j table made."""
+    calls = []
+    correlate = decode.atom_measurement_correlations
+
+    def counting(measurements, dictionary):
+        calls.append(measurements.matrices[0].entries.shape[0])
+        return correlate(measurements, dictionary)
+
+    monkeypatch.setattr(decode, "atom_measurement_correlations", counting)
+    return calls
+
 
 class TestRunners:
     @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
@@ -315,6 +342,14 @@ class TestRunners:
         run_experiment(tiny_gaussian_config(
             kind="recovery-vs-J", views=[3, 1, 2], measurements=24))
         assert calls == [3]
+
+    def test_one_correlation_table_per_trial(self, monkeypatch):
+        # every decoder of a trial reads the trial's one c_j table
+        calls = count_correlation_tables(monkeypatch)
+        config = get_preset("transform-error-vs-m-small")
+        config.trials = 1
+        run_experiment(config)
+        assert calls == config.measurements
 
     def test_cells_decode_sliced_candidate_sets(self, monkeypatch):
         seen = {}
@@ -748,6 +783,26 @@ class TestCli:
         assert cli_main(["decode", str(inst_path)]) == 0
         summary = (tmp_path / "decode_result.json").read_bytes()
         assert hashlib.sha256(summary).hexdigest() == digest
+
+    @pytest.mark.parametrize("algorithm", sorted(decode._DECODERS))
+    def test_decode_instance_makes_one_table(self, tmp_path, monkeypatch,
+                                             algorithm):
+        calls = count_correlation_tables(monkeypatch)
+        experiments.decode_instance({
+            "dictionary": {"variant": "gabor_1d", "length": 120,
+                           "scales": [4.0, 8.0], "omegas": [2.0, 4.0]},
+            "sparsity": 4, "measurements": 30, "algorithm": algorithm,
+            "candidate_offsets": [-10, 0, 10],
+            "signal_csvs": write_signal_pair(tmp_path)})
+        assert calls == [30]
+
+    def test_algorithm_choices_are_the_decoder_table(self):
+        decode_verb = next(
+            action for action in _build_parser()._actions
+            if action.dest == "verb").choices["decode"]
+        algorithm = next(action for action in decode_verb._actions
+                         if action.dest == "algorithm")
+        assert algorithm.choices == list(decode._DECODERS)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda inst: inst["dictionary"].pop("omegas"),

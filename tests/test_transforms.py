@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import enumerate_vectors
 from jointrec import (AtomTransform, CandidateSet, Dictionary,
-                      apply_to_support, enumerate_vectors,
-                      identity_transform, load_dictionary, realize_transform,
-                      save_dictionary, transform_from_mapping,
-                      translation_transform)
+                      apply_to_support, identity_transform,
+                      transform_from_mapping, translation_transform)
 from jointrec.transforms import TransformVector
 
 
@@ -64,11 +63,6 @@ class TestTranslation1D:
         last_t = max(p.t for p in small_gabor_dict.params)
         for i, p in enumerate(small_gabor_dict.params):
             assert t.domain_mask[i] == (p.t + 10 <= last_t)
-
-    def test_spec_round_trip(self, small_gabor_dict):
-        t = translation_transform(small_gabor_dict, -10)
-        again = realize_transform(small_gabor_dict, t.spec())
-        assert t == again
 
 
 class TestTranslation2D:
@@ -184,21 +178,6 @@ class TestTranslationOracle:
         self.assert_matches_oracle(holed(full_gaussian_dict, 5), OFFSETS_2D)
         self.assert_matches_oracle(holed(full_gabor_dict, 5), OFFSETS_1D)
 
-    @pytest.mark.parametrize("name, offsets", [
-        ("small_gaussian_dict", OFFSETS_2D),
-        ("small_gabor_dict", OFFSETS_1D),
-    ])
-    def test_saved_dictionary_realizes_equal_transforms(
-            self, request, tmp_path, name, offsets):
-        dictionary = request.getfixturevalue(name)
-        save_dictionary(dictionary, tmp_path / "dict.npz")
-        loaded = load_dictionary(tmp_path / "dict.npz")
-        for offset in offsets:
-            a = translation_transform(dictionary, offset)
-            b = translation_transform(loaded, offset)
-            assert a == b
-            assert (a.label, a.spec()) == (b.label, b.spec())
-
 
 class TestOffsetParsing:
     @pytest.mark.parametrize("offset", [
@@ -211,10 +190,7 @@ class TestOffsetParsing:
         for realize in (
                 lambda: translation_transform(small_gaussian_dict, offset),
                 lambda: CandidateSet.from_uniform_offsets(
-                    small_gaussian_dict, [(0, 0), offset], 3),
-                lambda: realize_transform(small_gaussian_dict,
-                                          {"kind": "translation",
-                                           "offset": offset})):
+                    small_gaussian_dict, [(0, 0), offset], 3)):
             with pytest.raises(ValueError, match=message):
                 realize()
 
