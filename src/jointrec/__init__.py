@@ -22,8 +22,8 @@ from .decode import (DecodeResult, LeastSquaresFit,
                      noiseless_score, select_top_s)
 from .dictionary import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
                          babel_function, build_gabor_1d_dictionary,
-                         build_gaussian_2d_dictionary, gaussian_atom_2d,
-                         gram_row, modulated_atom_1d, odd_translations)
+                         build_gaussian_2d_dictionary, gram_row,
+                         odd_translations)
 from .ensemble import (EnsembleGenerationError, SignalEnsemble,
                        check_positivity, generate_ensemble, load_signal_csv,
                        margin_lower_bound, thresholding_margin)
@@ -36,7 +36,7 @@ from .sensing import (MeasurementSet, SensingMatrix, identity_sensing,
                       measure, measure_ensemble, sample_sensing_matrix)
 from .transforms import (AtomTransform, CandidateSet, TransformVector,
                          apply_to_support, identity_transform,
-                         transform_from_mapping, translation_transform)
+                         translation_transform)
 
 __version__ = "0.1.0"
 
@@ -53,15 +53,14 @@ __all__ = [
     "build_gabor_1d_dictionary", "build_gaussian_2d_dictionary",
     "check_positivity", "concentration_tail_bound", "config_hash",
     "correlation_vector", "decode_instance", "emit_plot_data",
-    "empirical_tail_frequency", "gaussian_atom_2d", "generate_ensemble",
-    "get_preset", "gram_row", "greedy_joint_threshold_decode",
-    "identity_sensing", "identity_transform", "independent_threshold_decode",
+    "empirical_tail_frequency", "generate_ensemble", "get_preset",
+    "gram_row", "greedy_joint_threshold_decode", "identity_sensing",
+    "identity_transform", "independent_threshold_decode",
     "joint_threshold_decode", "least_squares_reconstruct", "load_config",
     "load_signal_csv", "margin_lower_bound", "measure", "measure_ensemble",
-    "min_measurements_for_recovery", "modulated_atom_1d", "mse",
-    "noiseless_score", "odd_translations", "preset_names", "read_trials_csv",
-    "recovery_rate", "recovery_rate_bound", "run_experiment",
-    "sample_sensing_matrix", "save_config", "select_top_s",
-    "thresholding_margin", "transform_from_mapping", "translation_transform",
-    "validate_config",
+    "min_measurements_for_recovery", "mse", "noiseless_score",
+    "odd_translations", "preset_names", "read_trials_csv", "recovery_rate",
+    "recovery_rate_bound", "run_experiment", "sample_sensing_matrix",
+    "save_config", "select_top_s", "thresholding_margin",
+    "translation_transform", "validate_config",
 ]

@@ -163,10 +163,11 @@ def least_squares_reconstruct(matrix: SensingMatrix, dictionary: Dictionary,
     than raised.
     """
     support = np.asarray(support, dtype=np.int64)
-    design = matrix.entries @ dictionary.atoms[:, support]
-    coeffs, _, rank, _ = np.linalg.lstsq(design, np.asarray(measurement, float),
+    columns = dictionary.atoms[:, support]
+    coeffs, _, rank, _ = np.linalg.lstsq(matrix.entries @ columns,
+                                         np.asarray(measurement, float),
                                          rcond=LSTSQ_RCOND)
-    reconstruction = dictionary.atoms[:, support] @ coeffs
+    reconstruction = columns @ coeffs
     return LeastSquaresFit(coefficients=coeffs, reconstruction=reconstruction,
                            rank=int(rank), rank_deficient=int(rank) < support.size)
 

@@ -50,21 +50,18 @@ class Dictionary:
     Parameters
     ----------
     atoms : ndarray, shape (N, K)
-        Atom matrix, stored as a read-only C-ordered copy.  Columns must
-        have unit norm within 1e-9 unless ``normalize`` is set.
+        Atom matrix, stored as a read-only C-ordered copy.  Entries must
+        be finite and columns unit norm within 1e-9; the builders below
+        scale each atom to unit norm before they construct one.
     params : sequence, optional
         One hashable parameter record per atom, aligned with the columns.
         Required for parametric transforms; plain matrices may omit it.
     variant : str
-        One of ``"gaussian_2d"``, ``"gabor_1d"`` or ``"custom"``.
-    grid : tuple, optional
-        Sampling grid shape: (height, width) for images, (n,) for 1D.
-    normalize : bool
-        When true, columns are rescaled to unit norm instead of checked.
+        One of ``"gaussian_2d"``, ``"gabor_1d"`` or ``"custom"``; the
+        variant names the parameter fields that translations shift.
     """
 
-    def __init__(self, atoms, params=None, variant="custom", grid=None,
-                 normalize=False):
+    def __init__(self, atoms, params=None, variant="custom"):
         atoms = np.array(atoms, dtype=float, order="C")
         if atoms.ndim != 2 or atoms.shape[0] == 0 or atoms.shape[1] == 0:
             raise ValueError("atoms must be a nonempty N x K matrix")
@@ -72,11 +69,7 @@ class Dictionary:
         # a NaN entry makes its column's norm NaN, which no bound rejects
         if not np.all(np.isfinite(norms)):
             raise ValueError("atoms must be finite, with finite norms")
-        if normalize:
-            if np.any(norms == 0.0):
-                raise ValueError("cannot normalize an all-zero atom")
-            atoms /= norms
-        elif np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(
                 f"atom columns must be unit norm within {UNIT_NORM_TOL:g} "
@@ -89,7 +82,6 @@ class Dictionary:
                 raise ValueError("need exactly one parameter record per atom")
         self.params = params
         self.variant = variant
-        self.grid = tuple(grid) if grid is not None else None
 
     @property
     def n_atoms(self) -> int:
@@ -107,47 +99,6 @@ class Dictionary:
                 f"n_atoms={self.n_atoms}, signal_length={self.signal_length})")
 
 
-def gaussian_atom_2d(width: int, height: int, params: GaussianAtom2D) -> np.ndarray:
-    """Sample one rotated, scaled and translated Gaussian atom on the pixel grid.
-
-    The window g(x, y) = exp(-x^2 - y^2) is evaluated at
-
-        X = ((x - tx) cos(theta) - (y - ty) sin(theta)) / sx
-        Y = ((y - ty) cos(theta) + (x - tx) sin(theta)) / sy
-
-    for integer pixels x in 0..width-1 (columns) and y in 0..height-1 (rows),
-    flattened row-major to a vector of length width*height, then normalized.
-    """
-    if width <= 0 or height <= 0:
-        raise ValueError("grid dimensions must be positive")
-    if params.sx <= 0 or params.sy <= 0:
-        raise ValueError("degenerate scale: sx and sy must be positive")
-    xs = np.arange(width, dtype=float)
-    ys = np.arange(height, dtype=float)
-    u = xs[np.newaxis, :] - params.tx
-    v = ys[:, np.newaxis] - params.ty
-    c = np.cos(params.theta)
-    s = np.sin(params.theta)
-    rx = (u * c - v * s) / params.sx
-    ry = (v * c + u * s) / params.sy
-    values = np.exp(-rx * rx - ry * ry).ravel()
-    return values / np.linalg.norm(values)
-
-
-def modulated_atom_1d(n: int, params: ModulatedAtom1D) -> np.ndarray:
-    """Sample one cosine-modulated Gaussian atom at integer positions 1..n."""
-    if n <= 0:
-        raise ValueError("signal length must be positive")
-    if params.s <= 0:
-        raise ValueError("degenerate scale: s must be positive")
-    if params.sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    x = np.arange(1, n + 1, dtype=float)
-    u = (x - params.t) / params.s
-    values = params.sign * np.exp(-u * u) * np.cos(params.omega * u)
-    return values / np.linalg.norm(values)
-
-
 def odd_translations(width: int, height: int) -> list[tuple[int, int]]:
     """All pixel translations with odd x and y coordinates, column-major in x."""
     return [(tx, ty) for tx in range(1, width, 2) for ty in range(1, height, 2)]
@@ -155,6 +106,16 @@ def odd_translations(width: int, height: int) -> list[tuple[int, int]]:
 
 def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
     """Build a 2D Gaussian dictionary over a Cartesian parameter grid.
+
+    The atom of (theta, sx, sy, (tx, ty)) evaluates the window
+    g(x, y) = exp(-x^2 - y^2) at
+
+        X = ((x - tx) cos(theta) - (y - ty) sin(theta)) / sx
+        Y = ((y - ty) cos(theta) + (x - tx) sin(theta)) / sy
+
+    for integer pixels x in 0..width-1 (columns) and y in 0..height-1
+    (rows), flattened row-major to a vector of length width*height and
+    scaled to unit norm.
 
     One atom is generated per (theta, sx, sy, translation) tuple, in
     deterministic grid order with theta outermost and translation
@@ -216,7 +177,7 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
     # rebinding frees the full array before Dictionary makes its copies
     rows = rows[keep]
     return Dictionary(rows.T, params=[params[i] for i in keep],
-                      variant="gaussian_2d", grid=(height, width))
+                      variant="gaussian_2d")
 
 
 def _drop_duplicate_atoms(rows, params):
@@ -311,7 +272,7 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
                     columns.append(-g)
                     params.append(ModulatedAtom1D(t, s, omega, -1))
     atoms = np.column_stack(columns)
-    return Dictionary(atoms, params=params, variant="gabor_1d", grid=(n,))
+    return Dictionary(atoms, params=params, variant="gabor_1d")
 
 
 def babel_function(dictionary: Dictionary, m: int) -> float:

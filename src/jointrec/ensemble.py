@@ -47,7 +47,6 @@ class SignalEnsemble:
     margin: float
     min_energy: float
     max_energy: float
-    coeff_rule: str = "shared"
     # draws made, the accepted one included; None when not recorded
     attempts: int | None = None
 
@@ -220,7 +219,6 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
             margin=float(min(margins)),
             min_energy=min(energies),
             max_energy=max(energies),
-            coeff_rule=coeff_rule,
             attempts=attempt,
         )
     raise EnsembleGenerationError(

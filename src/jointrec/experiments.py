@@ -307,8 +307,8 @@ def _check_problem(dictionary: DictionaryConfig, sparsity: int,
                    identity_sensing: bool) -> None:
     """The rules configs and decode instances share, checked after their
     value types: a positive sparsity, a complete dictionary variant,
-    offsets that parse on it, positive measurement counts, and under
-    identity sensing every given count equal to the signal length."""
+    offsets that parse on it, measurement counts in 1..N for signal
+    length N, and under identity sensing every given count equal to N."""
     if sparsity < 1:
         raise ValueError("sparsity must be at least 1")
     n = dictionary.signal_length()
@@ -316,6 +316,9 @@ def _check_problem(dictionary: DictionaryConfig, sparsity: int,
         translation_shift(dictionary.variant, offset)
     if any(m < 1 for m in measurements):
         raise ValueError("measurement counts must be positive")
+    if any(m > n for m in measurements):
+        raise ValueError(f"measurement counts must not exceed the signal "
+                         f"length N = {n}")
     if identity_sensing and any(m != n for m in measurements):
         raise ValueError("identity sensing requires measurement counts "
                          "equal to the signal length")

@@ -15,10 +15,9 @@ import numpy as np
 
 @dataclass(eq=False)
 class SensingMatrix:
-    """One view's measurement operator together with its seed record."""
+    """One view's measurement operator: an M x N matrix, stored read-only."""
 
     entries: np.ndarray
-    seed: object = None
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -49,14 +48,14 @@ def sample_sensing_matrix(n_measurements: int, signal_length: int,
     rng = np.random.default_rng(seed)
     entries = rng.standard_normal((n_measurements, signal_length))
     entries /= np.sqrt(n_measurements)
-    return SensingMatrix(entries, seed=seed)
+    return SensingMatrix(entries)
 
 
 def identity_sensing(signal_length: int) -> SensingMatrix:
     """Identity operator (M = N); a test mode that makes measurements exact."""
     if signal_length < 1:
         raise ValueError("signal length must be positive")
-    return SensingMatrix(np.eye(signal_length), seed=None)
+    return SensingMatrix(np.eye(signal_length))
 
 
 def measure(matrix: SensingMatrix, signal) -> np.ndarray:

@@ -29,15 +29,14 @@ class AtomTransform:
 
     __slots__ = ("label", "mapping", "_spec")
 
-    def __init__(self, label: str, mapping, spec=None, _validate=True):
+    def __init__(self, label: str, mapping, spec=None):
         mapping = np.asarray(mapping, dtype=np.int64)
         if mapping.ndim != 1 or mapping.size == 0:
             raise ValueError("mapping must be a nonempty 1D index array")
-        if _validate:
-            if mapping.max() >= mapping.size or mapping.min() < -1:
-                raise ValueError("mapping targets must lie in -1..K-1")
-            if np.bincount(mapping[mapping >= 0], minlength=1).max() > 1:
-                raise ValueError("mapping must be injective on its domain")
+        if mapping.max() >= mapping.size or mapping.min() < -1:
+            raise ValueError("mapping targets must lie in -1..K-1")
+        if np.bincount(mapping[mapping >= 0], minlength=1).max() > 1:
+            raise ValueError("mapping must be injective on its domain")
         mapping = mapping.copy()
         mapping.setflags(write=False)
         self.label = label
@@ -75,7 +74,7 @@ class AtomTransform:
 def identity_transform(dictionary: Dictionary) -> AtomTransform:
     """The identity map on the dictionary's atom indices (full domain)."""
     return AtomTransform("identity", np.arange(dictionary.n_atoms),
-                         spec={"kind": "identity"}, _validate=False)
+                         spec={"kind": "identity"})
 
 
 # the parameter fields that locate an atom's center, per dictionary family
@@ -139,11 +138,6 @@ def _translations(dictionary: Dictionary, offsets) -> dict:
             spec={"kind": "translation",
                   "offset": list(shift) if len(shift) > 1 else shift[0]})
     return realized
-
-
-def transform_from_mapping(label: str, mapping) -> AtomTransform:
-    """Wrap a user-supplied index map; validates range and injectivity."""
-    return AtomTransform(label, mapping)
 
 
 def apply_to_support(transform: AtomTransform, support) -> np.ndarray:
@@ -222,22 +216,18 @@ class CandidateSet:
         return prod(len(c) for c in self.per_view)
 
     @classmethod
-    def from_offsets(cls, dictionary: Dictionary, offsets_per_view):
-        """Realize translation candidates for views 2..J.
-
-        ``offsets_per_view`` holds one offset list per non-reference view.
-        Repeated offsets are realized once and shared.
-        """
-        shifts = [[translation_shift(dictionary.variant, offset)
-                   for offset in offsets] for offsets in offsets_per_view]
-        realized = _translations(dictionary, set().union(*shifts))
-        per_view = tuple(tuple(map(realized.get, row)) for row in shifts)
-        return cls(identity_transform(dictionary), per_view)
-
-    @classmethod
     def from_uniform_offsets(cls, dictionary: Dictionary, offsets, n_views: int):
-        """Same translation candidate list for every view 2..n_views."""
+        """Same translation candidate list for every view 2..n_views.
+
+        Offsets are parsed even when ``n_views`` is 1, and equal offsets
+        are realized once and share one transform object.
+        """
         if n_views < 1:
             raise ValueError("need at least one view")
-        made = cls.from_offsets(dictionary, [offsets])
-        return cls(made.identity, made.per_view * (n_views - 1))
+        shifts = [translation_shift(dictionary.variant, offset)
+                  for offset in offsets]
+        realized = _translations(dictionary, shifts)
+        row = tuple(map(realized.get, shifts))
+        if not row:
+            raise ValueError("each view needs at least one candidate")
+        return cls(identity_transform(dictionary), (row,) * (n_views - 1))

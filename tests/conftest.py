@@ -2,7 +2,9 @@
 
 The full-size dictionaries take a few seconds to build, so they are
 session-scoped and shared between the unit tests and the acceptance
-suite.  ``enumerate_vectors`` is the oracle of enumeration order.
+suite.  ``enumerate_vectors`` is the oracle of enumeration order, and
+``gaussian_atom_2d`` and ``modulated_atom_1d`` sample one atom at a time,
+the oracles of the vectorized dictionary builders.
 """
 
 from itertools import product
@@ -64,3 +66,36 @@ def enumerate_vectors(candidates):
     """
     for combo in product(*candidates.per_view):
         yield TransformVector((candidates.identity,) + combo)
+
+
+def gaussian_atom_2d(width: int, height: int, params) -> np.ndarray:
+    """Sample one rotated, scaled and translated Gaussian atom on the pixel grid.
+
+    The window g(x, y) = exp(-x^2 - y^2) is evaluated at
+
+        X = ((x - tx) cos(theta) - (y - ty) sin(theta)) / sx
+        Y = ((y - ty) cos(theta) + (x - tx) sin(theta)) / sy
+
+    for integer pixels x in 0..width-1 (columns) and y in 0..height-1 (rows),
+    flattened row-major to a vector of length width*height, then normalized.
+    ``params`` is a GaussianAtom2D record.
+    """
+    xs = np.arange(width, dtype=float)
+    ys = np.arange(height, dtype=float)
+    u = xs[np.newaxis, :] - params.tx
+    v = ys[:, np.newaxis] - params.ty
+    c = np.cos(params.theta)
+    s = np.sin(params.theta)
+    rx = (u * c - v * s) / params.sx
+    ry = (v * c + u * s) / params.sy
+    values = np.exp(-rx * rx - ry * ry).ravel()
+    return values / np.linalg.norm(values)
+
+
+def modulated_atom_1d(n: int, params) -> np.ndarray:
+    """Sample one cosine-modulated Gaussian atom at integer positions 1..n;
+    ``params`` is a ModulatedAtom1D record."""
+    x = np.arange(1, n + 1, dtype=float)
+    u = (x - params.t) / params.s
+    values = params.sign * np.exp(-u * u) * np.cos(params.omega * u)
+    return values / np.linalg.norm(values)

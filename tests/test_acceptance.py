@@ -16,16 +16,15 @@ import pytest
 from conftest import enumerate_vectors
 
 from jointrec import (BERNSTEIN_SCALE_COEFF, BERNSTEIN_VARIANCE_COEFF,
-                      RECOVERY_EXPONENT_COEFF, BoundInputs, CandidateSet,
-                      Dictionary, build_gabor_1d_dictionary,
+                      RECOVERY_EXPONENT_COEFF, AtomTransform, BoundInputs,
+                      CandidateSet, Dictionary, build_gabor_1d_dictionary,
                       build_gaussian_2d_dictionary, empirical_tail_frequency,
                       generate_ensemble, get_preset,
                       greedy_joint_threshold_decode, identity_transform,
                       independent_threshold_decode, joint_threshold_decode,
                       least_squares_reconstruct, measure_ensemble,
                       noiseless_score, odd_translations, recovery_rate_bound,
-                      run_experiment, sample_sensing_matrix,
-                      transform_from_mapping)
+                      run_experiment, sample_sensing_matrix)
 from jointrec.dictionary import UNIT_NORM_TOL
 from jointrec.transforms import TransformVector
 
@@ -58,7 +57,7 @@ def random_permutation_candidates(dictionary, n_views, per_view_count, rng):
         pool = [ident]
         for _ in range(per_view_count - 1):
             perm = rng.permutation(dictionary.n_atoms).astype(np.int64)
-            pool.append(transform_from_mapping("perm", perm))
+            pool.append(AtomTransform("perm", perm))
         per_view.append(tuple(pool))
     return CandidateSet(ident, tuple(per_view))
 

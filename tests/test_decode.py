@@ -10,14 +10,14 @@ from conftest import enumerate_vectors, random_orthonormal_dictionary
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jointrec import (CandidateSet, Dictionary,
+from jointrec import (AtomTransform, CandidateSet, Dictionary,
                       atom_measurement_correlations, correlation_vector,
                       generate_ensemble, greedy_joint_threshold_decode,
                       identity_sensing, identity_transform,
                       independent_threshold_decode, joint_threshold_decode,
                       least_squares_reconstruct, measure_ensemble,
                       noiseless_score, sample_sensing_matrix, select_top_s,
-                      transform_from_mapping, translation_transform)
+                      translation_transform)
 from jointrec import decode
 from jointrec.transforms import TransformVector
 
@@ -162,8 +162,8 @@ def table_problem(columns, pools, sparsity):
     view j's correlation with every atom and ``pools[v]`` lists the
     mappings of view v + 2's candidates."""
     base = np.array(columns, dtype=float).T
-    identity = transform_from_mapping("identity", np.arange(base.shape[0]))
-    per_view = tuple(tuple(transform_from_mapping(f"view{v}-{i}", m)
+    identity = AtomTransform("identity", np.arange(base.shape[0]))
+    per_view = tuple(tuple(AtomTransform(f"view{v}-{i}", m)
                            for i, m in enumerate(pool))
                      for v, pool in enumerate(pools))
     return base, sparsity, CandidateSet(identity, per_view)
@@ -261,7 +261,7 @@ class TestCorrelations:
         d = random_unit_columns(30, 8, seed=4)
         meas, _, _, _ = random_problem(d, 2, 10, 2, seed=5)
         mapping = np.array([3, 2, 5, -1, 0, 1, 7, 6], dtype=np.int64)
-        t = transform_from_mapping("perm", mapping)
+        t = AtomTransform("perm", mapping)
         table = atom_measurement_correlations(meas, d)
         vec = correlation_vector(
             table, TransformVector((identity_transform(d), t)))
@@ -344,7 +344,7 @@ class TestJointDecoding:
             per_view = [identity_transform(d)]
             for _ in range(2):
                 perm = rng.permutation(14).astype(np.int64)
-                per_view.append(transform_from_mapping("perm", perm))
+                per_view.append(AtomTransform("perm", perm))
             cands = CandidateSet(identity_transform(d),
                                  (tuple(per_view),))
             result = joint_threshold_decode(meas, d, 3, cands)
@@ -362,7 +362,7 @@ class TestJointDecoding:
         d = random_unit_columns(20, 10, seed=17)
         meas, _, _, _ = random_problem(d, 2, 8, 2, seed=18)
         ident = identity_transform(d)
-        twin = transform_from_mapping("twin", np.arange(10))
+        twin = AtomTransform("twin", np.arange(10))
         cands = CandidateSet(ident, ((ident, twin),))
         result = joint_threshold_decode(meas, d, 2, cands)
         assert result.transforms[1] is ident
@@ -373,7 +373,7 @@ class TestJointDecoding:
             rng = np.random.default_rng(500 + seed)
             per_view = [identity_transform(d)]
             for _ in range(3):
-                per_view.append(transform_from_mapping(
+                per_view.append(AtomTransform(
                     "perm", rng.permutation(16).astype(np.int64)))
             cands = CandidateSet(identity_transform(d), (tuple(per_view),))
             meas, _, _, _ = random_problem(d, 2, 10, 3, seed=600 + seed)
@@ -399,7 +399,7 @@ class TestJointDecoding:
             for _ in range(pool_size):
                 mapping = rng.permutation(10)
                 mapping[rng.random(10) < masked] = -1
-                pool.append(transform_from_mapping("partial", mapping))
+                pool.append(AtomTransform("partial", mapping))
             per_view.append(tuple(pool))
         cands = CandidateSet(identity_transform(d), tuple(per_view))
         meas, _, _, _ = random_problem(d, n_views, 8, 2, seed=seed)
@@ -438,9 +438,9 @@ class TestJointDecoding:
             for _ in range(pool_size):
                 mapping = rng.permutation(10)
                 mapping[rng.random(10) < masked] = -1
-                pool.append(transform_from_mapping("partial", mapping))
+                pool.append(AtomTransform("partial", mapping))
             twin = pool[int(rng.integers(0, pool_size))]
-            pool.append(transform_from_mapping("twin", twin.mapping))
+            pool.append(AtomTransform("twin", twin.mapping))
             per_view.append(tuple(pool))
         cands = CandidateSet(identity_transform(d), tuple(per_view))
         meas, _, _, _ = random_problem(d, n_views, 8, sparsity, seed=seed)
@@ -482,12 +482,12 @@ class TestJointDecoding:
         for _ in range(n_views - 1):
             mapping = rng.permutation(12)
             mapping[outside[rng.random(outside.size) < 0.3]] = -1
-            truth.append(transform_from_mapping("true", mapping))
+            truth.append(AtomTransform("true", mapping))
             pool = []
             for _ in range(pool_size):
                 decoy = rng.permutation(12)
                 decoy[rng.random(12) < 0.3] = -1
-                pool.append(transform_from_mapping("decoy", decoy))
+                pool.append(AtomTransform("decoy", decoy))
             pool.insert(int(rng.integers(0, pool_size + 1)), truth[-1])
             per_view.append(tuple(pool))
         cands = CandidateSet(truth[0], tuple(per_view))
@@ -518,12 +518,12 @@ class TestJointDecoding:
             for _ in range(pool_size):
                 mapping = rng.permutation(10)
                 mapping[rng.random(10) < masked] = -1
-                pool.append(transform_from_mapping("partial", mapping))
+                pool.append(AtomTransform("partial", mapping))
             per_view.append(tuple(pool))
         cands = CandidateSet(identity_transform(d), tuple(per_view))
         relabeled = CandidateSet(
-            transform_from_mapping("reference", np.arange(10)),
-            tuple(tuple(transform_from_mapping(f"view{v}-{i}", t.mapping)
+            AtomTransform("reference", np.arange(10)),
+            tuple(tuple(AtomTransform(f"view{v}-{i}", t.mapping)
                         for i, t in enumerate(pool))
                   for v, pool in enumerate(per_view)))
         meas, _, _, _ = random_problem(d, n_views, 8, 2, seed=seed)
@@ -584,7 +584,7 @@ class TestJointDecoding:
         # the only non-reference candidate keeps a single atom: too few
         mapping = np.full(6, -1, dtype=np.int64)
         mapping[0] = 0
-        starved = transform_from_mapping("starved", mapping)
+        starved = AtomTransform("starved", mapping)
         cands = CandidateSet(identity_transform(d), ((starved,),))
         for decoder in (joint_threshold_decode,
                         greedy_joint_threshold_decode):
@@ -612,7 +612,7 @@ class TestJointDecoding:
         meas, _, _, _ = random_problem(d, 2, 8, 3, seed=803)
         mapping = np.full(6, -1, dtype=np.int64)
         mapping[0] = 0
-        starved = transform_from_mapping("starved", mapping)
+        starved = AtomTransform("starved", mapping)
         ident = identity_transform(d)
         cands = CandidateSet(ident, ((starved, ident),))
         result = joint_threshold_decode(meas, d, 3, cands)
@@ -722,7 +722,7 @@ class TestGreedyAggregate:
         d = random_unit_columns(16, 10, seed=1100)
         rng = np.random.default_rng(1101)
         cands = CandidateSet(identity_transform(d), tuple(
-            tuple(transform_from_mapping("perm", rng.permutation(10))
+            tuple(AtomTransform("perm", rng.permutation(10))
                   for _ in range(3))
             for _ in range(3)))
         meas, _, _, _ = random_problem(d, 4, 8, 2, seed=1102)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from jointrec import dictionary as dictionary_module
+from conftest import gaussian_atom_2d, modulated_atom_1d
 from jointrec import (Dictionary, GaussianAtom2D,
                       babel_function, build_gabor_1d_dictionary,
-                      build_gaussian_2d_dictionary, gaussian_atom_2d,
-                      gram_row, modulated_atom_1d, odd_translations)
+                      build_gaussian_2d_dictionary, gram_row,
+                      odd_translations)
 from jointrec.dictionary import DUPLICATE_ATOM_TOL, UNIT_NORM_TOL
 
 
@@ -229,18 +230,13 @@ class TestDictionaryType:
             Dictionary(2.0 * np.eye(4))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_rejects_non_finite_atoms(self, bad, normalize):
+    def test_rejects_non_finite_atoms(self, bad):
         atoms = np.eye(4)[:, :3]
         atoms[1, 2] = bad
         with pytest.raises(ValueError, match="atoms must be finite"):
-            Dictionary(atoms, normalize=normalize)
+            Dictionary(atoms)
         with pytest.raises(ValueError, match="atoms must be finite"):
-            Dictionary(np.full((4, 3), math.nan), normalize=normalize)
-
-    def test_normalize_flag(self):
-        d = Dictionary(2.0 * np.eye(4), normalize=True)
-        assert np.allclose(np.linalg.norm(d.atoms, axis=0), 1.0)
+            Dictionary(np.full((4, 3), math.nan))
 
     def test_stores_c_ordered_copy(self):
         rng = np.random.default_rng(3)

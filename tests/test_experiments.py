@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,16 @@ def count_correlation_tables(monkeypatch):
     return calls
 
 
+def load_bench_layers():
+    """The benchmark's wrap-site table and tracer, ``jrbench/layers.py``,
+    executed from its source text so that no bytecode is written."""
+    path = Path(__file__).resolve().parents[1] / "jrbench" / "layers.py"
+    module = types.ModuleType("jrbench_layers")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
+
+
 class TestRunners:
     @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
     def test_pinned_outputs(self, tmp_path, name):
@@ -350,6 +361,23 @@ class TestRunners:
         config.trials = 1
         run_experiment(config)
         assert calls == config.measurements
+
+    @pytest.mark.parametrize("name", ["transform-error-vs-m-small",
+                                      "recovery-vs-views-desk",
+                                      "two-view-1d"])
+    def test_benchmark_wrap_sites_reached(self, tmp_path, name):
+        # the benchmark times each layer by patching the module attribute
+        # through which the pipeline looks it up; a copy of the function
+        # bound under another name would leave its layer unmeasured
+        layers = load_bench_layers()
+        tracer = layers.Tracer()
+        sites = {layer for *_, layer in layers.WRAP_SITES}
+        config = get_preset(name)
+        config.trials = 1
+        with layers.patched(tracer, sites) as missing:
+            run_experiment(config).write(tmp_path)
+        assert missing == []
+        assert sorted(sites - set(tracer.totals())) == []
 
     def test_cells_decode_sliced_candidate_sets(self, monkeypatch):
         seen = {}
@@ -668,6 +696,10 @@ class TestCli:
          "error: master_seed must be a non-negative integer, not -1"),
         (lambda tmp: tiny_gabor_config(), ["--seed", "-1"],
          "error: master_seed must be a non-negative integer, not -1"),
+        # more rows than the signal has samples is refused before any draw
+        (lambda tmp: tiny_gabor_config(measurements=1_000_000_000), [],
+         "error: measurement counts must not exceed the signal length "
+         "N = 120"),
     ])
     def test_run_invalid_config_exits_2(self, tmp_path, capsys, make, extra,
                                         message):
@@ -855,6 +887,10 @@ class TestCli:
         (lambda inst: inst.update(identity_sensing=False, measurements=30,
                                   seed=-5, signal_csvs=["missing.csv"]),
          "error: seed must be a non-negative integer, not -5"),
+        (lambda inst: inst.update(identity_sensing=False, measurements=121,
+                                  signal_csvs=["missing.csv"]),
+         "error: measurement counts must not exceed the signal length "
+         "N = 120"),
     ])
     def test_decode_invalid_instance_exits_2(self, tmp_path, capsys, edit,
                                              message):

@@ -96,7 +96,3 @@ class TestMeasurementSet:
             measure_ensemble(mats, [y, broken])
         with pytest.raises(ValueError, match="^view 1 "):
             MeasurementSet(tuple(mats[:1]), (np.full(6, bad),))
-
-    def test_seed_recorded(self):
-        a = sample_sensing_matrix(5, 10, seed=42)
-        assert a.seed == 42

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import enumerate_vectors
 from jointrec import (AtomTransform, CandidateSet, Dictionary,
                       apply_to_support, identity_transform,
-                      transform_from_mapping, translation_transform)
+                      translation_transform)
 from jointrec.transforms import TransformVector
 
 
@@ -38,8 +38,7 @@ class TestAtomTransform:
 
     def test_equality_by_mapping(self, small_gabor_dict):
         a = identity_transform(small_gabor_dict)
-        b = transform_from_mapping("same",
-                                   np.arange(small_gabor_dict.n_atoms))
+        b = AtomTransform("same", np.arange(small_gabor_dict.n_atoms))
         assert a == b and hash(a) == hash(b)
 
 
@@ -116,7 +115,7 @@ def holed(dictionary, step):
     keep = [i for i in range(dictionary.n_atoms) if i % step]
     return Dictionary(dictionary.atoms[:, keep],
                       params=[dictionary.params[i] for i in keep],
-                      variant=dictionary.variant, grid=dictionary.grid)
+                      variant=dictionary.variant)
 
 
 # every preset offset, including zero, then off-grid and far-out offsets
@@ -147,8 +146,8 @@ class TestTranslationOracle:
         # repeated offset must give the very same transform object
         repeated = offsets + offsets[::-1]
         for cands, rows in (
-                (CandidateSet.from_offsets(dictionary, [offsets, repeated]),
-                 [offsets, repeated]),
+                (CandidateSet.from_uniform_offsets(dictionary, offsets, 2),
+                 [offsets]),
                 (CandidateSet.from_uniform_offsets(dictionary, repeated, 3),
                  [repeated, repeated])):
             assert cands.identity.is_identity
@@ -203,8 +202,11 @@ class TestOffsetParsing:
                             "integer on a gabor_1d dictionary")
         with pytest.raises(ValueError, match=message):
             translation_transform(small_gabor_dict, offset)
-        with pytest.raises(ValueError, match=message):
-            CandidateSet.from_offsets(small_gabor_dict, [[0], [10, offset]])
+        # parsed even at one view, where no candidate list is kept
+        for n_views in (1, 3):
+            with pytest.raises(ValueError, match=message):
+                CandidateSet.from_uniform_offsets(
+                    small_gabor_dict, [10, offset], n_views)
 
     @pytest.mark.parametrize("offset", [
         (2, -2), [2, -2], (np.int64(2), np.int32(-2)), np.array([2, -2]),
@@ -226,10 +228,11 @@ class TestOffsetParsing:
         assert type(t.spec()["offset"]) is int
 
     def test_equal_offsets_share_one_realization(self, small_gabor_dict):
-        cands = CandidateSet.from_offsets(
-            small_gabor_dict, [[10, np.int64(10)], [[10], -10]])
-        assert cands.per_view[0][0] is cands.per_view[0][1]
-        assert cands.per_view[0][0] is cands.per_view[1][0]
+        cands = CandidateSet.from_uniform_offsets(
+            small_gabor_dict, [10, np.int64(10), [10], -10], 3)
+        first, second = cands.per_view
+        assert first[0] is first[1] is first[2] is second[0]
+        assert first[3] is second[3] and first[3] is not first[0]
 
     def test_huge_offset_leaves_the_grid(self, small_gabor_dict):
         for offset in (2**70, -2**70):
@@ -299,9 +302,16 @@ class TestCandidateSet:
         assert cands.size == 729
 
     def test_repeated_offsets_share_realizations(self, small_gaussian_dict):
-        cands = CandidateSet.from_offsets(
-            small_gaussian_dict, [[(2, 2), (0, 0)], [(2, 2)]])
+        cands = CandidateSet.from_uniform_offsets(
+            small_gaussian_dict, [(2, 2), (0, 0), [2, 2]], 3)
+        assert cands.per_view[0][0] is cands.per_view[0][2]
         assert cands.per_view[0][0] is cands.per_view[1][0]
+
+    @pytest.mark.parametrize("n_views", [1, 3])
+    def test_empty_offsets_rejected(self, small_gaussian_dict, n_views):
+        with pytest.raises(ValueError, match="at least one candidate"):
+            CandidateSet.from_uniform_offsets(small_gaussian_dict, [],
+                                              n_views)
 
 
 def _tiny_1d():
