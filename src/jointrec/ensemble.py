@@ -47,8 +47,8 @@ class SignalEnsemble:
     margin: float
     min_energy: float
     max_energy: float
-    # draws made, the accepted one included; None when not recorded
-    attempts: int | None = None
+    # draws made, the accepted one included
+    attempts: int
 
     @property
     def n_views(self) -> int:

@@ -35,8 +35,7 @@ from . import decode
 from .dictionary import (Dictionary, build_gabor_1d_dictionary,
                          build_gaussian_2d_dictionary, odd_translations)
 from .ensemble import generate_ensemble, load_signal_csv
-from .sensing import (MeasurementSet, identity_sensing, measure_ensemble,
-                      sample_sensing_matrix)
+from .sensing import identity_sensing, measure_ensemble, sample_sensing_matrix
 from .transforms import CandidateSet, TransformVector, translation_shift
 
 KIND_TRANSFORM_ERROR = "transform-error-vs-M"
@@ -299,6 +298,7 @@ _CONFIG_TYPES = (
                                   "require_positivity", "fresh_ensembles")),
     ("signal_paths", _optional(_list_of(_is_str)),
      "null or a list of strings"),
+    ("output_dir", *_STR),
 )
 
 
@@ -631,19 +631,6 @@ def _load_signals(paths, dictionary: Dictionary) -> list[np.ndarray]:
     return signals
 
 
-def _sense(dictionary: Dictionary, signals, n_measurements, identity: bool,
-           seed: np.random.SeedSequence) -> MeasurementSet:
-    """Measure every view, with identity sensing or with one Gaussian
-    matrix per view drawn from the children of ``seed``."""
-    n = dictionary.signal_length
-    if identity:
-        matrices = [identity_sensing(n)] * len(signals)
-    else:
-        matrices = [sample_sensing_matrix(n_measurements, n, ss)
-                    for ss in seed.spawn(len(signals))]
-    return measure_ensemble(matrices, signals)
-
-
 def _sweep_cells(config: ExperimentConfig) -> list[tuple[int, int, int]]:
     """(sweep value, J, M) per cell, in sweep order."""
     if isinstance(config.views, list):
@@ -653,55 +640,32 @@ def _sweep_cells(config: ExperimentConfig) -> list[tuple[int, int, int]]:
     return [(config.measurements, config.views, config.measurements)]
 
 
-def _run_trial(config: ExperimentConfig, dictionary, candidates, sweep: int,
-               n_measurements: int, trial: int, seed: int, ensemble, signals):
-    """Sense one trial's signals and decode them with the kind's decoders.
+def _decode_views(dictionary: Dictionary, candidates, signals,
+                  n_measurements, identity: bool,
+                  seed: np.random.SeedSequence, sparsity: int, algorithms):
+    """Measure every view and decode the measurements with each named core.
 
-    Without ingested ``signals`` the trial decodes ``ensemble``, or a
-    fresh one drawn from the trial seed when that is None.  The per-view
-    correlations c_j are computed once and every decoder's core reads
-    that one table; each record's wall time is its core's alone, without
-    c_j.  Ingested signals have no ground truth, so their recovery and
-    transform metrics are None.  Returns the records and the ensemble
-    decoded.
+    The views are measured with identity sensing, or with one Gaussian
+    matrix per view drawn from the children of ``seed``.  The per-view
+    correlations c_j are computed once, and every core reads that one
+    table.  Returns (algorithm, DecodeResult, seconds) per algorithm, in
+    order; the seconds time the core alone, without c_j.
     """
-    truth_ss, ensemble_ss, sensing_ss = np.random.SeedSequence(seed).spawn(3)
-    if signals is None:
-        if ensemble is None:
-            truth = _sample_truth(candidates, np.random.default_rng(truth_ss))
-            ensemble = generate_ensemble(
-                dictionary, config.sparsity, truth, config.coeff_rule,
-                seed=ensemble_ss, max_attempts=config.max_attempts,
-                require_margin=config.require_margin,
-                require_positivity=config.require_positivity,
-                coeff_range=tuple(config.coeff_range))
-        signals = ensemble.signals
-    measurements = _sense(dictionary, signals, n_measurements,
-                          config.identity_sensing, sensing_ss)
-
+    n = dictionary.signal_length
+    if identity:
+        matrices = [identity_sensing(n)] * len(signals)
+    else:
+        matrices = [sample_sensing_matrix(n_measurements, n, ss)
+                    for ss in seed.spawn(len(signals))]
+    measurements = measure_ensemble(matrices, signals)
     base = decode.atom_measurement_correlations(measurements, dictionary)
-    records = []
-    for algorithm in EXPERIMENT_KINDS[config.kind].algorithms:
+    decoded = []
+    for algorithm in algorithms:
         start = time.perf_counter()
         result = decode._DECODERS[algorithm](
-            base, measurements, dictionary, config.sparsity, candidates)
-        wall = time.perf_counter() - start
-        if ensemble is None:
-            recovery = transform_correct = None
-        else:
-            recovery = recovery_rate(ensemble.supports, result.supports)
-            transform_correct = (
-                None if result.transforms is None
-                else bool(result.transforms == ensemble.transforms))
-        records.append(TrialRecord(
-            sweep=sweep, algorithm=algorithm, trial=trial, seed=seed,
-            recovery_rate=recovery,
-            mse=compute_mse(signals, result.reconstructions),
-            transform_correct=transform_correct,
-            rank_deficient=result.rank_deficient,
-            wall_time=wall,
-        ))
-    return records, ensemble
+            base, measurements, dictionary, sparsity, candidates)
+        decoded.append((algorithm, result, time.perf_counter() - start))
+    return decoded
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
@@ -709,9 +673,15 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
 
     The dictionary is built once and the candidate set realized once, for
     the largest view count; a cell with J views decodes with the first
-    J - 1 candidate lists.  Trial seeds follow (cell, trial) order.  With
+    J - 1 candidate lists.  Trial seeds follow (cell, trial) order, and
+    each trial seed spawns the truth, ensemble and sensing seeds.  A trial
+    decodes the ingested signals if there are any, and otherwise an
+    ensemble drawn from its truth and ensemble seeds; with
     ``fresh_ensembles`` off, a cell's trials all decode its first trial's
-    ensemble, so only the sensing varies.
+    ensemble, so only the sensing varies.  Ingested signals have no
+    ground truth, so their recovery and transform metrics are None.  Each
+    record's wall time is its decoder core's alone, without the trial's
+    shared c_j table.
     """
     validate_config(config)
     started = time.perf_counter()
@@ -722,18 +692,46 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     signals = (None if config.signal_paths is None
                else _load_signals(config.signal_paths, dictionary))
     seeds = _trial_seeds(config.master_seed, len(cells) * config.trials)
+    algorithms = EXPERIMENT_KINDS[config.kind].algorithms
     records = []
     for index, (sweep, n_views, n_measurements) in enumerate(cells):
         candidates = CandidateSet(full.identity, full.per_view[:n_views - 1])
         ensemble = None
         for trial in range(config.trials):
             seed = int(seeds[index * config.trials + trial])
-            trial_records, decoded = _run_trial(
-                config, dictionary, candidates, sweep, n_measurements, trial,
-                seed, ensemble, signals)
-            records.extend(trial_records)
-            if not config.fresh_ensembles:
-                ensemble = decoded
+            truth_ss, ensemble_ss, sensing_ss = (
+                np.random.SeedSequence(seed).spawn(3))
+            if signals is None and (ensemble is None
+                                    or config.fresh_ensembles):
+                ensemble = generate_ensemble(
+                    dictionary, config.sparsity,
+                    _sample_truth(candidates,
+                                  np.random.default_rng(truth_ss)),
+                    config.coeff_rule, seed=ensemble_ss,
+                    max_attempts=config.max_attempts,
+                    require_margin=config.require_margin,
+                    require_positivity=config.require_positivity,
+                    coeff_range=tuple(config.coeff_range))
+            views = signals if ensemble is None else ensemble.signals
+            for algorithm, result, wall in _decode_views(
+                    dictionary, candidates, views, n_measurements,
+                    config.identity_sensing, sensing_ss, config.sparsity,
+                    algorithms):
+                recovery = transform_correct = None
+                if ensemble is not None:
+                    recovery = recovery_rate(ensemble.supports,
+                                             result.supports)
+                    if result.transforms is not None:
+                        transform_correct = bool(
+                            result.transforms == ensemble.transforms)
+                records.append(TrialRecord(
+                    sweep=sweep, algorithm=algorithm, trial=trial, seed=seed,
+                    recovery_rate=recovery,
+                    mse=compute_mse(views, result.reconstructions),
+                    transform_correct=transform_correct,
+                    rank_deficient=result.rank_deficient,
+                    wall_time=wall,
+                ))
     return ResultTable(kind=config.kind, config_hash=config_hash(config),
                        master_seed=config.master_seed, records=records,
                        config=config,
@@ -798,16 +796,14 @@ def decode_instance(instance: dict):
                    inst.identity_sensing)
     dictionary = dictionary_config.build()
     signals = _load_signals(inst.signal_csvs, dictionary)
-    measurements = _sense(dictionary, signals, inst.measurements,
-                          inst.identity_sensing,
-                          np.random.SeedSequence(inst.seed))
     candidates = None
     if joint:
         candidates = CandidateSet.from_uniform_offsets(
             dictionary, inst.candidate_offsets, len(signals))
-    result = decode._DECODERS[inst.algorithm](
-        decode.atom_measurement_correlations(measurements, dictionary),
-        measurements, dictionary, inst.sparsity, candidates)
+    [(_, result, _)] = _decode_views(
+        dictionary, candidates, signals, inst.measurements,
+        inst.identity_sensing, np.random.SeedSequence(inst.seed),
+        inst.sparsity, (inst.algorithm,))
     summary = {
         "algorithm": inst.algorithm,
         "score": result.score,

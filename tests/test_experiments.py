@@ -7,7 +7,9 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from jointrec import (CandidateSet, DictionaryConfig, ExperimentConfig,
 from jointrec import decode, experiments
 from jointrec.cli import _build_parser
 from jointrec.cli import main as cli_main
+from jointrec.ensemble import load_signal_csv
 from jointrec.experiments import load_config, save_config
 
 
@@ -216,6 +219,17 @@ class TestConfig:
             ExperimentConfig.from_dict(data)
         assert str(info.value) == f"missing ExperimentConfig key(s): '{key}'"
 
+    @pytest.mark.parametrize("rules, cls", [
+        (experiments._CONFIG_TYPES, ExperimentConfig),
+        (DictionaryConfig._FIELD_TYPES, DictionaryConfig),
+        (experiments._INSTANCE_TYPES, experiments.DecodeInstance),
+    ], ids=["config", "dictionary", "instance"])
+    def test_type_rules_cover_every_field(self, rules, cls):
+        # a field without a rule reaches the run with any JSON value; the
+        # dictionary of a config or instance gets its own mapping check
+        assert ({name for name, *_ in rules}
+                == {f.name for f in fields(cls)} - {"dictionary"})
+
 
 class TestPresets:
     def test_names_and_retrieval(self):
@@ -322,6 +336,26 @@ def count_correlation_tables(monkeypatch):
     return calls
 
 
+def spy_signal_source(monkeypatch):
+    """Record every ensemble drawn and the signals of every trial decoded,
+    in call order."""
+    drawn, decoded = [], []
+    generate = experiments.generate_ensemble
+    decode_views = experiments._decode_views
+
+    def drawing(*args, **kwargs):
+        drawn.append(generate(*args, **kwargs))
+        return drawn[-1]
+
+    def decoding(dictionary, candidates, signals, *args):
+        decoded.append(signals)
+        return decode_views(dictionary, candidates, signals, *args)
+
+    monkeypatch.setattr(experiments, "generate_ensemble", drawing)
+    monkeypatch.setattr(experiments, "_decode_views", decoding)
+    return drawn, decoded
+
+
 def load_bench_layers():
     """The benchmark's wrap-site table and tracer, ``jrbench/layers.py``,
     executed from its source text so that no bytecode is written."""
@@ -381,13 +415,14 @@ class TestRunners:
 
     def test_cells_decode_sliced_candidate_sets(self, monkeypatch):
         seen = {}
-        run_trial = experiments._run_trial
+        decode_views = experiments._decode_views
 
-        def spy(config, dictionary, candidates, sweep, *args):
-            seen[sweep] = (dictionary, candidates)
-            return run_trial(config, dictionary, candidates, sweep, *args)
+        def spy(dictionary, candidates, signals, *args):
+            assert len(signals) == candidates.n_views
+            seen[candidates.n_views] = (dictionary, candidates)
+            return decode_views(dictionary, candidates, signals, *args)
 
-        monkeypatch.setattr(experiments, "_run_trial", spy)
+        monkeypatch.setattr(experiments, "_decode_views", spy)
         cfg = tiny_gaussian_config(kind="recovery-vs-J", views=[3, 1, 2],
                                    measurements=24)
         run_experiment(cfg)
@@ -497,14 +532,49 @@ class TestRunners:
         b = run_experiment(tiny_gabor_config(master_seed=43))
         assert ([r.seed for r in a.records] != [r.seed for r in b.records])
 
-    def test_fixed_ensemble_mode(self):
-        cfg = tiny_gabor_config(fresh_ensembles=False, trials=3)
-        table = run_experiment(cfg)
-        # same ensemble, varying sensing: per-trial supports agree, so the
-        # jt recovery rates may differ only through sensing noise; just
-        # check the run completes and seeds differ per trial
-        seeds = sorted({r.seed for r in table.records})
-        assert len(seeds) == 3
+    def test_fixed_ensemble_mode(self, monkeypatch):
+        drawn, decoded = spy_signal_source(monkeypatch)
+        table = run_experiment(tiny_gaussian_config(fresh_ensembles=False,
+                                                    trials=3))
+        # two cells of three trials: one ensemble per cell, whose signal
+        # arrays every trial of the cell decodes under its own seed
+        assert len(drawn) == 2
+        assert len(decoded) == 6
+        for index, signals in enumerate(decoded):
+            assert signals is drawn[index // 3].signals
+        assert len({r.seed for r in table.records}) == 6
+
+    def test_fresh_ensemble_per_trial(self, monkeypatch):
+        drawn, decoded = spy_signal_source(monkeypatch)
+        run_experiment(tiny_gaussian_config(trials=3))
+        assert len(drawn) == len(decoded) == 6
+        for ensemble, signals in zip(drawn, decoded):
+            assert signals is ensemble.signals
+
+    def test_ingested_signals_draw_no_ensemble(self, tmp_path, monkeypatch):
+        drawn, decoded = spy_signal_source(monkeypatch)
+        paths = write_signal_pair(tmp_path)
+        run_experiment(tiny_gabor_config(signal_paths=paths, trials=2))
+        assert drawn == []
+        assert len(decoded) == 2
+        for signals in decoded:
+            for path, view in zip(paths, signals, strict=True):
+                assert np.array_equal(view, load_signal_csv(path))
+
+    def test_wall_time_leaves_out_correlations(self, monkeypatch):
+        # TrialRecord.wall_time times the decoder core alone; the trial's
+        # shared c_j table is made before the cores run
+        correlate = decode.atom_measurement_correlations
+
+        def slow(measurements, dictionary):
+            time.sleep(0.2)
+            return correlate(measurements, dictionary)
+
+        monkeypatch.setattr(decode, "atom_measurement_correlations", slow)
+        table = run_experiment(tiny_gabor_config(trials=1))
+        assert [r.algorithm for r in table.records] == ["jt", "it"]
+        assert all(r.wall_time < 0.2 for r in table.records)
+        assert table.wall_time_total > 0.2
 
 
 class TestResultTable:
@@ -700,6 +770,11 @@ class TestCli:
         (lambda tmp: tiny_gabor_config(measurements=1_000_000_000), [],
          "error: measurement counts must not exceed the signal length "
          "N = 120"),
+        # refused before the run, not by the write after it
+        (lambda tmp: tiny_gabor_config(output_dir=5), [],
+         "error: output_dir must be a string, not 5"),
+        (lambda tmp: tiny_gabor_config(output_dir=None), [],
+         "error: output_dir must be a string, not None"),
     ])
     def test_run_invalid_config_exits_2(self, tmp_path, capsys, make, extra,
                                         message):
