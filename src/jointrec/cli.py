@@ -11,7 +11,9 @@ Invalid or unreadable input (a bad or missing config, instance, table
 or signal file, or malformed JSON) ends with a one-line ``error:``
 message and exit status 2.  ``run`` exits with status 1 when ensemble
 generation fails, so callers can tell infeasible configurations from
-crashes.  Errors while writing output are not caught.
+crashes.  ``run`` and ``decode`` make their output directory before
+any computation, so an unusable one fails before the run, not after it;
+errors while making it or writing output are not caught.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .decode import _DECODERS
 from .ensemble import EnsembleGenerationError
 from .experiments import (_parse_json, decode_instance, describe_presets,
                           emit_plot_data, get_preset, load_config,
-                          preset_names, read_trials_csv, run_experiment)
+                          preset_names, read_trials_csv, run_experiment,
+                          validate_config)
 
 
 @contextlib.contextmanager
@@ -110,6 +113,9 @@ def _cmd_run(args) -> int:
     if args.signals is not None:
         config.signal_paths = args.signals
 
+    # a bad config exits 2 before its output directory is made
+    validate_config(config)
+    Path(config.output_dir).mkdir(parents=True, exist_ok=True)
     try:
         with _reading():
             table = run_experiment(config)
@@ -162,11 +168,11 @@ def _cmd_decode(args) -> int:
         if args.offsets is not None:
             instance["candidate_offsets"] = _parse_json(args.offsets,
                                                         "--offsets")
+    out_dir = Path(args.out) if args.out else instance_path.parent
+    out_dir.mkdir(parents=True, exist_ok=True)
     with _reading():
         result, summary = decode_instance(instance)
 
-    out_dir = Path(args.out) if args.out else instance_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     result_path = out_dir / "decode_result.json"
     result_path.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")

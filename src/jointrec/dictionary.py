@@ -8,7 +8,11 @@ truncated by the grid border, and normalized to unit Euclidean norm
 afterwards, so every column of the atom matrix has norm 1.
 
 Construction is deterministic: the same parameter grid always yields a
-bit-identical atom matrix with the same column order.
+bit-identical atom matrix with the same column order.  Each atom shape
+is evaluated once, on the grid of integer offsets from its center, and
+every atom is a window of that pattern; the offsets are exact in
+floating point, so each atom holds the bits it would have if evaluated
+on its own pixel or sample grid.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 UNIT_NORM_TOL = 1e-9
 DUPLICATE_ATOM_TOL = 1e-12
@@ -65,7 +70,8 @@ class Dictionary:
         atoms = np.array(atoms, dtype=float, order="C")
         if atoms.ndim != 2 or atoms.shape[0] == 0 or atoms.shape[1] == 0:
             raise ValueError("atoms must be a nonempty N x K matrix")
-        norms = np.linalg.norm(atoms, axis=0)
+        # np.linalg.norm(atoms, axis=0) would hold a full-size x*x temporary
+        norms = np.sqrt(np.einsum("ij,ij->j", atoms, atoms))
         # a NaN entry makes its column's norm NaN, which no bound rejects
         if not np.all(np.isfinite(norms)):
             raise ValueError("atoms must be finite, with finite norms")
@@ -149,13 +155,14 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
         if not (0 <= tx < width and 0 <= ty < height):
             raise ValueError(f"translation ({tx}, {ty}) outside the image grid")
 
-    xs = np.arange(width, dtype=float)
-    ys = np.arange(height, dtype=float)
-    txs = np.array([t[0] for t in translations], dtype=float)
-    tys = np.array([t[1] for t in translations], dtype=float)
-    # broadcast to (n_translations, height, width) per (theta, sx, sy) combo
-    u = xs[np.newaxis, np.newaxis, :] - txs[:, np.newaxis, np.newaxis]
-    v = ys[np.newaxis, :, np.newaxis] - tys[:, np.newaxis, np.newaxis]
+    # a shape's value at pixel (x, y) depends only on the exact integer
+    # offset (x - tx, y - ty), so each shape is evaluated once over every
+    # offset, and the atom at (tx, ty) is the (height, width) window of
+    # that pattern whose corner sits at offset (-tx, -ty)
+    du = np.arange(1 - width, width, dtype=float)[np.newaxis, :]
+    dv = np.arange(1 - height, height, dtype=float)[:, np.newaxis]
+    txs = np.array([t[0] for t in translations])
+    tys = np.array([t[1] for t in translations])
 
     # each shape's atoms are written into one array as they are made, so
     # no second copy of every atom is held through duplicate removal
@@ -166,18 +173,32 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
     for i, (theta, sx, sy) in enumerate(shapes):
         c = np.cos(theta)
         s = np.sin(theta)
-        rx = (u * c - v * s) / sx
-        ry = (v * c + u * s) / sy
-        vals = np.exp(-rx * rx - ry * ry).reshape(n_t, -1)
+        rx = (du * c - dv * s) / sx
+        ry = (dv * c + du * s) / sy
+        pattern = np.exp(-rx * rx - ry * ry)
+        windows = sliding_window_view(pattern, (height, width))[::-1, ::-1]
+        vals = rows[i * n_t:(i + 1) * n_t]
+        vals.reshape(n_t, height, width)[...] = windows[tys, txs]
         vals /= np.linalg.norm(vals, axis=1, keepdims=True)
-        rows[i * n_t:(i + 1) * n_t] = vals
         params.extend(GaussianAtom2D(theta, sx, sy, tx, ty)
                       for tx, ty in translations)
     keep = _drop_duplicate_atoms(rows, params)
-    # rebinding frees the full array before Dictionary makes its copies
-    rows = rows[keep]
-    return Dictionary(rows.T, params=[params[i] for i in keep],
+    atoms = _columns(rows, keep)
+    # the row array and the loop's last view of it go before Dictionary
+    # makes its copy
+    del rows, vals
+    return Dictionary(atoms, params=[params[i] for i in keep],
                       variant="gaussian_2d")
+
+
+def _columns(rows, keep):
+    """The (N, len(keep)) matrix whose columns are ``rows[keep]``, written
+    in blocks so that no full-size temporary is made."""
+    atoms = np.empty((rows.shape[1], len(keep)))
+    block = 256
+    for j in range(0, len(keep), block):
+        atoms[:, j:j + block] = rows[keep[j:j + block]].T
+    return atoms
 
 
 def _drop_duplicate_atoms(rows, params):
@@ -256,22 +277,35 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
     if not all(map(math.isfinite, omegas)):
         raise ValueError("frequencies must be finite")
 
-    x = np.arange(1, n + 1, dtype=float)
-    columns = []
-    params = []
-    for t in range(t_start, n + 1, t_step):
-        for s in scales:
-            u = (x - t) / s
-            window = np.exp(-u * u)
-            for omega in omegas:
-                g = window * np.cos(omega * u)
-                g = g / np.linalg.norm(g)
-                columns.append(g)
-                params.append(ModulatedAtom1D(t, s, omega, 1))
-                if include_negated:
-                    columns.append(-g)
-                    params.append(ModulatedAtom1D(t, s, omega, -1))
-    atoms = np.column_stack(columns)
+    # atom (t, s, omega) samples its shape at the offsets x - t, so each
+    # (s, omega) shape is evaluated once over every offset 1 - t_last ..
+    # n - t_start and the atom at t is the n samples from offset 1 - t
+    centers = range(t_start, n + 1, t_step)
+    t_last = centers[-1]
+    offsets = np.arange(1 - t_last, n - t_start + 1, dtype=float)
+    patterns = np.empty((len(scales), len(omegas), offsets.size))
+    for i, s in enumerate(scales):
+        u = offsets / s
+        window = np.exp(-u * u)
+        for j, omega in enumerate(omegas):
+            patterns[i, j] = window * np.cos(omega * u)
+    signs = (1, -1) if include_negated else (1,)
+    rows = np.empty((len(centers), len(scales), len(omegas), len(signs), n))
+    for k, t in enumerate(centers):
+        rows[k, :, :, 0] = patterns[:, :, t_last - t:t_last - t + n]
+    rows = rows.reshape(-1, len(signs), n)
+    for g in rows[:, 0]:
+        # the norm of a 1-D vector, as np.linalg.norm computes it
+        g /= np.sqrt(g.dot(g))
+    if include_negated:
+        np.negative(rows[:, 0], out=rows[:, 1])
+    rows = rows.reshape(-1, n)
+    atoms = _columns(rows, np.arange(rows.shape[0]))
+    # the row array and the loop's last view of it go before Dictionary
+    # makes its copy
+    del rows, g
+    params = [ModulatedAtom1D(t, s, omega, sign) for t in centers
+              for s in scales for omega in omegas for sign in signs]
     return Dictionary(atoms, params=params, variant="gabor_1d")
 
 

@@ -2,9 +2,11 @@
 
 The full-size dictionaries take a few seconds to build, so they are
 session-scoped and shared between the unit tests and the acceptance
-suite.  ``enumerate_vectors`` is the oracle of enumeration order, and
+suite.  ``enumerate_vectors`` is the oracle of enumeration order.
 ``gaussian_atom_2d`` and ``modulated_atom_1d`` sample one atom at a time,
-the oracles of the vectorized dictionary builders.
+and ``gaussian_2d_oracle`` and ``gabor_1d_oracle`` evaluate every atom
+on its full grid; they are the oracles of the dictionary builders, which
+evaluate each atom shape once over its offsets.
 """
 
 from itertools import product
@@ -12,8 +14,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from jointrec import (Dictionary, TransformVector, build_gabor_1d_dictionary,
+from jointrec import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
+                      TransformVector, build_gabor_1d_dictionary,
                       build_gaussian_2d_dictionary, odd_translations)
+from jointrec.dictionary import _drop_duplicate_atoms
 
 
 @pytest.fixture(scope="session")
@@ -99,3 +103,51 @@ def modulated_atom_1d(n: int, params) -> np.ndarray:
     u = (x - params.t) / params.s
     values = params.sign * np.exp(-u * u) * np.cos(params.omega * u)
     return values / np.linalg.norm(values)
+
+
+def gaussian_2d_oracle(width, height, thetas, sxs, sys, translations):
+    """(atoms, params) of build_gaussian_2d_dictionary, with each shape
+    evaluated over the full (translation, y, x) grid."""
+    thetas, sxs, sys = ([float(a) for a in grid] for grid in (thetas, sxs, sys))
+    xs = np.arange(width, dtype=float)
+    ys = np.arange(height, dtype=float)
+    txs = np.array([t[0] for t in translations], dtype=float)
+    tys = np.array([t[1] for t in translations], dtype=float)
+    u = xs[np.newaxis, np.newaxis, :] - txs[:, np.newaxis, np.newaxis]
+    v = ys[np.newaxis, :, np.newaxis] - tys[:, np.newaxis, np.newaxis]
+    blocks = []
+    params = []
+    for theta, sx, sy in product(thetas, sxs, sys):
+        c = np.cos(theta)
+        s = np.sin(theta)
+        rx = (u * c - v * s) / sx
+        ry = (v * c + u * s) / sy
+        vals = np.exp(-rx * rx - ry * ry).reshape(len(translations), -1)
+        vals /= np.linalg.norm(vals, axis=1, keepdims=True)
+        blocks.append(vals)
+        params.extend(GaussianAtom2D(theta, sx, sy, tx, ty)
+                      for tx, ty in translations)
+    rows = np.concatenate(blocks)
+    keep = _drop_duplicate_atoms(rows, params)
+    return rows[keep].T, [params[i] for i in keep]
+
+
+def gabor_1d_oracle(n, t_start, t_step, scales, omegas, include_negated):
+    """(atoms, params) of build_gabor_1d_dictionary, one atom at a time
+    over the samples 1..n."""
+    x = np.arange(1, n + 1, dtype=float)
+    columns = []
+    params = []
+    for t in range(t_start, n + 1, t_step):
+        for s in scales:
+            u = (x - t) / s
+            window = np.exp(-u * u)
+            for omega in omegas:
+                g = window * np.cos(omega * u)
+                g = g / np.linalg.norm(g)
+                columns.append(g)
+                params.append(ModulatedAtom1D(t, s, omega, 1))
+                if include_negated:
+                    columns.append(-g)
+                    params.append(ModulatedAtom1D(t, s, omega, -1))
+    return np.column_stack(columns), params

@@ -1,12 +1,15 @@
 """Dictionary construction and coherence measures."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jointrec import dictionary as dictionary_module
-from conftest import gaussian_atom_2d, modulated_atom_1d
+from conftest import (gabor_1d_oracle, gaussian_2d_oracle, gaussian_atom_2d,
+                      modulated_atom_1d)
 from jointrec import (Dictionary, GaussianAtom2D,
                       babel_function, build_gabor_1d_dictionary,
                       build_gaussian_2d_dictionary, gram_row,
@@ -105,6 +108,96 @@ class TestDuplicateOracle:
                 <= 1.5 * DUPLICATE_ATOM_TOL)
         assert abs(rows[0].sum() - rows[1].sum()) <= 1e-15
         assert keep == [0, 1]
+
+
+# sha256 of atoms.tobytes() for the conftest dictionaries, as built by
+# evaluating every atom on its full grid
+PINNED_ATOM_DIGESTS = {
+    "full_gaussian_dict":
+        "d8851327e8ee7a7fb400f6d998b404dcce41f06b74a93e785f5a1e4f412d1ac0",
+    "full_gabor_dict":
+        "8d2a52458b1d96b44b828b3dbc32ad05c3c032629d0168c98305022b173c26e7",
+    "small_gaussian_dict":
+        "660986ae343461fa66cb4dc3ae40df06b426413c0216188454a06d01156a92f2",
+    "small_gabor_dict":
+        "3c5fee9f67e5f25e04a2c699308eec2ed06ddf7ced6c8eea32ca3a1824cda4ab",
+}
+
+
+class TestExactBits:
+    @pytest.mark.parametrize("name", sorted(PINNED_ATOM_DIGESTS))
+    def test_pinned_atom_digest(self, request, name):
+        atoms = request.getfixturevalue(name).atoms
+        assert (hashlib.sha256(atoms.tobytes()).hexdigest()
+                == PINNED_ATOM_DIGESTS[name])
+
+    @pytest.mark.parametrize("grid", [
+        # non-square, odd translations
+        (9, 12, np.linspace(0.0, np.pi, 4), [2.0, 4.0], [0.5, 1.0],
+         odd_translations(9, 12)),
+        # every translation, corners included
+        (7, 5, np.linspace(0.0, np.pi, 7), [2.0], [0.5, 1.0],
+         [(x, y) for x in range(7) for y in range(5)]),
+        # a repeated translation
+        (8, 8, np.linspace(0.0, np.pi, 3), [2.0], [0.5, 1.0],
+         odd_translations(8, 8) + [(3, 3)]),
+        # one angle, translations in no grid order
+        (6, 11, [0.3], [1.5, 3.0], [0.7], [(5, 0), (0, 10), (2, 4), (5, 10)]),
+        # a single pixel
+        (1, 1, [0.0, 1.0], [2.0], [1.0], [(0, 0)]),
+    ])
+    def test_gaussian_2d_matches_full_grid(self, grid):
+        built = build_gaussian_2d_dictionary(*grid)
+        atoms, params = gaussian_2d_oracle(*grid)
+        assert np.array_equal(built.atoms, atoms)
+        assert built.params == tuple(params)
+
+    @pytest.mark.parametrize("n, t_start, t_step, include_negated", [
+        (1000, 1, 10, True),
+        (97, 1, 7, True),      # t_step does not divide n
+        (120, 5, 10, True),    # t_start > 1
+        (120, 5, 7, False),    # no negated twins
+        (50, 1, 1, True),      # every sample a center
+        (60, 60, 3, True),     # one center, at the last sample
+        (1, 1, 1, False),      # a single sample
+    ])
+    def test_gabor_1d_matches_per_atom(self, n, t_start, t_step,
+                                       include_negated):
+        scales, omegas = [4.0, 8.0, 16.0], [2.0, 4.0, 6.0, 8.0, 10.0]
+        built = build_gabor_1d_dictionary(n, t_start, t_step, scales, omegas,
+                                          include_negated)
+        atoms, params = gabor_1d_oracle(n, t_start, t_step, scales, omegas,
+                                        include_negated)
+        assert np.array_equal(built.atoms, atoms)
+        assert built.params == tuple(params)
+        assert all(type(p.t) is int for p in built.params)
+
+    def test_gabor_1d_rejects_fractional_step(self):
+        with pytest.raises(TypeError):
+            build_gabor_1d_dictionary(100, t_step=2.5)
+
+
+class TestBuildMemory:
+    """The builders hold one row array and the atom matrix, not a second
+    full-size copy or temporary: a leaked view of the row array through
+    the Dictionary copy raises the 2D peak by about 50 MB."""
+
+    @staticmethod
+    def peak_mb(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_full_gaussian_2d_peak(self):
+        assert self.peak_mb(lambda: build_gaussian_2d_dictionary(
+            32, 32, np.linspace(0.0, np.pi, 7), [2.0, 4.0], [0.5, 1.0],
+            odd_translations(32, 32))) <= 120.0
+
+    def test_full_gabor_1d_peak(self):
+        assert self.peak_mb(lambda: build_gabor_1d_dictionary(1000)) <= 60.0
 
 
 class TestNonFiniteParameters:
@@ -237,6 +330,27 @@ class TestDictionaryType:
             Dictionary(atoms)
         with pytest.raises(ValueError, match="atoms must be finite"):
             Dictionary(np.full((4, 3), math.nan))
+
+    def test_rejects_overflowing_norm(self):
+        # the entry's square overflows to inf
+        atoms = np.eye(4)[:, :3]
+        atoms[1, 2] = 1e200
+        with pytest.raises(ValueError, match="atoms must be finite"):
+            Dictionary(atoms)
+
+    @pytest.mark.parametrize("offset, accepted", [
+        (2e-9, False), (-2e-9, False), (5e-10, True), (-5e-10, True)])
+    def test_unit_norm_tolerance(self, offset, accepted):
+        rng = np.random.default_rng(5)
+        cols = rng.standard_normal((64, 6))
+        atoms = cols / np.linalg.norm(cols, axis=0)
+        atoms[:, 4] *= 1.0 + offset
+        if accepted:
+            Dictionary(atoms)
+        else:
+            with pytest.raises(ValueError, match=r"atom columns must be unit "
+                               r"norm within 1e-09 \(worst deviation 2e-09\)"):
+                Dictionary(atoms)
 
     def test_stores_c_ordered_copy(self):
         rng = np.random.default_rng(3)

@@ -19,7 +19,7 @@ from jointrec import (CandidateSet, DictionaryConfig, ExperimentConfig,
                       build_gabor_1d_dictionary, config_hash, emit_plot_data,
                       get_preset, preset_names, read_trials_csv,
                       run_experiment, validate_config)
-from jointrec import decode, experiments
+from jointrec import cli, decode, experiments
 from jointrec.cli import _build_parser
 from jointrec.cli import main as cli_main
 from jointrec.ensemble import load_signal_csv
@@ -807,6 +807,20 @@ class TestCli:
         assert cli_main(["run", str(path)]) == 1
         assert "ensemble generation failed" in capsys.readouterr().err
 
+    def test_run_unusable_out_fails_before_running(self, tmp_path,
+                                                   monkeypatch):
+        # the output directory is made first, so a regular file in its
+        # place fails before any trial runs, and is not reported as input
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", runs.append)
+        path = tmp_path / "config.json"
+        save_config(tiny_gabor_config(), path)
+        with pytest.raises(FileExistsError):
+            cli_main(["run", str(path), "--out", str(taken)])
+        assert runs == []
+
     def test_emit_plots_verb(self, tmp_path):
         cfg = tiny_gabor_config(output_dir=str(tmp_path / "res"))
         path = tmp_path / "config.json"
@@ -1085,8 +1099,11 @@ class TestCli:
         assert cli_main(["emit-plots", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
-    def test_decode_unwritable_out_raises(self, tmp_path):
-        # only input errors exit 2; a failed write is not bad input
+    def test_decode_unwritable_out_raises(self, tmp_path, monkeypatch):
+        # only input errors exit 2; a failed write is not bad input, and
+        # the output directory is made before the instance is decoded
+        decodes = []
+        monkeypatch.setattr(cli, "decode_instance", decodes.append)
         sig = tmp_path / "view.csv"
         sig.write_text("0.5\n" * 120)
         instance = {
@@ -1099,6 +1116,7 @@ class TestCli:
         inst_path.write_text(json.dumps(instance))
         with pytest.raises(FileExistsError):
             cli_main(["decode", str(inst_path), "--out", str(sig)])
+        assert decodes == []
 
     def test_decode_invalid_signal_exits_2(self, tmp_path, capsys):
         sig = tmp_path / "view.csv"
