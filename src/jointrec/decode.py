@@ -207,27 +207,34 @@ def _gather(base: np.ndarray, candidates: CandidateSet) -> list:
 
 
 def _scores(row: np.ndarray, table: np.ndarray, sparsity: int):
-    """Yield (first, scores) per block: ``scores[r]`` is the top-S score
-    of ``row + table[first + r]``, -inf when that row has fewer than S
-    entries above -inf.
+    """Yield (first, scores) per block: ``scores[r]`` is the ``_top_s``
+    score of ``row + table[first + r]``.
 
     A block holds at most ``_BLOCK_BYTES`` of rows, or one row when a row
-    alone is larger.  ``np.partition`` finds the S largest entries of each
-    row; sorted in descending order they are the values that
-    ``select_top_s`` sums, in its order, so ``sum(axis=1)`` gives its
-    score bit for bit.  A row with fewer than S entries above -inf has
-    -inf among them and sums to -inf.  S outside 1..K raises ValueError.
+    alone is larger.
     """
-    k = row.size
+    width = max(1, _BLOCK_BYTES // (row.size * row.itemsize))
+    for first in range(0, len(table), width):
+        yield first, _top_s(row + table[first:first + width], sparsity)
+
+
+def _top_s(rows: np.ndarray, sparsity: int) -> np.ndarray:
+    """The top-S score of each row of the (n, K) array ``rows``: -inf when
+    that row has fewer than S entries above -inf.
+
+    ``np.partition`` finds the S largest entries of each row; sorted in
+    descending order they are the values that ``select_top_s`` sums, in
+    its order, so ``sum(axis=1)`` gives its score bit for bit.  A row
+    with fewer than S entries above -inf has -inf among them and sums to
+    -inf.  S outside 1..K raises ValueError.
+    """
+    k = rows.shape[1]
     if sparsity < 1:
         raise ValueError("sparsity must be at least 1")
     if sparsity > k:
         raise ValueError(_NO_VALID_CANDIDATE)
-    width = max(1, _BLOCK_BYTES // (k * row.itemsize))
-    for first in range(0, len(table), width):
-        rows = row + table[first:first + width]
-        top = np.partition(rows, k - sparsity, axis=1)[:, k - sparsity:]
-        yield first, (-np.sort(-top, axis=1)).sum(axis=1)
+    top = np.partition(rows, k - sparsity, axis=1)[:, k - sparsity:]
+    return (-np.sort(-top, axis=1)).sum(axis=1)
 
 
 def _best(row: np.ndarray, table: np.ndarray, sparsity: int):
@@ -308,9 +315,8 @@ def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
                     or score == best_score > -np.inf and picks + (i,) < best):
                 best_score, best = score, picks + (i,)
             continue
-        bounds = np.concatenate(
-            [s for _, s in _scores(row, table, sparsity)]) + rest[v]
         children = row + table
+        bounds = _top_s(children, sparsity) + rest[v]
         for c in np.argsort(-bounds, kind="stable")[::-1]:
             nodes.append((bounds[c], v + 1, picks + (int(c),), children[c]))
     if best is None:

@@ -18,14 +18,18 @@ on its own pixel or sample grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import product
+from operator import attrgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 UNIT_NORM_TOL = 1e-9
 DUPLICATE_ATOM_TOL = 1e-12
+# the parameter fields that locate an atom's center, per dictionary family
+_CENTER_FIELDS = {"gaussian_2d": ("tx", "ty"), "gabor_1d": ("t",)}
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,17 @@ class Dictionary:
     """
 
     def __init__(self, atoms, params=None, variant="custom"):
-        atoms = np.array(atoms, dtype=float, order="C")
+        self._adopt(np.array(atoms, dtype=float, order="C"), params, variant)
+
+    @classmethod
+    def _own(cls, atoms, params, variant):
+        """The builders' path: ``atoms`` is a fresh C-ordered float matrix
+        that no one else holds, so it is checked and frozen, not copied."""
+        dictionary = cls.__new__(cls)
+        dictionary._adopt(atoms, params, variant)
+        return dictionary
+
+    def _adopt(self, atoms, params, variant):
         if atoms.ndim != 2 or atoms.shape[0] == 0 or atoms.shape[1] == 0:
             raise ValueError("atoms must be a nonempty N x K matrix")
         # np.linalg.norm(atoms, axis=0) would hold a full-size x*x temporary
@@ -89,6 +103,22 @@ class Dictionary:
         self.params = params
         self.variant = variant
 
+    @cached_property
+    def _centers(self):
+        """(shape, cells, grid) locating every atom by shape and center,
+        made on first use and shared by all its readers; None without
+        parameter records or for a variant with no center fields.
+
+        ``shape[k]`` numbers atom k's shape (every parameter but the
+        center) and ``cells[k]`` is its center cell, counted from the
+        smallest center on each axis; ``grid[shape[k], *cells[k]] == k``,
+        and -1 marks a (shape, cell) with no atom.  The arrays are
+        read-only.
+        """
+        if self.params is None or self.variant not in _CENTER_FIELDS:
+            return None
+        return _center_grid(self.params, _CENTER_FIELDS[self.variant])
+
     @property
     def n_atoms(self) -> int:
         return self.atoms.shape[1]
@@ -103,6 +133,22 @@ class Dictionary:
     def __repr__(self):
         return (f"Dictionary(variant={self.variant!r}, "
                 f"n_atoms={self.n_atoms}, signal_length={self.signal_length})")
+
+
+def _center_grid(params, centers):
+    """The (shape, cells, grid) of ``Dictionary._centers`` for the records
+    ``params``, whose fields named in ``centers`` locate the center."""
+    names = [f.name for f in fields(params[0]) if f.name not in centers]
+    read = attrgetter(*names, *centers)
+    table = np.array([read(p) for p in params], dtype=float)
+    _, shape = np.unique(table[:, :len(names)], axis=0, return_inverse=True)
+    cells = table[:, len(names):].astype(np.int64)
+    cells -= cells.min(axis=0)
+    grid = np.full((shape.max() + 1, *(cells.max(axis=0) + 1)), -1)
+    grid[(shape, *cells.T)] = np.arange(len(params))
+    for a in (shape, cells, grid):
+        a.setflags(write=False)
+    return shape, cells, grid
 
 
 def odd_translations(width: int, height: int) -> list[tuple[int, int]]:
@@ -184,11 +230,7 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
                       for tx, ty in translations)
     keep = _drop_duplicate_atoms(rows, params)
     atoms = _columns(rows, keep)
-    # the row array and the loop's last view of it go before Dictionary
-    # makes its copy
-    del rows, vals
-    return Dictionary(atoms, params=[params[i] for i in keep],
-                      variant="gaussian_2d")
+    return Dictionary._own(atoms, [params[i] for i in keep], "gaussian_2d")
 
 
 def _columns(rows, keep):
@@ -301,12 +343,9 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
         np.negative(rows[:, 0], out=rows[:, 1])
     rows = rows.reshape(-1, n)
     atoms = _columns(rows, np.arange(rows.shape[0]))
-    # the row array and the loop's last view of it go before Dictionary
-    # makes its copy
-    del rows, g
     params = [ModulatedAtom1D(t, s, omega, sign) for t in centers
               for s in scales for omega in omegas for sign in signs]
-    return Dictionary(atoms, params=params, variant="gabor_1d")
+    return Dictionary._own(atoms, params, "gabor_1d")
 
 
 def babel_function(dictionary: Dictionary, m: int) -> float:

@@ -14,6 +14,14 @@ coefficients until every view satisfies two decodability conditions:
 
 The achieved margin (minimum over views) is recorded with the ensemble,
 and so is the number of draws made.
+
+Most rejected draws lose to an atom that shares a center with a support
+atom.  So each view is first checked against a cheap upper bound on its
+margin, taken from the support atoms and their same-center peers over
+the signal's footprint; a bound <= 0 rejects the draw, and any other
+draw gets the full margin over every atom.  The bound never falls below
+the full margin, so accepted ensembles, their margins and the draws made
+are those of the full check alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,8 +35,8 @@ from .dictionary import Dictionary
 from .transforms import TransformVector
 
 COEFF_MAGNITUDE_RANGE = (0.5, 1.5)
-# atoms per block in the margin check on the support's blocks
-_MARGIN_BLOCK = 512
+# |u_i| below this leaves row i out of the margin bound's products
+_ROW_FLOOR = 1e-4
 
 
 class EnsembleGenerationError(RuntimeError):
@@ -91,26 +99,44 @@ def _unit(signal) -> np.ndarray:
     return signal / norm
 
 
-def _support_block_margin(signal, support, dictionary: Dictionary) -> float:
-    """thresholding_margin with the outside atoms cut down to those in the
-    support's blocks of _MARGIN_BLOCK consecutive atoms (+inf when there are
-    none), for a valid support.
+def _margin_bound(signal, support, dictionary: Dictionary) -> float:
+    """An upper bound on thresholding_margin from the support atoms and
+    their same-center peers over the signal's footprint, for a valid
+    support; +inf when the support has no peers outside it, or the
+    dictionary no (shape, center) grid.
 
-    Each block's product equals the same entries of the full product, so
-    this bounds thresholding_margin from above, bit for bit: a value <= 0
-    rejects a draw at the cost of a few blocks.  Raises ValueError on a
-    zero signal, as thresholding_margin does.
+    The peers P are the atoms at a support atom's center.  Only the rows
+    R where the unit signal u has |u_i| >= _ROW_FLOOR are multiplied, and
+    p_k = |u_R . a_k,R|.  Atoms have norm at most 1 + 1e-9, so by
+    Cauchy-Schwarz the dropped rows move each correlation by at most
+    tail = ||u_~R||; each float dot product is within about N eps / 2 of
+    its exact value, so 8 N eps covers the four correlations a margin
+    compares with 4x room.  So min p over the support - max p over P
+    minus the support, plus 2 tail and 8 N eps of slack, is at least the
+    full margin: a value <= 0 rejects a draw that thresholding_margin
+    rejects too.  Raises ValueError on a zero signal, as
+    thresholding_margin does.
     """
     unit = _unit(signal)
-    size = _MARGIN_BLOCK
-    inside, outside = np.inf, -np.inf
-    for start in np.unique(support // size) * size:
-        corr = np.abs(dictionary.atoms[:, start:start + size].T @ unit)
-        held = support[support // size * size == start] - start
-        inside = min(inside, corr[held].min())
-        corr[held] = -np.inf
-        outside = max(outside, corr.max())
-    return float(inside - outside)
+    centers = dictionary._centers
+    if centers is None:
+        return np.inf
+    _, cells, grid = centers
+    peers = grid[(slice(None), *cells[support].T)].ravel()
+    peers = peers[(peers >= 0) & ~np.isin(peers, support)]
+    if not peers.size:
+        return np.inf
+    kept = np.abs(unit) >= _ROW_FLOOR
+    tail = np.linalg.norm(unit[~kept])
+    rows = np.flatnonzero(kept)
+    # atoms is C-ordered: entry (i, k) sits at i * K + k of the flat array,
+    # which take() reads faster than an np.ix_ gather
+    cols = np.concatenate([support, peers])
+    corr = np.abs(unit[rows] @ dictionary.atoms.take(
+        rows[:, np.newaxis] * dictionary.n_atoms + cols))
+    n = dictionary.signal_length
+    return float(corr[:support.size].min() - corr[support.size:].max()
+                 + 2.0 * tail * (1.0 + 1e-6) + 8.0 * n * np.finfo(float).eps)
 
 
 def check_positivity(signal, support, dictionary: Dictionary) -> bool:
@@ -146,7 +172,10 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
     accepted once every view passes the thresholding margin and positivity
     checks; the keyword flags relax either check for models, such as
     dictionaries with negated atom pairs, where it cannot hold by
-    construction.  Highly coherent dictionaries only admit positive
+    construction.  With the margin required, a view whose same-center
+    bound (``_margin_bound``) is <= 0 is rejected before the full margin
+    is computed; the bound only rejects views that the full margin
+    rejects too.  Highly coherent dictionaries only admit positive
     margins when coefficient magnitudes are nearly equal, so a narrower
     ``coeff_range`` may be needed to keep rejection sampling feasible.
     The recorded margin is the minimum over views regardless of whether
@@ -189,10 +218,10 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
         for t, x in zip(transforms, coeffs):
             view_support = t.mapping[reference]
             y = dictionary.atoms[:, view_support] @ x
-            # most rejected draws fail next to their support: settle
-            # those from its blocks alone
-            if (require_margin and _support_block_margin(
-                    y, view_support, dictionary) <= 0.0):
+            # most rejected draws lose to an atom at a support atom's
+            # center: settle those from the signal's footprint alone
+            if (require_margin
+                    and _margin_bound(y, view_support, dictionary) <= 0.0):
                 ok = False
                 break
             margin = thresholding_margin(y, view_support, dictionary)

@@ -10,13 +10,12 @@ atom's center off the grid).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import prod
-from operator import attrgetter
 
 import numpy as np
 
-from .dictionary import Dictionary
+from .dictionary import _CENTER_FIELDS, Dictionary
 
 
 class AtomTransform:
@@ -77,10 +76,6 @@ def identity_transform(dictionary: Dictionary) -> AtomTransform:
                          spec={"kind": "identity"})
 
 
-# the parameter fields that locate an atom's center, per dictionary family
-_CENTER_FIELDS = {"gaussian_2d": ("tx", "ty"), "gabor_1d": ("t",)}
-
-
 def translation_shift(variant: str, offset) -> tuple[int, ...]:
     """The center shift that ``offset`` names: one integer per center
     field, [dx, dy] for images and an integer (or [dt]) for 1D.  Python
@@ -109,22 +104,15 @@ def translation_transform(dictionary: Dictionary, offset) -> AtomTransform:
 
 
 def _translations(dictionary: Dictionary, offsets) -> dict:
-    """Parsed shift -> translation transform for each offset, read from one
-    (shape, center) grid of atom indices that every offset shares."""
+    """Parsed shift -> translation transform for each offset, read from the
+    dictionary's one (shape, center) grid of atom indices."""
     if dictionary.params is None:
         raise ValueError("translations need a dictionary with parameter records")
     shifts = {translation_shift(dictionary.variant, offset)
               for offset in offsets}
-    centers = _CENTER_FIELDS[dictionary.variant]
-    names = [f.name for f in fields(dictionary.params[0])
-             if f.name not in centers]
-    read = attrgetter(*names, *centers)
-    table = np.array([read(p) for p in dictionary.params], dtype=float)
-    _, shape = np.unique(table[:, :len(names)], axis=0, return_inverse=True)
-    cells = table[:, len(names):].astype(np.int64)
-    cells -= cells.min(axis=0)
-    grid = np.full((shape.max() + 1, *(cells.max(axis=0) + 1)), -1)
-    grid[(shape, *cells.T)] = np.arange(dictionary.n_atoms)
+    if not shifts:
+        return {}
+    shape, cells, grid = dictionary._centers
     realized = {}
     for shift in shifts:
         # clamped into int64: a shift by the grid's extent already leaves it

@@ -607,6 +607,14 @@ class TestJointDecoding:
         with pytest.raises(ValueError, match="disagree on view count"):
             decoder(meas, d, 2, extra)
 
+    def test_top_s_rejects_sparsity_out_of_range(self):
+        # the kernel behind jt's node bounds and every block score
+        rows = np.zeros((3, 6))
+        for sparsity, message in ((0, "sparsity must be at least 1"),
+                                  (7, decode._NO_VALID_CANDIDATE)):
+            with pytest.raises(ValueError, match=message):
+                decode._top_s(rows, sparsity)
+
     def test_masked_candidate_skipped_not_fatal(self):
         d = random_unit_columns(20, 6, seed=802)
         meas, _, _, _ = random_problem(d, 2, 8, 3, seed=803)

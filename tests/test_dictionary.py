@@ -361,6 +361,41 @@ class TestDictionaryType:
         assert not np.shares_memory(d.atoms, atoms)
         np.testing.assert_array_equal(d.atoms, atoms)
 
+    def test_copies_c_ordered_caller_array(self):
+        atoms = np.eye(4)
+        d = Dictionary(atoms)
+        assert not np.shares_memory(d.atoms, atoms)
+        assert atoms.flags.writeable and not d.atoms.flags.writeable
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_gaussian_2d_dictionary(8, 8, [0.0, np.pi], [2.0],
+                                             [0.5], odd_translations(8, 8)),
+        lambda: build_gabor_1d_dictionary(100, scales=[4.0], omegas=[2.0]),
+    ], ids=["gaussian_2d", "gabor_1d"])
+    def test_builders_hand_over_their_matrix(self, build, monkeypatch):
+        made = []
+        columns = dictionary_module._columns
+
+        def spy(rows, keep):
+            made.append(columns(rows, keep))
+            return made[-1]
+
+        monkeypatch.setattr(dictionary_module, "_columns", spy)
+        d = build()
+        assert len(made) == 1 and d.atoms is made[0]
+        assert not d.atoms.flags.writeable
+
+    def test_owned_matrix_is_checked(self):
+        bad = np.eye(4)
+        bad[1, 2] = math.nan
+        with pytest.raises(ValueError, match="atoms must be finite"):
+            Dictionary._own(bad, None, "custom")
+        with pytest.raises(ValueError, match=r"atom columns must be unit "
+                           r"norm within 1e-09 \(worst deviation 1\)"):
+            Dictionary._own(2.0 * np.eye(4), None, "custom")
+        with pytest.raises(ValueError, match="one parameter record per atom"):
+            Dictionary._own(np.eye(4), [None], "custom")
+
     def test_atom_returns_column(self, onb_dict):
         col = onb_dict.atom(3)
         assert col.shape == (16,)

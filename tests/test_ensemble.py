@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from jointrec import (Dictionary, EnsembleGenerationError,
-                      build_gabor_1d_dictionary, check_positivity,
-                      generate_ensemble, identity_transform, load_signal_csv,
-                      margin_lower_bound, thresholding_margin,
-                      translation_transform)
+                      build_gabor_1d_dictionary, build_gaussian_2d_dictionary,
+                      check_positivity, generate_ensemble, identity_transform,
+                      load_signal_csv, margin_lower_bound, odd_translations,
+                      thresholding_margin, translation_transform)
+from jointrec import dictionary as dictionary_module
 from jointrec import ensemble as ensemble_module
 from jointrec.ensemble import COEFF_MAGNITUDE_RANGE
 from jointrec.transforms import CandidateSet, TransformVector
@@ -129,40 +130,97 @@ class TestThresholdingMargin:
             thresholding_margin(onb_dict.atom(0), list(range(16)), onb_dict)
 
 
-class TestSupportBlockMargin:
-    """The support-block check reads atoms in blocks; its values must be
-    those of one product over every atom, bit for bit, or a draw could be
-    rejected that the full margin accepts."""
+class TestMarginBound:
+    """The rejection prefilter bounds the full margin from above: any draw
+    it rejects (bound <= 0) the full margin rejects too."""
 
     @pytest.mark.parametrize("name, positive", [
         ("full_gaussian_dict", 16),
         # negated twins tie their support atoms: no margin is positive
         ("full_gabor_dict", 0),
-        # 1500 atoms: the last block is a partial one
         ("untwinned_gabor_dict", 28),
     ])
-    def test_equals_full_product_on_support_blocks(self, request, name,
-                                                   positive):
+    def test_dominates_full_margin(self, request, name, positive):
         dictionary = request.getfixturevalue(name)
-        block = ensemble_module._MARGIN_BLOCK
-        assert dictionary.n_atoms > 2 * block
-        blocks = np.arange(dictionary.n_atoms) // block
-        draws = random_draws(dictionary, 60, seed=5)
         margins, settled = [], 0
-        for y, support in draws:
-            corr = np.abs(dictionary.atoms.T @ (y / np.linalg.norm(y)))
+        for y, support in random_draws(dictionary, 60, seed=5):
             full = full_scan_margin(y, support, dictionary.atoms)
             assert thresholding_margin(y, support, dictionary) == full
-            near = np.isin(blocks, support // block)
-            near[support] = False
-            partial = ensemble_module._support_block_margin(
-                y, support, dictionary)
-            assert partial == corr[support].min() - corr[near].max() >= full
+            bound = ensemble_module._margin_bound(y, support, dictionary)
+            assert bound >= full
             margins.append(full)
-            settled += partial <= 0.0
+            settled += bound <= 0.0
         assert sum(m > 0.0 for m in margins) == positive
         assert settled > 0
-        assert sum(len(set(s // block)) > 1 for _, s in draws) > 50
+
+    @pytest.mark.parametrize("name", [
+        "full_gaussian_dict", "full_gabor_dict", "untwinned_gabor_dict"])
+    def test_dominates_with_large_tail(self, request, name, monkeypatch):
+        # a high floor drops rows that carry much of the signal, so only
+        # the tail term keeps the bound above the full margin
+        monkeypatch.setattr(ensemble_module, "_ROW_FLOOR", 0.05)
+        dictionary = request.getfixturevalue(name)
+        for y, support in random_draws(dictionary, 30, seed=7):
+            assert (ensemble_module._margin_bound(y, support, dictionary)
+                    >= full_scan_margin(y, support, dictionary.atoms))
+
+    def test_twin_tie_falls_through(self, full_gabor_dict, monkeypatch):
+        # y = a_k ties with its negated twin, so the full margin is 0 and
+        # the bound's products hold the same tie; only the rounding slack
+        # keeps the bound positive and leaves the draw to the full check
+        monkeypatch.setattr(ensemble_module, "_ROW_FLOOR", 0.0)
+        d = full_gabor_dict
+        for k in (0, 1, 1001, d.n_atoms - 1):
+            y, support = d.atom(k).copy(), np.array([k])
+            assert thresholding_margin(y, support, d) == 0.0
+            assert ensemble_module._margin_bound(y, support, d) > 0.0
+
+    def test_one_center_grid_per_dictionary(self, monkeypatch):
+        # realizing candidates and drawing ensembles read one (shape,
+        # center) grid per dictionary; draws that waive the margin never
+        # bound it
+        built, bounded = [], []
+        center_grid = dictionary_module._center_grid
+        margin_bound = ensemble_module._margin_bound
+
+        def grid_spy(params, centers):
+            built.append(params)
+            return center_grid(params, centers)
+
+        def bound_spy(*args):
+            bounded.append(args)
+            return margin_bound(*args)
+
+        monkeypatch.setattr(dictionary_module, "_center_grid", grid_spy)
+        monkeypatch.setattr(ensemble_module, "_margin_bound", bound_spy)
+        dictionaries = [
+            build_gaussian_2d_dictionary(8, 8, [0.0, 1.0], [2.0], [0.5, 1.0],
+                                         odd_translations(8, 8)),
+            build_gabor_1d_dictionary(100, scales=[4.0, 8.0],
+                                      omegas=[2.0, 4.0],
+                                      include_negated=False)]
+        for d, offsets in zip(dictionaries, ([[0, 0], [2, 0]], [0, 10])):
+            candidates = CandidateSet.from_uniform_offsets(d, offsets, 2)
+            vector = TransformVector((candidates.identity,
+                                      candidates.per_view[0][1]))
+            for seed in (1, 2):
+                generate_ensemble(d, 2, vector, seed=seed,
+                                  require_margin=False)
+            assert bounded == []
+            for seed in (1, 2):
+                generate_ensemble(d, 2, vector, seed=seed)
+            assert len(bounded) >= 2
+            bounded.clear()
+        assert [len(p) for p in built] == [d.n_atoms for d in dictionaries]
+        assert all(d._centers is not None for d in dictionaries)
+
+
+class TestSupportBlockMargin:
+    """generate_ensemble against a rejection loop that takes every margin
+    from one product over every atom: the same-center prefilter must
+    leave every accepted ensemble, its margin and its attempt count
+    unchanged, bit for bit.  (The class keeps the name of the support-
+    block check it was written for, so the test ids stay.)"""
 
     @pytest.mark.parametrize("require_margin", [True, False])
     def test_ensembles_match_full_scan_oracle(self, full_gaussian_dict,
@@ -219,6 +277,29 @@ class TestSupportBlockMargin:
             assert all(np.array_equal(y, y_oracle) for y, y_oracle
                        in zip(ens.signals, signals, strict=True))
             assert ens.margin == margin <= 0.0
+
+    def test_custom_dictionary_matches_full_scan_oracle(
+            self, small_gaussian_dict):
+        # without parameter records there is no center grid: every draw
+        # goes straight to the full check
+        d = Dictionary(small_gaussian_dict.atoms)
+        transforms = identity_vector(d, 3)
+        attempts_made = []
+        for seed in range(10):
+            ens = generate_ensemble(d, 4, transforms, seed=seed,
+                                    coeff_range=(0.9, 1.1))
+            attempts, reference, coeffs, signals, margin = oracle_ensemble(
+                d, 4, transforms, seed, 10_000, True, (0.9, 1.1))
+            assert ens.attempts == attempts
+            assert np.array_equal(ens.reference_support, reference)
+            assert all(np.array_equal(x, coeffs) for x in ens.coefficients)
+            assert all(np.array_equal(y, y_oracle) for y, y_oracle
+                       in zip(ens.signals, signals, strict=True))
+            assert ens.margin == margin > 0.0
+            assert ensemble_module._margin_bound(
+                ens.signals[0], ens.supports[0], d) == np.inf
+            attempts_made.append(attempts)
+        assert sum(a > 1 for a in attempts_made) > 5
 
 
 class TestPositivity:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_vectors
-from jointrec import (AtomTransform, CandidateSet, Dictionary,
+from jointrec import (AtomTransform, CandidateSet, Dictionary, ModulatedAtom1D,
                       apply_to_support, identity_transform,
                       translation_transform)
 from jointrec.transforms import TransformVector
@@ -243,6 +243,14 @@ class TestOffsetParsing:
     def test_custom_dictionary_has_no_translations(self, onb_dict):
         with pytest.raises(ValueError, match="parameter records"):
             translation_transform(onb_dict, 1)
+
+    def test_no_offsets_on_a_custom_variant(self):
+        # records but no center fields: an empty list parses no offset,
+        # and is refused as an empty candidate list
+        d = Dictionary(np.eye(4), params=[ModulatedAtom1D(t, 1.0, 1.0, 1)
+                                          for t in range(4)])
+        with pytest.raises(ValueError, match="at least one candidate"):
+            CandidateSet.from_uniform_offsets(d, [], 2)
 
 
 class TestApplyToSupport:
