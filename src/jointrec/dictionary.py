@@ -12,7 +12,8 @@ bit-identical atom matrix with the same column order.  Each atom shape
 is evaluated once, on the grid of integer offsets from its center, and
 every atom is a window of that pattern; the offsets are exact in
 floating point, so each atom holds the bits it would have if evaluated
-on its own pixel or sample grid.
+on its own pixel or sample grid.  The builders write each kept atom
+once, straight into its column of the matrix the dictionary keeps.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ class ModulatedAtom1D:
     sign: int
 
 
+# the parameter record of each parametric dictionary family
+_RECORDS = {"gaussian_2d": GaussianAtom2D, "gabor_1d": ModulatedAtom1D}
+
+
 class Dictionary:
     """A set of K unit-norm atoms stored as the columns of an N x K matrix.
 
@@ -65,6 +70,8 @@ class Dictionary:
     params : sequence, optional
         One hashable parameter record per atom, aligned with the columns.
         Required for parametric transforms; plain matrices may omit it.
+        A ``"gaussian_2d"`` dictionary's records must be GaussianAtom2D,
+        and a ``"gabor_1d"`` dictionary's ModulatedAtom1D.
     variant : str
         One of ``"gaussian_2d"``, ``"gabor_1d"`` or ``"custom"``; the
         variant names the parameter fields that translations shift.
@@ -82,6 +89,9 @@ class Dictionary:
         return dictionary
 
     def _adopt(self, atoms, params, variant):
+        if variant != "custom" and variant not in _RECORDS:
+            raise ValueError(f"unknown dictionary variant {variant!r}; expected "
+                             "'gaussian_2d', 'gabor_1d' or 'custom'")
         if atoms.ndim != 2 or atoms.shape[0] == 0 or atoms.shape[1] == 0:
             raise ValueError("atoms must be a nonempty N x K matrix")
         # np.linalg.norm(atoms, axis=0) would hold a full-size x*x temporary
@@ -100,6 +110,10 @@ class Dictionary:
             params = tuple(params)
             if len(params) != atoms.shape[1]:
                 raise ValueError("need exactly one parameter record per atom")
+            record = _RECORDS.get(variant)
+            if record and not all(isinstance(p, record) for p in params):
+                raise ValueError(f"a {variant} dictionary needs "
+                                 f"{record.__name__} parameter records")
         self.params = params
         self.variant = variant
 
@@ -173,7 +187,13 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
     deterministic grid order with theta outermost and translation
     innermost.  Tuples whose atom vector coincides with an earlier one
     (max abs difference at most 1e-12) are dropped; the Gaussian window
-    is even, so theta and theta + pi always produce the same atom.
+    is even, so theta and theta + pi always produce the same atom.  Only
+    atoms at the same translation can coincide, so the rule is applied
+    to a table over (shape, distinct translation): a repeated
+    translation repeats its first atoms exactly, and a cell is dropped
+    when it lies within 1e-12 of a kept cell of an earlier shape at its
+    translation.  Two cells are compared in full only when their row
+    sums are within a fixed window that no pair within 1e-12 exceeds.
 
     Parameters
     ----------
@@ -207,87 +227,62 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
     # that pattern whose corner sits at offset (-tx, -ty)
     du = np.arange(1 - width, width, dtype=float)[np.newaxis, :]
     dv = np.arange(1 - height, height, dtype=float)[:, np.newaxis]
-    txs = np.array([t[0] for t in translations])
-    tys = np.array([t[1] for t in translations])
-
-    # each shape's atoms are written into one array as they are made, so
-    # no second copy of every atom is held through duplicate removal
+    # a repeated translation repeats its first atom of every shape exactly,
+    # so the atoms form a table over (shape, distinct translation)
+    cells = list(dict.fromkeys(translations))
+    txs = np.array([t[0] for t in cells])
+    tys = np.array([t[1] for t in cells])
+    n = width * height
     shapes = list(product(thetas, sxs, sys))
-    n_t = len(translations)
-    rows = np.empty((len(shapes) * n_t, width * height))
-    params = []
+    windows = []
+    norms = np.empty((len(shapes), len(cells)))
+    sums = np.empty_like(norms)
+    keep = np.zeros(norms.shape, dtype=bool)
+    # unit rows within DUPLICATE_ATOM_TOL have exact sums within n * tol,
+    # and the float sum of a unit row is off by less than n * eps * sqrt(n)
+    # (Cauchy-Schwarz); the window allows twice that error for both rows
+    window = (n * DUPLICATE_ATOM_TOL
+              + 4 * n * np.finfo(float).eps * math.sqrt(n) * (1 + 1e-6))
+
+    # pass 1, keep-first: a cell is dropped when it lies within the
+    # tolerance of a kept cell of an earlier shape at its translation
     for i, (theta, sx, sy) in enumerate(shapes):
         c = np.cos(theta)
         s = np.sin(theta)
         rx = (du * c - dv * s) / sx
         ry = (dv * c + du * s) / sy
         pattern = np.exp(-rx * rx - ry * ry)
-        windows = sliding_window_view(pattern, (height, width))[::-1, ::-1]
-        vals = rows[i * n_t:(i + 1) * n_t]
-        vals.reshape(n_t, height, width)[...] = windows[tys, txs]
-        vals /= np.linalg.norm(vals, axis=1, keepdims=True)
-        params.extend(GaussianAtom2D(theta, sx, sy, tx, ty)
-                      for tx, ty in translations)
-    keep = _drop_duplicate_atoms(rows, params)
-    atoms = _columns(rows, keep)
-    return Dictionary._own(atoms, [params[i] for i in keep], "gaussian_2d")
+        windows.append(
+            sliding_window_view(pattern, (height, width))[::-1, ::-1])
+        block = windows[i][tys, txs].reshape(len(cells), n)
+        norms[i] = np.linalg.norm(block, axis=1)
+        block /= norms[i, :, np.newaxis]
+        sums[i] = block.sum(axis=1)
+        near = keep[:i] & (np.abs(sums[:i] - sums[i]) <= window)
+        keep[i] = True
+        for j in np.flatnonzero(near.any(axis=1)):
+            at = np.flatnonzero(near[j])
+            kept = _unit_atoms(windows[j], tys[at], txs[at], norms[j, at])
+            keep[i, at] &= (np.abs(block[at] - kept).max(axis=1)
+                            > DUPLICATE_ATOM_TOL)
+
+    # pass 2: each kept atom is written once, into its column
+    atoms = np.empty((n, np.count_nonzero(keep)))
+    params = []
+    for i, (theta, sx, sy) in enumerate(shapes):
+        at = np.flatnonzero(keep[i])
+        atoms[:, len(params):len(params) + at.size] = _unit_atoms(
+            windows[i], tys[at], txs[at], norms[i, at]).T
+        params.extend(GaussianAtom2D(theta, sx, sy, *cells[j]) for j in at)
+    return Dictionary._own(atoms, params, "gaussian_2d")
 
 
-def _columns(rows, keep):
-    """The (N, len(keep)) matrix whose columns are ``rows[keep]``, written
-    in blocks so that no full-size temporary is made."""
-    atoms = np.empty((rows.shape[1], len(keep)))
-    block = 256
-    for j in range(0, len(keep), block):
-        atoms[:, j:j + block] = rows[keep[j:j + block]].T
-    return atoms
-
-
-def _drop_duplicate_atoms(rows, params):
-    """Keep-first duplicate removal over atom rows: a row is dropped when
-    its max-abs gap to an earlier kept row is at most DUPLICATE_ATOM_TOL.
-
-    Duplicates come from exact symmetries in the angle/scale parameters,
-    which leave the translation fixed, so only atoms sharing a translation
-    need to be compared.  Rows within that gap have exact sums within
-    N * tol, and a float sum of N terms is off by less than N * eps times
-    the sum of their magnitudes.  So only pairs whose float row sums are
-    within N * tol plus twice that error for both rows are compared in
-    full, and the decisions are those of comparing every pair.
-    """
-    n_rows, n = rows.shape
-    block = 64  # rows per temporary
-    _, group = np.unique([(p.tx, p.ty) for p in params], axis=0,
-                         return_inverse=True)
-    sums = rows.sum(axis=1)
-    magnitude = max(np.abs(rows[i:i + block]).sum(axis=1).max()
-                    for i in range(0, n_rows, block))
-    window = n * DUPLICATE_ATOM_TOL + 4 * n * np.finfo(float).eps * magnitude
-    # sorted by (translation, sum), a row's candidates follow it directly
-    order = np.lexsort((sums, group))
-    group, sums = group[order], sums[order]
-    lo, hi = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    left = np.arange(n_rows)
-    for step in range(1, n_rows):
-        left = left[left + step < n_rows]
-        right = left + step
-        left = left[(group[right] == group[left])
-                    & (sums[right] - sums[left] <= window)]
-        if not left.size:
-            break
-        lo.append(order[left])
-        hi.append(order[left + step])
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    close = np.concatenate([np.zeros(0, dtype=bool)] + [
-        np.abs(rows[lo[i:i + block]] - rows[hi[i:i + block]]).max(axis=1)
-        <= DUPLICATE_ATOM_TOL for i in range(0, lo.size, block)])
-    keep_mask = np.ones(n_rows, dtype=bool)
-    # by later row: every earlier row's fate is settled when it is read
-    for later, earlier in sorted(zip(hi[close].tolist(), lo[close].tolist())):
-        if keep_mask[earlier]:
-            keep_mask[later] = False
-    return np.flatnonzero(keep_mask)
+def _unit_atoms(windows, tys, txs, norms):
+    """The pattern windows at translations (txs, tys) as rows, each divided
+    by its norm."""
+    rows = windows[tys, txs].reshape(len(norms), windows[0, 0].size)
+    rows /= norms[:, np.newaxis]
+    return rows
 
 
 def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
@@ -301,7 +296,8 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
     up to n.  With ``include_negated`` the negated copy -g follows each g
     as a distinct atom, which lets decoders represent sign flips by atom
     choice.  Order is deterministic with t outermost, then scale, then
-    frequency, then sign.
+    frequency, then sign.  No duplicates are removed: a repeated scale or
+    frequency repeats its atoms.
     """
     if n <= 0:
         raise ValueError("signal length must be positive")
@@ -332,19 +328,20 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
         for j, omega in enumerate(omegas):
             patterns[i, j] = window * np.cos(omega * u)
     signs = (1, -1) if include_negated else (1,)
-    rows = np.empty((len(centers), len(scales), len(omegas), len(signs), n))
-    for k, t in enumerate(centers):
-        rows[k, :, :, 0] = patterns[:, :, t_last - t:t_last - t + n]
-    rows = rows.reshape(-1, len(signs), n)
-    for g in rows[:, 0]:
-        # the norm of a 1-D vector, as np.linalg.norm computes it
-        g /= np.sqrt(g.dot(g))
-    if include_negated:
-        np.negative(rows[:, 0], out=rows[:, 1])
-    rows = rows.reshape(-1, n)
-    atoms = _columns(rows, np.arange(rows.shape[0]))
     params = [ModulatedAtom1D(t, s, omega, sign) for t in centers
               for s in scales for omega in omegas for sign in signs]
+    # no duplicates are removed, so each atom goes straight to its
+    # column, followed by its negated twin
+    atoms = np.empty((n, len(params)))
+    columns = atoms.reshape(n, len(centers), len(scales), len(omegas),
+                            len(signs))
+    for k, t in enumerate(centers):
+        for i, j in product(range(len(scales)), range(len(omegas))):
+            g = patterns[i, j, t_last - t:t_last - t + n]
+            # the norm of a 1-D vector, as np.linalg.norm computes it
+            columns[:, k, i, j, 0] = g / np.sqrt(g.dot(g))
+    if include_negated:
+        np.negative(columns[..., 0], out=columns[..., 1])
     return Dictionary._own(atoms, params, "gabor_1d")
 
 

@@ -6,7 +6,8 @@ suite.  ``enumerate_vectors`` is the oracle of enumeration order.
 ``gaussian_atom_2d`` and ``modulated_atom_1d`` sample one atom at a time,
 and ``gaussian_2d_oracle`` and ``gabor_1d_oracle`` evaluate every atom
 on its full grid; they are the oracles of the dictionary builders, which
-evaluate each atom shape once over its offsets.
+evaluate each atom shape once over its offsets.  ``oracle_keep_first``
+removes duplicate 2D atoms by comparing every pair at a translation.
 """
 
 from itertools import product
@@ -17,7 +18,7 @@ import pytest
 from jointrec import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
                       TransformVector, build_gabor_1d_dictionary,
                       build_gaussian_2d_dictionary, odd_translations)
-from jointrec.dictionary import _drop_duplicate_atoms
+from jointrec.dictionary import DUPLICATE_ATOM_TOL
 
 
 @pytest.fixture(scope="session")
@@ -105,9 +106,10 @@ def modulated_atom_1d(n: int, params) -> np.ndarray:
     return values / np.linalg.norm(values)
 
 
-def gaussian_2d_oracle(width, height, thetas, sxs, sys, translations):
-    """(atoms, params) of build_gaussian_2d_dictionary, with each shape
-    evaluated over the full (translation, y, x) grid."""
+def gaussian_2d_rows(width, height, thetas, sxs, sys, translations):
+    """(rows, params) of every (theta, sx, sy, translation) tuple in grid
+    order, each shape evaluated over the full (translation, y, x) grid;
+    rows are unit atoms, duplicates included."""
     thetas, sxs, sys = ([float(a) for a in grid] for grid in (thetas, sxs, sys))
     xs = np.arange(width, dtype=float)
     ys = np.arange(height, dtype=float)
@@ -127,8 +129,33 @@ def gaussian_2d_oracle(width, height, thetas, sxs, sys, translations):
         blocks.append(vals)
         params.extend(GaussianAtom2D(theta, sx, sy, tx, ty)
                       for tx, ty in translations)
-    rows = np.concatenate(blocks)
-    keep = _drop_duplicate_atoms(rows, params)
+    return np.concatenate(blocks), params
+
+
+def oracle_keep_first(rows, params):
+    """Keep-first duplicate removal, one translation at a time: a row is
+    dropped when its max-abs gap to an earlier kept row at the same
+    translation is at most the tolerance."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(params):
+        groups.setdefault((p.tx, p.ty), []).append(i)
+    keep = []
+    for idxs in groups.values():
+        kept: list[int] = []
+        for i in idxs:
+            if (not kept or np.abs(rows[kept] - rows[i]).max(axis=1).min()
+                    > DUPLICATE_ATOM_TOL):
+                kept.append(i)
+        keep.extend(kept)
+    return sorted(keep)
+
+
+def gaussian_2d_oracle(width, height, thetas, sxs, sys, translations):
+    """(atoms, params) of build_gaussian_2d_dictionary: the full-grid rows
+    after keep-first duplicate removal."""
+    rows, params = gaussian_2d_rows(width, height, thetas, sxs, sys,
+                                    translations)
+    keep = oracle_keep_first(rows, params)
     return rows[keep].T, [params[i] for i in keep]
 
 

@@ -7,10 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jointrec import dictionary as dictionary_module
-from conftest import (gabor_1d_oracle, gaussian_2d_oracle, gaussian_atom_2d,
-                      modulated_atom_1d)
-from jointrec import (Dictionary, GaussianAtom2D,
+from conftest import (gabor_1d_oracle, gaussian_2d_oracle, gaussian_2d_rows,
+                      gaussian_atom_2d, modulated_atom_1d, oracle_keep_first)
+from jointrec import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
                       babel_function, build_gabor_1d_dictionary,
                       build_gaussian_2d_dictionary, gram_row,
                       odd_translations)
@@ -29,37 +28,11 @@ def brute_force_babel(atoms: np.ndarray, m: int) -> float:
     return worst
 
 
-def oracle_keep_first(rows, params):
-    """Keep-first duplicate removal, one translation at a time: a row is
-    dropped when its max-abs gap to an earlier kept row at the same
-    translation is at most the tolerance."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(params):
-        groups.setdefault((p.tx, p.ty), []).append(i)
-    keep = []
-    for idxs in groups.values():
-        kept: list[int] = []
-        for i in idxs:
-            if (not kept or np.abs(rows[kept] - rows[i]).max(axis=1).min()
-                    > DUPLICATE_ATOM_TOL):
-                kept.append(i)
-        keep.extend(kept)
-    return sorted(keep)
-
-
-def build_against_oracle(monkeypatch, *grid):
+def build_against_oracle(*grid):
     """Build a 2D dictionary and check that it keeps exactly the atoms
-    oracle_keep_first keeps of the builder's rows; returns (rows, keep)."""
-    seen = {}
-    real = dictionary_module._drop_duplicate_atoms
-
-    def spy(rows, params):
-        seen.update(rows=rows, params=list(params))
-        return real(rows, params)
-
-    monkeypatch.setattr(dictionary_module, "_drop_duplicate_atoms", spy)
+    oracle_keep_first keeps of the full-grid rows; returns (rows, keep)."""
     built = build_gaussian_2d_dictionary(*grid)
-    rows, params = seen["rows"], seen["params"]
+    rows, params = gaussian_2d_rows(*grid)
     keep = oracle_keep_first(rows, params)
     assert built.params == tuple(params[i] for i in keep)
     assert np.array_equal(built.atoms, rows[keep].T)
@@ -71,39 +44,38 @@ def gap(rows, i, j):
 
 
 class TestDuplicateOracle:
-    def test_full_scale_dictionary(self, monkeypatch):
+    def test_full_scale_dictionary(self):
         _, keep = build_against_oracle(
-            monkeypatch, 32, 32, np.linspace(0.0, np.pi, 7), [2.0, 4.0],
-            [0.5, 1.0], odd_translations(32, 32))
+            32, 32, np.linspace(0.0, np.pi, 7), [2.0, 4.0], [0.5, 1.0],
+            odd_translations(32, 32))
         assert len(keep) == 6144
 
-    def test_repeated_translation(self, monkeypatch):
+    def test_repeated_translation(self):
         # the second (3, 3) copies are exact duplicates of the first
         shifts = odd_translations(8, 8) + [(3, 3)]
         _, keep = build_against_oracle(
-            monkeypatch, 8, 8, np.linspace(0.0, np.pi, 3), [2.0],
-            [0.5, 1.0], shifts)
+            8, 8, np.linspace(0.0, np.pi, 3), [2.0], [0.5, 1.0], shifts)
         assert len(keep) == 2 * 2 * 16
 
-    def test_chain_compares_with_kept_rows_only(self, monkeypatch):
+    def test_chain_compares_with_kept_rows_only(self):
         # rotations by 2.5e-12 rad move this corner atom by about 0.7 tol
         # and its row sum by more than the rounding slack: b is a
         # duplicate of a, c of b but not of a, and b is dropped, so c stays
         step = 2.5e-12
         rows, keep = build_against_oracle(
-            monkeypatch, 7, 7, [0.0, step, 2 * step], [2.0], [1.0], [(0, 0)])
+            7, 7, [0.0, step, 2 * step], [2.0], [1.0], [(0, 0)])
         assert gap(rows, 0, 1) <= DUPLICATE_ATOM_TOL
         assert gap(rows, 1, 2) <= DUPLICATE_ATOM_TOL
         assert gap(rows, 0, 2) > DUPLICATE_ATOM_TOL
         assert abs(rows[0].sum() - rows[1].sum()) > 1e-12
         assert keep == [0, 2]
 
-    def test_equal_sums_just_beyond_tolerance(self, monkeypatch):
+    def test_equal_sums_just_beyond_tolerance(self):
         # mirror images about the center of a 7x7 grid: the same values in
         # another order, so the row sums agree, 1.2 tol apart
         angle = 2.5e-12
         rows, keep = build_against_oracle(
-            monkeypatch, 7, 7, [-angle, angle], [2.0], [1.0], [(3, 3)])
+            7, 7, [-angle, angle], [2.0], [1.0], [(3, 3)])
         assert (DUPLICATE_ATOM_TOL < gap(rows, 0, 1)
                 <= 1.5 * DUPLICATE_ATOM_TOL)
         assert abs(rows[0].sum() - rows[1].sum()) <= 1e-15
@@ -178,9 +150,10 @@ class TestExactBits:
 
 
 class TestBuildMemory:
-    """The builders hold one row array and the atom matrix, not a second
-    full-size copy or temporary: a leaked view of the row array through
-    the Dictionary copy raises the 2D peak by about 50 MB."""
+    """The builders write each kept atom once, into the matrix they hand
+    over, and hold no other full-size array: the atoms take 50 MB (2D)
+    and 24 MB (1D), and a (K_all, N) row array kept alive next to them
+    raises the peaks by about 59 MB and 24 MB."""
 
     @staticmethod
     def peak_mb(build):
@@ -194,10 +167,10 @@ class TestBuildMemory:
     def test_full_gaussian_2d_peak(self):
         assert self.peak_mb(lambda: build_gaussian_2d_dictionary(
             32, 32, np.linspace(0.0, np.pi, 7), [2.0, 4.0], [0.5, 1.0],
-            odd_translations(32, 32))) <= 120.0
+            odd_translations(32, 32))) <= 70.0
 
     def test_full_gabor_1d_peak(self):
-        assert self.peak_mb(lambda: build_gabor_1d_dictionary(1000)) <= 60.0
+        assert self.peak_mb(lambda: build_gabor_1d_dictionary(1000)) <= 30.0
 
 
 class TestNonFiniteParameters:
@@ -374,15 +347,17 @@ class TestDictionaryType:
     ], ids=["gaussian_2d", "gabor_1d"])
     def test_builders_hand_over_their_matrix(self, build, monkeypatch):
         made = []
-        columns = dictionary_module._columns
+        own = Dictionary._own
 
-        def spy(rows, keep):
-            made.append(columns(rows, keep))
-            return made[-1]
+        def spy(atoms, params, variant):
+            made.append(atoms)
+            return own(atoms, params, variant)
 
-        monkeypatch.setattr(dictionary_module, "_columns", spy)
+        monkeypatch.setattr(Dictionary, "_own", spy)
         d = build()
         assert len(made) == 1 and d.atoms is made[0]
+        # the matrix owns its memory: no view into a larger array
+        assert made[0].base is None
         assert not d.atoms.flags.writeable
 
     def test_owned_matrix_is_checked(self):
@@ -395,6 +370,21 @@ class TestDictionaryType:
             Dictionary._own(2.0 * np.eye(4), None, "custom")
         with pytest.raises(ValueError, match="one parameter record per atom"):
             Dictionary._own(np.eye(4), [None], "custom")
+
+    def test_rejects_unknown_variant(self):
+        with pytest.raises(ValueError,
+                           match="unknown dictionary variant 'gabor-1d'"):
+            Dictionary(np.eye(4), variant="gabor-1d")
+
+    @pytest.mark.parametrize("variant, params, record", [
+        ("gabor_1d", [1, 2, 3, 4], "ModulatedAtom1D"),
+        ("gaussian_2d", [ModulatedAtom1D(t, 1.0, 1.0, 1) for t in range(4)],
+         "GaussianAtom2D"),
+    ], ids=["gabor_1d-ints", "gaussian_2d-modulated"])
+    def test_rejects_records_of_another_family(self, variant, params, record):
+        with pytest.raises(ValueError, match=f"a {variant} dictionary needs "
+                           f"{record} parameter records"):
+            Dictionary(np.eye(4), params=params, variant=variant)
 
     def test_atom_returns_column(self, onb_dict):
         col = onb_dict.atom(3)
