@@ -142,14 +142,23 @@ def select_top_s(values: np.ndarray, sparsity: int):
     """Indices of the S largest entries by signed value, plus their sum.
 
     Entries equal to -inf are not selectable.  Ties are broken toward the
-    lowest atom index.  The returned support is sorted ascending.  Raises
-    ValueError when fewer than S entries are selectable.
+    lowest atom index.  The returned support is sorted ascending, and the
+    sum runs over the chosen entries in descending order of value, ties in
+    index order.  Raises ValueError when fewer than S entries are
+    selectable.
     """
     if sparsity < 1:
         raise ValueError("sparsity must be at least 1")
     if np.count_nonzero(values > -np.inf) < sparsity:
         raise ValueError("fewer valid entries than the sparsity level")
-    chosen = np.argsort(-values, kind="stable")[:sparsity]
+    # every entry above the S-th largest value, then the lowest-index
+    # entries equal to it; negated, so a NaN sorts last and is never chosen
+    negated = -values
+    cut = np.partition(negated, sparsity - 1)[sparsity - 1]
+    above = np.flatnonzero(negated < cut)
+    tied = np.flatnonzero(negated == cut)[:sparsity - above.size]
+    chosen = np.concatenate((above, tied))
+    chosen = chosen[np.lexsort((chosen, negated[chosen]))]
     return np.sort(chosen), float(values[chosen].sum())
 
 

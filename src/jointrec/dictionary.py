@@ -11,9 +11,14 @@ Construction is deterministic: the same parameter grid always yields a
 bit-identical atom matrix with the same column order.  Each atom shape
 is evaluated once, on the grid of integer offsets from its center, and
 every atom is a window of that pattern; the offsets are exact in
-floating point, so each atom holds the bits it would have if evaluated
-on its own pixel or sample grid.  The builders write each kept atom
-once, straight into its column of the matrix the dictionary keeps.
+floating point, so each atom holds the bits of its own pixel or sample
+grid, with samples below 1e-300 in magnitude stored as 0.  Those samples
+lie deep in the windows' tails; stored as they are, they would leave
+subnormal entries in the atoms, and every product with the atoms would
+run down the CPU's slow path for subnormal arithmetic.  Their squares
+underflow to 0, so no norm and no other entry changes.  The builders
+write each kept atom once, straight into its column of the matrix the
+dictionary keeps.
 """
 
 from __future__ import annotations
@@ -29,6 +34,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 UNIT_NORM_TOL = 1e-9
 DUPLICATE_ATOM_TOL = 1e-12
+# pattern samples below this magnitude are stored as 0.  Samples satisfy
+# |g| <= 1, so an atom's norm is at most sqrt(N), and a kept sample divided
+# by its norm stays at least 1e-300 / sqrt(N), above the smallest normal
+# float (2.2e-308) for any N < 2e15: no atom holds a subnormal entry, which
+# would send every product with the atoms down the CPU's slow path.  The
+# squares of the zeroed samples underflow to 0 already, so every norm, and
+# so every kept sample's stored entry, keeps its bits.
+_SAMPLE_FLOOR = 1e-300
 # the parameter fields that locate an atom's center, per dictionary family
 _CENTER_FIELDS = {"gaussian_2d": ("tx", "ty"), "gabor_1d": ("t",)}
 
@@ -181,7 +194,8 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
 
     for integer pixels x in 0..width-1 (columns) and y in 0..height-1
     (rows), flattened row-major to a vector of length width*height and
-    scaled to unit norm.
+    scaled to unit norm.  Samples below 1e-300 are stored as 0 before
+    scaling, so no atom holds a subnormal entry.
 
     One atom is generated per (theta, sx, sy, translation) tuple, in
     deterministic grid order with theta outermost and translation
@@ -252,6 +266,7 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
         rx = (du * c - dv * s) / sx
         ry = (dv * c + du * s) / sy
         pattern = np.exp(-rx * rx - ry * ry)
+        pattern[pattern < _SAMPLE_FLOOR] = 0.0
         windows.append(
             sliding_window_view(pattern, (height, width))[::-1, ::-1])
         block = windows[i][tys, txs].reshape(len(cells), n)
@@ -293,7 +308,9 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
 
     Atoms g_(t,s,omega)(x) = rho * exp(-((x-t)/s)^2) * cos(omega (x-t)/s)
     are sampled at x = 1..n for centers t = t_start, t_start + t_step, ...
-    up to n.  With ``include_negated`` the negated copy -g follows each g
+    up to n, and scaled to unit norm; samples below 1e-300 in magnitude
+    are stored as 0 before scaling, so no atom holds a subnormal entry.
+    With ``include_negated`` the negated copy -g follows each g
     as a distinct atom, which lets decoders represent sign flips by atom
     choice.  Order is deterministic with t outermost, then scale, then
     frequency, then sign.  No duplicates are removed: a repeated scale or
@@ -327,6 +344,7 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
         window = np.exp(-u * u)
         for j, omega in enumerate(omegas):
             patterns[i, j] = window * np.cos(omega * u)
+    patterns[np.abs(patterns) < _SAMPLE_FLOOR] = 0.0
     signs = (1, -1) if include_negated else (1,)
     params = [ModulatedAtom1D(t, s, omega, sign) for t in centers
               for s in scales for omega in omegas for sign in signs]

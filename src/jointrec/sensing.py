@@ -23,9 +23,19 @@ class SensingMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2 or entries.size == 0:
             raise ValueError("sensing matrix must be a nonempty 2D array")
-        entries = entries.copy()
+        self._adopt(entries.copy())
+
+    @classmethod
+    def _own(cls, entries):
+        """The sampler's path: ``entries`` is a fresh nonempty (M, N) float
+        matrix that no one else holds, so it is frozen, not copied."""
+        matrix = cls.__new__(cls)
+        matrix._adopt(entries)
+        return matrix
+
+    def _adopt(self, entries):
         entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        self.entries = entries
 
     @property
     def n_measurements(self) -> int:
@@ -48,7 +58,7 @@ def sample_sensing_matrix(n_measurements: int, signal_length: int,
     rng = np.random.default_rng(seed)
     entries = rng.standard_normal((n_measurements, signal_length))
     entries /= np.sqrt(n_measurements)
-    return SensingMatrix(entries)
+    return SensingMatrix._own(entries)
 
 
 def identity_sensing(signal_length: int) -> SensingMatrix:

@@ -2,12 +2,15 @@
 
 The full-size dictionaries take a few seconds to build, so they are
 session-scoped and shared between the unit tests and the acceptance
-suite.  ``enumerate_vectors`` is the oracle of enumeration order.
+suite.  ``enumerate_vectors`` is the oracle of enumeration order, and
+``argsort_top_s`` the oracle of top-S selection.
 ``gaussian_atom_2d`` and ``modulated_atom_1d`` sample one atom at a time,
 and ``gaussian_2d_oracle`` and ``gabor_1d_oracle`` evaluate every atom
 on its full grid; they are the oracles of the dictionary builders, which
-evaluate each atom shape once over its offsets.  ``oracle_keep_first``
-removes duplicate 2D atoms by comparing every pair at a translation.
+evaluate each atom shape once over its offsets.  Like the builders, they
+store samples below ``_SAMPLE_FLOOR`` in magnitude as 0 before
+normalizing.  ``oracle_keep_first`` removes duplicate 2D atoms by
+comparing every pair at a translation.
 """
 
 from itertools import product
@@ -18,7 +21,7 @@ import pytest
 from jointrec import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
                       TransformVector, build_gabor_1d_dictionary,
                       build_gaussian_2d_dictionary, odd_translations)
-from jointrec.dictionary import DUPLICATE_ATOM_TOL
+from jointrec.dictionary import _SAMPLE_FLOOR, DUPLICATE_ATOM_TOL
 
 
 @pytest.fixture(scope="session")
@@ -73,6 +76,13 @@ def enumerate_vectors(candidates):
         yield TransformVector((candidates.identity,) + combo)
 
 
+def argsort_top_s(values, sparsity):
+    """(support, score) of ``select_top_s`` by a full stable sort: the S
+    first entries by (-value, index), summed in that order."""
+    chosen = np.argsort(-values, kind="stable")[:sparsity]
+    return np.sort(chosen), float(values[chosen].sum())
+
+
 def gaussian_atom_2d(width: int, height: int, params) -> np.ndarray:
     """Sample one rotated, scaled and translated Gaussian atom on the pixel grid.
 
@@ -82,8 +92,8 @@ def gaussian_atom_2d(width: int, height: int, params) -> np.ndarray:
         Y = ((y - ty) cos(theta) + (x - tx) sin(theta)) / sy
 
     for integer pixels x in 0..width-1 (columns) and y in 0..height-1 (rows),
-    flattened row-major to a vector of length width*height, then normalized.
-    ``params`` is a GaussianAtom2D record.
+    flattened row-major to a vector of length width*height, then floored
+    and normalized.  ``params`` is a GaussianAtom2D record.
     """
     xs = np.arange(width, dtype=float)
     ys = np.arange(height, dtype=float)
@@ -94,6 +104,7 @@ def gaussian_atom_2d(width: int, height: int, params) -> np.ndarray:
     rx = (u * c - v * s) / params.sx
     ry = (v * c + u * s) / params.sy
     values = np.exp(-rx * rx - ry * ry).ravel()
+    values[values < _SAMPLE_FLOOR] = 0.0
     return values / np.linalg.norm(values)
 
 
@@ -103,6 +114,7 @@ def modulated_atom_1d(n: int, params) -> np.ndarray:
     x = np.arange(1, n + 1, dtype=float)
     u = (x - params.t) / params.s
     values = params.sign * np.exp(-u * u) * np.cos(params.omega * u)
+    values[np.abs(values) < _SAMPLE_FLOOR] = 0.0
     return values / np.linalg.norm(values)
 
 
@@ -125,6 +137,7 @@ def gaussian_2d_rows(width, height, thetas, sxs, sys, translations):
         rx = (u * c - v * s) / sx
         ry = (v * c + u * s) / sy
         vals = np.exp(-rx * rx - ry * ry).reshape(len(translations), -1)
+        vals[vals < _SAMPLE_FLOOR] = 0.0
         vals /= np.linalg.norm(vals, axis=1, keepdims=True)
         blocks.append(vals)
         params.extend(GaussianAtom2D(theta, sx, sy, tx, ty)
@@ -171,6 +184,7 @@ def gabor_1d_oracle(n, t_start, t_step, scales, omegas, include_negated):
             window = np.exp(-u * u)
             for omega in omegas:
                 g = window * np.cos(omega * u)
+                g[np.abs(g) < _SAMPLE_FLOOR] = 0.0
                 g = g / np.linalg.norm(g)
                 columns.append(g)
                 params.append(ModulatedAtom1D(t, s, omega, 1))

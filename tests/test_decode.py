@@ -6,7 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import enumerate_vectors, random_orthonormal_dictionary
+from conftest import (argsort_top_s, enumerate_vectors,
+                      random_orthonormal_dictionary)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -331,6 +332,23 @@ class TestSelectTopS:
         expected = np.sort(np.array(order[:sparsity]))
         assert np.array_equal(support, expected)
         assert score == pytest.approx(float(values[expected].sum()))
+
+    @pytest.mark.parametrize("k, sparsity", [(6144, 5), (3000, 50), (40, 30)])
+    def test_matches_argsort_oracle_bit_for_bit(self, k, sparsity):
+        # rounded values tie often; -inf entries are not selectable, and a
+        # NaN is never chosen
+        rng = np.random.default_rng(1802)
+        for _ in range(50):
+            values = np.round(rng.standard_normal(k), rng.integers(0, 3))
+            values[rng.random(k) < 0.2] = -np.inf
+            if rng.random() < 0.2:
+                values[rng.integers(k)] = np.nan
+            values[rng.choice(k, size=sparsity, replace=False)] = np.round(
+                rng.standard_normal(sparsity), 1)
+            support, score = select_top_s(values, sparsity)
+            expected, expected_score = argsort_top_s(values, sparsity)
+            assert np.array_equal(support, expected)
+            assert score == expected_score
 
 
 class TestJointDecoding:

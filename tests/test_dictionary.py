@@ -10,10 +10,13 @@ import pytest
 from conftest import (gabor_1d_oracle, gaussian_2d_oracle, gaussian_2d_rows,
                       gaussian_atom_2d, modulated_atom_1d, oracle_keep_first)
 from jointrec import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
-                      babel_function, build_gabor_1d_dictionary,
-                      build_gaussian_2d_dictionary, gram_row,
-                      odd_translations)
-from jointrec.dictionary import DUPLICATE_ATOM_TOL, UNIT_NORM_TOL
+                      atom_measurement_correlations, babel_function,
+                      build_gabor_1d_dictionary, build_gaussian_2d_dictionary,
+                      gram_row, least_squares_reconstruct, measure_ensemble,
+                      odd_translations, sample_sensing_matrix,
+                      thresholding_margin)
+from jointrec.dictionary import (_SAMPLE_FLOOR, DUPLICATE_ATOM_TOL,
+                                 UNIT_NORM_TOL)
 
 
 def brute_force_babel(atoms: np.ndarray, m: int) -> float:
@@ -83,12 +86,13 @@ class TestDuplicateOracle:
 
 
 # sha256 of atoms.tobytes() for the conftest dictionaries, as built by
-# evaluating every atom on its full grid
+# evaluating every atom on its full grid, samples below 1e-300 stored as 0
+# (the small grids have no such samples)
 PINNED_ATOM_DIGESTS = {
     "full_gaussian_dict":
-        "d8851327e8ee7a7fb400f6d998b404dcce41f06b74a93e785f5a1e4f412d1ac0",
+        "245832153eb12d2cc46a15fdc30cb927746cefcdfd629b652f650bcae79c73b8",
     "full_gabor_dict":
-        "8d2a52458b1d96b44b828b3dbc32ad05c3c032629d0168c98305022b173c26e7",
+        "f3eea0a9582e3a198a760a2a09e400e83456005abff9bb84efc03f901f3d7660",
     "small_gaussian_dict":
         "660986ae343461fa66cb4dc3ae40df06b426413c0216188454a06d01156a92f2",
     "small_gabor_dict":
@@ -147,6 +151,69 @@ class TestExactBits:
     def test_gabor_1d_rejects_fractional_step(self):
         with pytest.raises(TypeError):
             build_gabor_1d_dictionary(100, t_step=2.5)
+
+
+@pytest.fixture(scope="module")
+def unfloored():
+    """The full fixtures built with the sample floor set to 0, which keeps
+    every tail sample, subnormal ones included."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("jointrec.dictionary._SAMPLE_FLOOR", 0.0)
+        return {
+            "full_gaussian_dict": build_gaussian_2d_dictionary(
+                32, 32, np.linspace(0.0, np.pi, 7), [2.0, 4.0], [0.5, 1.0],
+                odd_translations(32, 32)),
+            "full_gabor_dict": build_gabor_1d_dictionary(1000),
+        }
+
+
+class TestSampleFloor:
+    """Samples below 1e-300 are stored as 0, so no atom holds a subnormal
+    entry, and no product with the atoms that the decoders and the
+    ensemble sampler form changes a bit."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ATOM_DIGESTS))
+    def test_no_subnormal_entries(self, request, name):
+        atoms = request.getfixturevalue(name).atoms
+        kept = np.abs(atoms[atoms != 0.0])
+        # a kept sample is at least the floor, and an atom's norm at most
+        # sqrt(N)
+        assert kept.min() >= _SAMPLE_FLOOR / math.sqrt(atoms.shape[0])
+        assert kept.min() >= np.finfo(float).tiny
+
+    def test_unfloored_builds_differ_only_below_the_floor(self, request,
+                                                         unfloored):
+        for name, raw in unfloored.items():
+            atoms = request.getfixturevalue(name).atoms
+            moved = atoms != raw.atoms
+            assert moved.any()
+            assert not atoms[moved].any()
+            assert np.abs(raw.atoms[moved]).max() < _SAMPLE_FLOOR
+
+    @pytest.mark.parametrize("name, sparsity", [
+        ("full_gaussian_dict", 5), ("full_gabor_dict", 50)])
+    def test_products_keep_their_bits(self, request, unfloored, name,
+                                      sparsity):
+        floored, raw = request.getfixturevalue(name), unfloored[name]
+        rng = np.random.default_rng(1801)
+        for _ in range(4):
+            support = np.sort(rng.choice(floored.n_atoms, size=sparsity,
+                                         replace=False))
+            signal = floored.atoms[:, support] @ rng.uniform(0.5, 1.5,
+                                                             sparsity)
+            matrix = sample_sensing_matrix(150, floored.signal_length,
+                                           seed=rng.integers(2**31))
+            measurements = measure_ensemble([matrix], [signal])
+            assert np.array_equal(
+                atom_measurement_correlations(measurements, floored),
+                atom_measurement_correlations(measurements, raw))
+            assert (thresholding_margin(signal, support, floored)
+                    == thresholding_margin(signal, support, raw))
+            fits = [least_squares_reconstruct(
+                matrix, d, support, measurements.measurements[0])
+                for d in (floored, raw)]
+            assert np.array_equal(fits[0].coefficients, fits[1].coefficients)
+            assert fits[0].rank == fits[1].rank
 
 
 class TestBuildMemory:

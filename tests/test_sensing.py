@@ -1,5 +1,7 @@
 """Gaussian sensing matrices and measurement plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,25 @@ class TestSampling:
         a = sample_sensing_matrix(5, 10, seed=0)
         with pytest.raises(ValueError):
             a.entries[0, 0] = 1.0
+
+    def test_draw_is_handed_over_not_copied(self):
+        tracemalloc.start()
+        try:
+            a = sample_sensing_matrix(200, 1000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a copy of the draw would hold two 1.6 MB matrices at once
+        assert peak < 1.5 * a.entries.nbytes
+        assert a.entries.base is None
+        assert a.entries.flags.owndata and not a.entries.flags.writeable
+
+    def test_constructor_copies_caller_array(self):
+        entries = np.ones((3, 4))
+        a = SensingMatrix(entries)
+        assert not np.shares_memory(a.entries, entries)
+        entries[0, 0] = 2.0
+        assert a.entries[0, 0] == 1.0 and entries.flags.writeable
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
