@@ -44,12 +44,12 @@ the nodes are visited in.  Leading views with one candidate, such as
 view 1's identity or every view of a single-offset list, are folded into
 the root, so a search with one free view is a plain scan.
 
-jt's leaves (the last free view's candidates) and gjt's stages are
-scored as rows of blocks of at most ``_BLOCK_BYTES``; ``np.partition``
-finds each row's S largest entries.  These scores reproduce the
-per-candidate rule bit for bit: each row is ((0.0 + c_1) + c_2) + ... +
-c_J in view order, as in ``correlation_vector``, and the S largest
-entries are summed in descending order, as ``select_top_s`` sums them.
+jt's leaves (the last free view's candidates) and gjt's stages score
+a whole candidate table in one call; ``np.partition`` finds each row's
+S largest entries.  These scores reproduce the per-candidate rule bit
+for bit: each row is ((0.0 + c_1) + c_2) + ... + c_J in view order, as
+in ``correlation_vector``, and the S largest entries are summed in
+descending order, as ``select_top_s`` sums them.
 Only the winning candidate becomes a ``TransformVector``.
 """
 
@@ -64,10 +64,6 @@ from .sensing import MeasurementSet, SensingMatrix
 from .transforms import CandidateSet, TransformVector, apply_to_support
 
 LSTSQ_RCOND = 1e-10
-# upper bound on the bytes of one block of candidate rows in _search: a
-# block and its partitioned copy stay in a core's L2 cache (512 KiB was the
-# fastest of 256 KiB..64 MiB for jt at K = 6144 with a 2 MiB L2)
-_BLOCK_BYTES = 1 << 19
 # _search prunes a node only when its bound plus a slack of _SLACK_EPS *
 # S (J + S) * A is below the incumbent, A = sum_j max |c_j|.  A leaf's
 # float top-S can exceed the float bound of its node by at most about
@@ -215,18 +211,6 @@ def _gather(base: np.ndarray, candidates: CandidateSet) -> list:
     return tables
 
 
-def _scores(row: np.ndarray, table: np.ndarray, sparsity: int):
-    """Yield (first, scores) per block: ``scores[r]`` is the ``_top_s``
-    score of ``row + table[first + r]``.
-
-    A block holds at most ``_BLOCK_BYTES`` of rows, or one row when a row
-    alone is larger.
-    """
-    width = max(1, _BLOCK_BYTES // (row.size * row.itemsize))
-    for first in range(0, len(table), width):
-        yield first, _top_s(row + table[first:first + width], sparsity)
-
-
 def _top_s(rows: np.ndarray, sparsity: int) -> np.ndarray:
     """The top-S score of each row of the (n, K) array ``rows``: -inf when
     that row has fewer than S entries above -inf.
@@ -247,14 +231,12 @@ def _top_s(rows: np.ndarray, sparsity: int) -> np.ndarray:
 
 
 def _best(row: np.ndarray, table: np.ndarray, sparsity: int):
-    """(i, score) for the first i with the highest ``_scores`` score of
-    ``row + table[i]``; -inf when every row keeps fewer than S atoms."""
-    best, best_score = 0, -np.inf
-    for first, scores in _scores(row, table, sparsity):
-        i = int(np.argmax(scores))
-        if scores[i] > best_score:
-            best, best_score = first + i, scores[i]
-    return best, best_score
+    """(i, score) for the first i with the highest ``_top_s`` score of
+    ``row + table[i]``; (0, -inf) when every row keeps fewer than S
+    atoms."""
+    scores = _top_s(row + table, sparsity)
+    i = int(np.argmax(scores))
+    return i, scores[i]
 
 
 def _winner(base: np.ndarray, sparsity: int, candidates: CandidateSet, picks):
@@ -283,14 +265,14 @@ def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
     node scores above the node's own top-S plus, for each later view, the
     best top-S among that view's candidates.  Children are expanded in
     descending bound order, and the last free view's candidates are
-    scored as leaves, block by block.  A node is pruned when its bound is
-    -inf (it keeps fewer than S entries above -inf under every extension)
-    or when its bound plus a rounding slack is strictly below the
-    incumbent's score; the slack covers the float error by which a leaf's
-    score can exceed its bound (see ``_SLACK_EPS``).  A leaf replaces the
-    incumbent when it scores higher, or the same with picks that come
-    first in enumeration order (the last view varies fastest, so that is
-    tuple order).  So the winner is the first strict maximizer in
+    scored as leaves, the whole table in one call.  A node is pruned when
+    its bound is -inf (it keeps fewer than S entries above -inf under
+    every extension) or when its bound plus a rounding slack is strictly
+    below the incumbent's score; the slack covers the float error by
+    which a leaf's score can exceed its bound (see ``_SLACK_EPS``).  A
+    leaf replaces the incumbent when it scores higher, or the same with
+    picks that come first in enumeration order (the last view varies
+    fastest, so that is tuple order).  So the winner is the first strict maximizer in
     enumeration order, as a scan of every vector would find it, whatever
     order the nodes are visited in, and its score is bit-identical to
     scoring it alone.  Only the winner becomes a ``TransformVector``.

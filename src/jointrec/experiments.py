@@ -159,8 +159,8 @@ class DictionaryConfig:
         "gabor_1d": ("length", "scales", "omegas"),
     }
 
-    # value types, number lists finite; a None per-variant field is
-    # reported by _check_variant
+    # value types, number lists finite, then sizes and the translation
+    # rule; a None per-variant field is reported by _check_variant
     _FIELD_TYPES = (
         ("variant", *_STR),
         *((name, _optional(_is_int), "an integer")
@@ -172,6 +172,9 @@ class DictionaryConfig:
         ("t_start", *_INT),
         ("t_step", *_INT),
         ("include_negated", *_BOOL),
+        *((name, _optional(lambda v: v >= 1), "at least 1")
+          for name in ("width", "height", "n_theta", "length", "t_step")),
+        ("translations", lambda v: v == "odd", "'odd'"),
     )
 
     def _check_variant(self) -> None:
@@ -194,17 +197,9 @@ class DictionaryConfig:
         self._check_variant()
         if self.variant == "gaussian_2d":
             thetas = np.linspace(0.0, np.pi, int(self.n_theta))
-            if self.translations == "odd":
-                shifts = odd_translations(self.width, self.height)
-            elif self.translations == "all":
-                shifts = [(tx, ty) for tx in range(self.width)
-                          for ty in range(self.height)]
-            else:
-                raise ValueError(
-                    f"unknown translation rule {self.translations!r}")
             return build_gaussian_2d_dictionary(
                 self.width, self.height, thetas, self.sx_values,
-                self.sy_values, shifts)
+                self.sy_values, odd_translations(self.width, self.height))
         return build_gabor_1d_dictionary(
             self.length, t_start=self.t_start, t_step=self.t_step,
             scales=self.scales, omegas=self.omegas,

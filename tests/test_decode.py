@@ -133,19 +133,15 @@ def kernel_scores(base, sparsity, candidates):
     """Every candidate vector's kernel score, in enumeration order: the
     exhaustive scan that the pruned search must agree with.  Each prefix
     row is ((0.0 + c_1) + c_2) + ..., as the search builds it, and
-    ``decode._scores`` scores it against every candidate of the last view
-    in blocks that tile the view."""
+    ``decode._top_s`` scores it against every candidate of the last view
+    in one call."""
     *prefix_tables, last = decode._gather(base, candidates)
     scores = []
     for prefix in itertools.product(*(range(len(t)) for t in prefix_tables)):
         row = np.zeros(base.shape[0])
         for table, i in zip(prefix_tables, prefix):
             row = row + table[i]
-        blocks = list(decode._scores(row, last, sparsity))
-        firsts = np.cumsum([0] + [s.size for _, s in blocks])
-        assert [first for first, _ in blocks] == firsts[:-1].tolist()
-        assert firsts[-1] == len(last)
-        scores.extend(s for _, block in blocks for s in block)
+        scores.extend(decode._top_s(row + last, sparsity))
     return np.array(scores)
 
 
@@ -431,20 +427,19 @@ class TestJointDecoding:
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3),
-           st.floats(0.0, 0.7), st.integers(0, 4), st.integers(1, 3),
-           st.sampled_from([None, 1, 2, 3, 5]))
-    # a tied twin straddles the boundary of one-row blocks
+           st.floats(0.0, 0.7), st.integers(0, 4), st.integers(1, 3))
+    # a candidate and its tied twin, the twin scored second
     @example(seed=0, n_views=2, pool_size=1, masked=0.0, duplicates=0,
-             sparsity=1, block_rows=1)
-    # the last view's four candidates split across blocks of two rows
+             sparsity=1)
+    # duplicated atoms and twins tie across a last view of four candidates
     @example(seed=1, n_views=3, pool_size=3, masked=0.2, duplicates=2,
-             sparsity=2, block_rows=2)
+             sparsity=2)
     def test_jt_and_gjt_match_oracle(self, seed, n_views, pool_size, masked,
-                                     duplicates, sparsity, block_rows):
+                                     duplicates, sparsity):
         # signed basis atoms keep the correlations exact, so duplicated
         # atoms tie in every view; a twin of a pool entry (same mapping,
         # another object) ties whole candidates; -1 entries make atoms
-        # (or candidates) invalid; block_rows caps the kernel's blocks
+        # (or candidates) invalid
         rng = np.random.default_rng(seed)
         distinct = np.eye(16)[:, rng.choice(16, 10 - duplicates, replace=False)]
         distinct *= rng.choice([-1.0, 1.0], size=10 - duplicates)
@@ -463,26 +458,22 @@ class TestJointDecoding:
         cands = CandidateSet(identity_transform(d), tuple(per_view))
         meas, _, _, _ = random_problem(d, n_views, 8, sparsity, seed=seed)
         base = atom_measurement_correlations(meas, d)
-        block_bytes = (decode._BLOCK_BYTES if block_rows is None
-                       else block_rows * base.shape[0] * base.itemsize)
-        with mock.patch.object(decode, "_BLOCK_BYTES", block_bytes):
-            # every candidate's kernel score, not just the winner's
-            got = [float(v).hex()
-                   for v in kernel_scores(base, sparsity, cands)]
-            want = [oracle_score(base, sparsity, vector)[0].hex()
-                    for vector in enumerate_vectors(cands)]
-            assert got == want
-            for decoder, oracle in ((joint_threshold_decode, oracle_search),
-                                    (greedy_joint_threshold_decode,
-                                     oracle_greedy)):
-                try:
-                    expected = oracle(base, sparsity, cands)
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        decoder(meas, d, sparsity, cands)
-                    continue
-                assert_matches_oracle(decoder(meas, d, sparsity, cands),
-                                      expected)
+        # every candidate's kernel score, not just the winner's
+        got = [float(v).hex() for v in kernel_scores(base, sparsity, cands)]
+        want = [oracle_score(base, sparsity, vector)[0].hex()
+                for vector in enumerate_vectors(cands)]
+        assert got == want
+        for decoder, oracle in ((joint_threshold_decode, oracle_search),
+                                (greedy_joint_threshold_decode,
+                                 oracle_greedy)):
+            try:
+                expected = oracle(base, sparsity, cands)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    decoder(meas, d, sparsity, cands)
+                continue
+            assert_matches_oracle(decoder(meas, d, sparsity, cands),
+                                  expected)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3),
@@ -626,7 +617,7 @@ class TestJointDecoding:
             decoder(meas, d, 2, extra)
 
     def test_top_s_rejects_sparsity_out_of_range(self):
-        # the kernel behind jt's node bounds and every block score
+        # the kernel behind jt's node bounds and every leaf and stage score
         rows = np.zeros((3, 6))
         for sparsity, message in ((0, "sparsity must be at least 1"),
                                   (7, decode._NO_VALID_CANDIDATE)):
@@ -658,15 +649,17 @@ class TestJointDecoding:
 
 
 OFFSETS_3X3 = [(dx, dy) for dx in (-2, 0, 2) for dy in (-2, 0, 2)]
+OFFSETS_5X5 = [(dx, dy) for dx in (-4, -2, 0, 2, 4)
+               for dy in (-4, -2, 0, 2, 4)]
 
 
-def full_scale_trial(dictionary, n_views, n_measurements, seed):
+def full_scale_trial(dictionary, n_views, n_measurements, seed,
+                     offsets=OFFSETS_3X3):
     """One trial of the full-scale presets: 9 translation candidates per
-    view, S = 5, Gaussian sensing.  Returns (measurements, candidate
-    set)."""
+    view unless ``offsets`` says otherwise, S = 5, Gaussian sensing.
+    Returns (measurements, candidate set)."""
     rng = np.random.default_rng(seed)
-    cands = CandidateSet.from_uniform_offsets(dictionary, OFFSETS_3X3,
-                                              n_views)
+    cands = CandidateSet.from_uniform_offsets(dictionary, offsets, n_views)
     truth = TransformVector((cands.identity,) + tuple(
         pool[rng.integers(0, len(pool))] for pool in cands.per_view))
     ens = generate_ensemble(dictionary, 5, truth, seed=seed,
@@ -728,6 +721,20 @@ class TestPrunedSearch:
         # the bounds are loosest and the search prunes least
         meas, cands = full_scale_trial(full_gaussian_dict, 4, 40, seed)
         assert_jt_matches_exhaustive_scan(full_gaussian_dict, meas, cands)
+
+    def test_wide_table_matches_oracle(self, full_gaussian_dict):
+        # 25 candidates per view: a 25 x 6144 table (1.2 MB) that jt's
+        # leaves and gjt's stages score whole
+        meas, cands = full_scale_trial(full_gaussian_dict, 3, 40, seed=4,
+                                       offsets=OFFSETS_5X5)
+        base = atom_measurement_correlations(meas, full_gaussian_dict)
+        assert decode._gather(base, cands)[-1].nbytes > 1_000_000
+        for decoder, oracle in ((joint_threshold_decode, oracle_search),
+                                (greedy_joint_threshold_decode,
+                                 oracle_greedy)):
+            assert_matches_oracle(
+                decoder(meas, full_gaussian_dict, 5, cands),
+                oracle(base, 5, cands))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n_views", [5, 6])

@@ -775,6 +775,28 @@ class TestCli:
          "error: output_dir must be a string, not 5"),
         (lambda tmp: tiny_gabor_config(output_dir=None), [],
          "error: output_dir must be a string, not None"),
+        # the dictionary's sizes and translation rule are refused before
+        # the output directory is made
+        (lambda tmp: tiny_gaussian_config(
+            output_dir=str(tmp / "never"),
+            dictionary=DictionaryConfig(variant="gaussian_2d", width=8,
+                                        height=8, n_theta=3,
+                                        sx_values=[2.0], sy_values=[1.0],
+                                        translations="every")), [],
+         "error: dictionary translations must be 'odd', not 'every'"),
+        *((lambda tmp, name=name: tiny_gaussian_config(
+            output_dir=str(tmp / "never"), dictionary=DictionaryConfig(**{
+                "variant": "gaussian_2d", "width": 8, "height": 8,
+                "n_theta": 3, "sx_values": [2.0], "sy_values": [1.0],
+                name: 0})), [],
+           f"error: dictionary {name} must be at least 1, not 0")
+          for name in ("width", "height", "n_theta")),
+        *((lambda tmp, name=name: tiny_gabor_config(
+            output_dir=str(tmp / "never"), dictionary=DictionaryConfig(**{
+                "variant": "gabor_1d", "length": 120, "scales": [4.0],
+                "omegas": [2.0], name: 0})), [],
+           f"error: dictionary {name} must be at least 1, not 0")
+          for name in ("length", "t_step")),
     ])
     def test_run_invalid_config_exits_2(self, tmp_path, capsys, make, extra,
                                         message):
@@ -782,6 +804,7 @@ class TestCli:
         save_config(make(tmp_path), path)
         assert cli_main(["run", str(path), *extra]) == 2
         assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "never").exists()
 
     def test_run_signals_decodes_ingested_pair(self, tmp_path):
         cfg = tiny_gabor_config(output_dir=str(tmp_path / "res"))
