@@ -11,8 +11,9 @@ Invalid or unreadable input (a bad or missing config, instance, table
 or signal file, or malformed JSON) ends with a one-line ``error:``
 message and exit status 2.  ``run`` exits with status 1 when ensemble
 generation fails, so callers can tell infeasible configurations from
-crashes.  ``run`` and ``decode`` make their output directory before
-any computation, so an unusable one fails before the run, not after it;
+crashes.  ``run`` and ``decode`` check their config or instance, then
+make their output directory before any computation, so a bad config or
+instance leaves no directory and an unusable one fails before the run;
 errors while making it or writing output are not caught.
 """
 
@@ -24,12 +25,11 @@ import json
 import sys
 from pathlib import Path
 
-from .decode import _DECODERS
 from .ensemble import EnsembleGenerationError
 from .experiments import (_parse_json, decode_instance, describe_presets,
                           emit_plot_data, get_preset, load_config,
                           preset_names, read_trials_csv, run_experiment,
-                          validate_config)
+                          validate_config, validate_instance)
 
 
 @contextlib.contextmanager
@@ -61,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="master seed (overrides the config)")
     run_p.add_argument("--trials", type=int, default=None,
                        help="trial count (overrides the config)")
-    run_p.add_argument("--emit-plots", action="store_true",
-                       help="also write per-metric plot TSVs")
     run_p.add_argument("--signals", nargs="+", metavar="VIEW.csv",
                        help="decode these single-column signal CSVs, one "
                             "per view, instead of synthetic ensembles")
@@ -79,13 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     decode_p = sub.add_parser(
         "decode", help="decode one instance described by a JSON file")
     decode_p.add_argument("instance", help="path to an instance JSON")
-    decode_p.add_argument("--algorithm", choices=list(_DECODERS),
-                          default=None, help="override the instance's decoder")
-    decode_p.add_argument("--sparsity", type=int, default=None,
-                          help="override the instance's sparsity level")
-    decode_p.add_argument("--offsets", default=None,
-                          help="candidate offsets as JSON, e.g. '[-10,0,10]' "
-                               "or '[[0,0],[2,0]]'")
     decode_p.add_argument("--out", default=None,
                           help="directory for the result JSON and per-view "
                                "reconstruction CSVs")
@@ -100,9 +91,8 @@ def _cmd_run(args) -> int:
     elif name in preset_names():
         config = get_preset(name)
     else:
-        print(f"error: {name!r} is neither a config file nor a preset "
-              f"(presets: {', '.join(preset_names())})", file=sys.stderr)
-        return 2
+        raise ValueError(f"{name!r} is neither a config file nor a preset "
+                         f"(presets: {', '.join(preset_names())})")
 
     if args.out is not None:
         config.output_dir = args.out
@@ -123,9 +113,6 @@ def _cmd_run(args) -> int:
         print(f"error: ensemble generation failed: {exc}", file=sys.stderr)
         return 1
     paths = table.write(config.output_dir)
-    if args.emit_plots:
-        for p in emit_plot_data(table, config.output_dir):
-            print(f"wrote {p}")
     for key in ("trials", "results", "meta"):
         print(f"wrote {paths[key]}")
     for row in table.aggregate():
@@ -159,15 +146,8 @@ def _cmd_decode(args) -> int:
     with _reading():
         text = instance_path.read_text(encoding="utf-8")
     instance = _parse_json(text, args.instance)
-    # overrides go into a JSON object only; decode_instance rejects the rest
-    if isinstance(instance, dict):
-        if args.algorithm is not None:
-            instance["algorithm"] = args.algorithm
-        if args.sparsity is not None:
-            instance["sparsity"] = args.sparsity
-        if args.offsets is not None:
-            instance["candidate_offsets"] = _parse_json(args.offsets,
-                                                        "--offsets")
+    # a bad instance exits 2 before its output directory is made
+    validate_instance(instance)
     out_dir = Path(args.out) if args.out else instance_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     with _reading():

@@ -159,8 +159,9 @@ class DictionaryConfig:
         "gabor_1d": ("length", "scales", "omegas"),
     }
 
-    # value types, number lists finite, then sizes and the translation
-    # rule; a None per-variant field is reported by _check_variant
+    # value types, number lists finite, then values (a 1-pixel side has no
+    # odd coordinate, so no atom center); _check_variant reports a None
+    # per-variant field and a t_start outside 1..length
     _FIELD_TYPES = (
         ("variant", *_STR),
         *((name, _optional(_is_int), "an integer")
@@ -172,8 +173,14 @@ class DictionaryConfig:
         ("t_start", *_INT),
         ("t_step", *_INT),
         ("include_negated", *_BOOL),
-        *((name, _optional(lambda v: v >= 1), "at least 1")
-          for name in ("width", "height", "n_theta", "length", "t_step")),
+        *((name, _optional(lambda v, least=least: v >= least),
+           f"at least {least}")
+          for name, least in (("width", 2), ("height", 2), ("n_theta", 1),
+                              ("length", 1), ("t_step", 1))),
+        *((name, _optional(lambda v: bool(v) and all(s > 0 for s in v)),
+           "a non-empty list of positive numbers")
+          for name in ("sx_values", "sy_values", "scales")),
+        ("omegas", _optional(bool), "a non-empty list"),
         ("translations", lambda v: v == "odd", "'odd'"),
     )
 
@@ -186,6 +193,9 @@ class DictionaryConfig:
         if missing:
             raise ValueError(f"the {self.variant} dictionary needs "
                              f"{', '.join(map(repr, missing))}")
+        if self.variant == "gabor_1d" and not 1 <= self.t_start <= self.length:
+            raise ValueError(f"dictionary t_start must lie in "
+                             f"1..{self.length}, not {self.t_start}")
 
     def signal_length(self) -> int:
         self._check_variant()
@@ -762,8 +772,9 @@ _INSTANCE_TYPES = (
 )
 
 
-def decode_instance(instance: dict):
-    """Decode one problem instance described by a plain dict (CLI JSON).
+def validate_instance(instance) -> tuple[DecodeInstance, DictionaryConfig]:
+    """Raise ValueError on an invalid decode instance, a plain dict (CLI
+    JSON), before any signal file is read.
 
     The keys are the :class:`DecodeInstance` fields: ``dictionary`` (a
     DictionaryConfig mapping), ``sparsity`` and ``signal_csvs`` (one
@@ -771,16 +782,15 @@ def decode_instance(instance: dict):
     gjt | it, default jt), ``candidate_offsets`` (required for jt/gjt),
     ``measurements`` (per-view count for Gaussian sensing, required
     unless ``identity_sensing``, and then the signal length if given)
-    and ``seed`` (sensing seed, default 0) are optional.  The rules a
-    config shares run before any signal file is read.  Returns
-    (DecodeResult, summary dict); the summary is JSON-serializable.
+    and ``seed`` (sensing seed, default 0) are optional.  Value types
+    are checked first, then the rules a config shares.  Returns the
+    instance and its dictionary config.
     """
     inst = _dataclass_from(DecodeInstance, instance, noun="instance")
     _check_fields(inst, _INSTANCE_TYPES)
     if inst.algorithm not in decode._DECODERS:
         raise ValueError(f"unknown algorithm {inst.algorithm!r}")
-    joint = inst.algorithm != "it"
-    if joint and inst.candidate_offsets is None:
+    if inst.algorithm != "it" and inst.candidate_offsets is None:
         raise ValueError("jt/gjt need candidate_offsets")
     if not inst.identity_sensing and inst.measurements is None:
         raise ValueError("instance needs measurements unless "
@@ -789,10 +799,17 @@ def decode_instance(instance: dict):
     _check_problem(dictionary_config, inst.sparsity, inst.candidate_offsets,
                    [] if inst.measurements is None else [inst.measurements],
                    inst.identity_sensing)
+    return inst, dictionary_config
+
+
+def decode_instance(instance: dict):
+    """Decode one instance dict, checked by :func:`validate_instance`.
+    Returns (DecodeResult, summary dict); the summary is JSON-serializable."""
+    inst, dictionary_config = validate_instance(instance)
     dictionary = dictionary_config.build()
     signals = _load_signals(inst.signal_csvs, dictionary)
     candidates = None
-    if joint:
+    if inst.algorithm != "it":
         candidates = CandidateSet.from_uniform_offsets(
             dictionary, inst.candidate_offsets, len(signals))
     [(_, result, _)] = _decode_views(

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -321,6 +322,18 @@ class TestDocs:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "1.0\n"
+
+    def test_readme_cli_examples_parse(self):
+        # every example line, a removed flag included, must parse
+        text = self.README.read_text(encoding="utf-8")
+        body = re.split(r"\n## ", text.split("\n## CLI\n", 1)[1], 1)[0]
+        lines = [line
+                 for block in re.findall(r"```sh\n(.*?)```", body, re.DOTALL)
+                 for line in block.splitlines() if line.startswith("jointrec ")]
+        parser = _build_parser()
+        verbs = {parser.parse_args(shlex.split(line)[1:]).verb
+                 for line in lines}
+        assert verbs == {"run", "presets", "emit-plots", "decode"}
 
 
 def count_correlation_tables(monkeypatch):
@@ -657,12 +670,15 @@ class TestCli:
         cfg = tiny_gabor_config(output_dir=str(tmp_path / "results"))
         path = tmp_path / "config.json"
         save_config(cfg, path)
-        assert cli_main(["run", str(path), "--emit-plots"]) == 0
+        assert cli_main(["run", str(path)]) == 0
         assert (tmp_path / "results" / "trials.csv").exists()
         assert (tmp_path / "results" / "results.csv").exists()
         assert (tmp_path / "results" / "run_meta.json").exists()
-        assert (tmp_path / "results" / "mse.tsv").exists()
         assert "sweep=30" in capsys.readouterr().out
+        # plot TSVs come from the emit-plots verb, next to the table
+        assert cli_main(["emit-plots",
+                         str(tmp_path / "results" / "trials.csv")]) == 0
+        assert (tmp_path / "results" / "mse.tsv").exists()
 
     def test_run_overrides(self, tmp_path):
         cfg = tiny_gabor_config(output_dir=str(tmp_path / "ignored"))
@@ -789,14 +805,38 @@ class TestCli:
                 "variant": "gaussian_2d", "width": 8, "height": 8,
                 "n_theta": 3, "sx_values": [2.0], "sy_values": [1.0],
                 name: 0})), [],
-           f"error: dictionary {name} must be at least 1, not 0")
-          for name in ("width", "height", "n_theta")),
+           f"error: dictionary {name} must be at least {least}, not 0")
+          for name, least in (("width", 2), ("height", 2), ("n_theta", 1))),
         *((lambda tmp, name=name: tiny_gabor_config(
             output_dir=str(tmp / "never"), dictionary=DictionaryConfig(**{
                 "variant": "gabor_1d", "length": 120, "scales": [4.0],
                 "omegas": [2.0], name: 0})), [],
            f"error: dictionary {name} must be at least 1, not 0")
           for name in ("length", "t_step")),
+        # values each builder would refuse only after the output directory
+        # is made, with a message naming no field
+        *((lambda tmp, name=name, value=value: tiny_gaussian_config(
+            output_dir=str(tmp / "never"), dictionary=DictionaryConfig(**{
+                "variant": "gaussian_2d", "width": 8, "height": 8,
+                "n_theta": 3, "sx_values": [2.0], "sy_values": [1.0],
+                name: value})), [],
+           f"error: dictionary {name} must {what}, not {value!r}")
+          for name, value, what in (
+              ("width", 1, "be at least 2"), ("height", 1, "be at least 2"),
+              ("sx_values", [-2.0], "be a non-empty list of positive numbers"),
+              ("sy_values", [0.0], "be a non-empty list of positive numbers"),
+              ("sx_values", [], "be a non-empty list of positive numbers"))),
+        *((lambda tmp, name=name, value=value: tiny_gabor_config(
+            output_dir=str(tmp / "never"), dictionary=DictionaryConfig(**{
+                "variant": "gabor_1d", "length": 120, "scales": [4.0],
+                "omegas": [2.0], name: value})), [],
+           f"error: dictionary {name} must {what}, not {value!r}")
+          for name, value, what in (
+              ("scales", [0.0], "be a non-empty list of positive numbers"),
+              ("scales", [], "be a non-empty list of positive numbers"),
+              ("omegas", [], "be a non-empty list"),
+              ("t_start", 0, "lie in 1..120"),
+              ("t_start", 5000, "lie in 1..120"))),
     ])
     def test_run_invalid_config_exits_2(self, tmp_path, capsys, make, extra,
                                         message):
@@ -896,7 +936,7 @@ class TestCli:
         }
         inst_path = tmp_path / "instance.json"
         inst_path.write_text(json.dumps(instance))
-        assert cli_main(["decode", str(inst_path), "--algorithm", "jt",
+        assert cli_main(["decode", str(inst_path),
                          "--out", str(tmp_path / "dec")]) == 0
         summary = json.loads(
             (tmp_path / "dec" / "decode_result.json").read_text())
@@ -939,14 +979,6 @@ class TestCli:
             "candidate_offsets": [-10, 0, 10],
             "signal_csvs": write_signal_pair(tmp_path)})
         assert calls == [30]
-
-    def test_algorithm_choices_are_the_decoder_table(self):
-        decode_verb = next(
-            action for action in _build_parser()._actions
-            if action.dest == "verb").choices["decode"]
-        algorithm = next(action for action in decode_verb._actions
-                         if action.dest == "algorithm")
-        assert algorithm.choices == list(decode._DECODERS)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda inst: inst["dictionary"].pop("omegas"),
@@ -1020,20 +1052,24 @@ class TestCli:
         assert cli_main(["decode", str(inst_path)]) == 2
         assert capsys.readouterr().err == message + "\n"
 
+    # with or without --out, a rejected instance leaves no new directory
     @pytest.mark.parametrize("text, flags, message", [
         ("5", [], "error: instance must be a mapping of keys to values, "
                   "not 5"),
-        ("[1, 2]", ["--algorithm", "jt"],
+        ("[1, 2]", ["--out", "fresh"],
          "error: instance must be a mapping of keys to values, not [1, 2]"),
-        ('"x"', ["--sparsity", "3", "--offsets", "[0]"],
+        ('"x"', ["--out", "fresh/nested"],
          "error: instance must be a mapping of keys to values, not 'x'"),
     ])
     def test_decode_non_object_instance_exits_2(self, tmp_path, capsys,
-                                                text, flags, message):
+                                                monkeypatch, text, flags,
+                                                message):
+        monkeypatch.chdir(tmp_path)
         inst_path = tmp_path / "instance.json"
         inst_path.write_text(text)
         assert cli_main(["decode", str(inst_path), *flags]) == 2
         assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "fresh").exists()
 
     @pytest.mark.parametrize("offsets, message", [
         ("[2.5]", "error: translation offset 2.5 must be an integer on a "
@@ -1052,11 +1088,48 @@ class TestCli:
                            "scales": [4.0], "omegas": [2.0]},
             "sparsity": 3, "measurements": 30,
             "signal_csvs": write_signal_pair(tmp_path),
+            "candidate_offsets": json.loads(offsets),
         }
         inst_path = tmp_path / "instance.json"
         inst_path.write_text(json.dumps(instance))
-        assert cli_main(["decode", str(inst_path), "--offsets", offsets]) == 2
+        assert cli_main(["decode", str(inst_path)]) == 2
         assert capsys.readouterr().err == message + "\n"
+
+    # every rule group of the instance check runs before --out is made
+    @pytest.mark.parametrize("edit, message", [
+        (lambda inst: [inst.pop(key) for key in ("dictionary", "signal_csvs")],
+         "error: missing instance key(s): 'dictionary', 'signal_csvs'"),
+        (lambda inst: inst.update(sparsity="3"),
+         "error: sparsity must be an integer, not '3'"),
+        (lambda inst: inst.update(algorithm="omp"),
+         "error: unknown algorithm 'omp'"),
+        (lambda inst: inst.pop("candidate_offsets"),
+         "error: jt/gjt need candidate_offsets"),
+        (lambda inst: inst.update(identity_sensing=False),
+         "error: instance needs measurements unless identity_sensing is set"),
+        (lambda inst: inst.update(identity_sensing=False, measurements=121),
+         "error: measurement counts must not exceed the signal length "
+         "N = 120"),
+        (lambda inst: inst["dictionary"].update(t_start=0),
+         "error: dictionary t_start must lie in 1..120, not 0"),
+    ])
+    def test_decode_invalid_instance_makes_no_out_dir(self, tmp_path, capsys,
+                                                      edit, message):
+        sig = tmp_path / "view.csv"
+        sig.write_text("0.5\n" * 120)
+        instance = {
+            "dictionary": {"variant": "gabor_1d", "length": 120,
+                           "scales": [4.0], "omegas": [2.0]},
+            "sparsity": 3, "identity_sensing": True,
+            "signal_csvs": [str(sig), str(sig)], "candidate_offsets": [0],
+        }
+        edit(instance)
+        inst_path = tmp_path / "instance.json"
+        inst_path.write_text(json.dumps(instance))
+        fresh = tmp_path / "fresh"
+        assert cli_main(["decode", str(inst_path), "--out", str(fresh)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not fresh.exists()
 
     def test_decode_identity_sensing_full_measurements(self, tmp_path):
         sig = tmp_path / "view.csv"
@@ -1076,24 +1149,20 @@ class TestCli:
         assert cli_main(["decode", str(tmp_path / "nope.json")]) == 2
 
     # the source is named and the parser's position kept
-    @pytest.mark.parametrize("verb, text, offsets, problem", [
-        ("run", '{"kind": "two-v', None,
+    @pytest.mark.parametrize("verb, text, problem", [
+        ("run", '{"kind": "two-v',
          "Unterminated string starting at: line 1 column 10 (char 9)"),
-        ("decode", '{"sparsity": 3,', None,
+        ("decode", '{"sparsity": 3,',
          "Expecting property name enclosed in double quotes: line 1 "
          "column 16 (char 15)"),
-        ("decode", '{"sparsity": 3}', "[2,",
-         "Expecting value: line 1 column 4 (char 3)"),
     ])
     def test_malformed_json_exits_2(self, tmp_path, capsys, verb, text,
-                                    offsets, problem):
+                                    problem):
         path = tmp_path / "input.json"
         path.write_text(text)
-        flags = [] if offsets is None else ["--offsets", offsets]
-        named = path if offsets is None else "--offsets"
-        assert cli_main([verb, str(path), *flags]) == 2
+        assert cli_main([verb, str(path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {named} is not valid JSON: {problem}\n")
+            f"error: {path} is not valid JSON: {problem}\n")
 
     def test_decode_missing_signal_exits_2(self, tmp_path, capsys):
         instance = {
