@@ -11,10 +11,11 @@ Invalid or unreadable input (a bad or missing config, instance, table
 or signal file, or malformed JSON) ends with a one-line ``error:``
 message and exit status 2.  ``run`` exits with status 1 when ensemble
 generation fails, so callers can tell infeasible configurations from
-crashes.  ``run`` and ``decode`` check their config or instance, then
-make their output directory before any computation, so a bad config or
-instance leaves no directory and an unusable one fails before the run;
-errors while making it or writing output are not caught.
+crashes.  ``run`` and ``decode`` check their config or instance and
+read their signal files, then make their output directory before any
+computation, so a bad config, instance or signal file leaves no
+directory and an unusable one fails before the run; errors while making
+it or writing output are not caught.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from pathlib import Path
 from .ensemble import EnsembleGenerationError
 from .experiments import (_parse_json, decode_instance, describe_presets,
                           emit_plot_data, get_preset, load_config,
-                          preset_names, read_trials_csv, run_experiment,
-                          validate_config, validate_instance)
+                          load_signals, preset_names, read_trials_csv,
+                          run_experiment, validate_config, validate_instance)
 
 
 @contextlib.contextmanager
@@ -103,12 +104,16 @@ def _cmd_run(args) -> int:
     if args.signals is not None:
         config.signal_paths = args.signals
 
-    # a bad config exits 2 before its output directory is made
+    # a bad config or signal file exits 2 before the output directory is
+    # made
     validate_config(config)
+    signals = None
+    if config.signal_paths is not None:
+        with _reading():
+            signals = load_signals(config.signal_paths, config.dictionary)
     Path(config.output_dir).mkdir(parents=True, exist_ok=True)
     try:
-        with _reading():
-            table = run_experiment(config)
+        table = run_experiment(config, signals)
     except EnsembleGenerationError as exc:
         print(f"error: ensemble generation failed: {exc}", file=sys.stderr)
         return 1
@@ -146,12 +151,14 @@ def _cmd_decode(args) -> int:
     with _reading():
         text = instance_path.read_text(encoding="utf-8")
     instance = _parse_json(text, args.instance)
-    # a bad instance exits 2 before its output directory is made
-    validate_instance(instance)
+    # a bad instance or signal file exits 2 before the output directory
+    # is made
+    inst, dictionary_config = validate_instance(instance)
+    with _reading():
+        signals = load_signals(inst.signal_csvs, dictionary_config)
     out_dir = Path(args.out) if args.out else instance_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    with _reading():
-        result, summary = decode_instance(instance)
+    result, summary = decode_instance(instance, signals)
 
     result_path = out_dir / "decode_result.json"
     result_path.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n",

@@ -29,27 +29,35 @@ every core it runs; each public decoder is that call for one core.
 
 c_j is computed once per view into a (K, J) table, and d_T is assembled
 from that table alone by index gathering, so no per-candidate matrix
-product is ever formed.  Each view's candidates are gathered once into an
-(n, K) table.  jt's search is an exact depth-first branch-and-bound over
-views 2..J.  The top-S sum is subadditive, topS(a + b) <= topS(a) +
-topS(b), so the vectors that fix views 1..v score at most the top-S of
-their partial d_T plus, for each later view, the best top-S of that
-view's candidates.  Children are expanded best bound first.  A node is
-pruned when its bound is -inf, or when its bound plus a rounding slack
-is strictly below the incumbent; the slack covers the float error by
-which a leaf's score can exceed its bound.  A leaf with an equal score
-replaces the incumbent only when its enumeration index is lower, so the
-winner is the first strict maximizer in enumeration order whatever order
-the nodes are visited in.  Leading views with one candidate, such as
-view 1's identity or every view of a single-offset list, are folded into
-the root, so a search with one free view is a plain scan.
+product is ever formed.  ``_gather`` copies the table once per decode
+into a (J, K + 1) array padded with a -inf column and stacks each view's
+candidate mappings into an (n, K) index array, so a mapping of -1
+gathers -inf.  Every score runs one kernel, ``_scores``: it gathers a
+view's candidates into one (n_max, K) buffer allocated per decode, adds
+the running row and partitions the buffer in place, so scoring
+allocates no (n, K) array.  jt's search is an exact depth-first
+branch-and-bound over views 2..J.  The top-S sum is subadditive,
+topS(a + b) <= topS(a) + topS(b), so the vectors that fix views 1..v
+score at most the top-S of their partial d_T plus, for each later
+view, the best top-S of that view's candidates.  Children are
+expanded best bound first.  A node is pruned when its bound is -inf, or
+when its bound plus a rounding slack is strictly below the incumbent;
+the slack covers the float error by which a leaf's score can exceed its
+bound.  A leaf with an equal score replaces the incumbent only when its
+enumeration index is lower, so the winner is the first strict maximizer
+in enumeration order whatever order the nodes are visited in.  Leading
+views with one candidate, such as view 1's identity or every view of a
+single-offset list, are folded into the root, so a search with one free
+view is a plain scan.
 
-jt's leaves (the last free view's candidates) and gjt's stages score
-a whole candidate table in one call; ``np.partition`` finds each row's
-S largest entries.  These scores reproduce the per-candidate rule bit
-for bit: each row is ((0.0 + c_1) + c_2) + ... + c_J in view order, as
-in ``correlation_vector``, and the S largest entries are summed in
-descending order, as ``select_top_s`` sums them.
+jt's node bounds and leaves (the last free view's candidates) and gjt's
+stages score all of a view's candidates in one kernel call; a partition
+finds each row's S largest entries.  These scores reproduce the
+per-candidate rule bit for bit: each row is ((0.0 + c_1) + c_2) + ... +
+c_J in view order, as in ``correlation_vector`` (the kernel adds the
+row to the gathered values, and float addition is commutative), and the
+S largest entries are summed in descending order, as ``select_top_s``
+sums them.
 Only the winning candidate becomes a ``TransformVector``.
 """
 
@@ -196,47 +204,80 @@ def _finalize(measurements: MeasurementSet, dictionary: Dictionary,
     )
 
 
-def _gather(base: np.ndarray, candidates: CandidateSet) -> list:
-    """Each view's candidates gathered once from the (K, J) table ``base``
-    into an (n, K) table, -inf where the mapping is -1.  View 1 is a view
-    whose one candidate is the identity.  The candidate set must cover
-    every view of the table."""
+def _gather(base: np.ndarray, candidates: CandidateSet):
+    """The (K, J) table ``base`` and the candidates in the form that
+    ``_scores`` reads: (padded, maps).
+
+    ``padded`` is the (J, K + 1) array ``base.T`` followed by a -inf
+    column.  ``maps[j]`` stacks view j's candidate mappings into an
+    (n, K) index array; views whose candidate lists hold the same
+    transforms share one stacked array, so ``from_uniform_offsets``
+    stacks once.  ``padded[j].take(maps[j], mode="wrap")`` is view j's
+    gathered table, -inf where the mapping is -1: a -1 wraps onto the
+    -inf column.  View 1 is a view whose one candidate is the identity.
+    The candidate set must cover every view of the table."""
     if candidates.n_views != base.shape[1]:
         raise ValueError("candidate set and measurements disagree on view count")
-    tables = []
-    for j, cands in enumerate(((candidates.identity,),)
-                              + candidates.per_view):
-        maps = np.stack([t.mapping for t in cands])
-        tables.append(np.where(maps >= 0, base[maps, j], -np.inf))
-    return tables
+    padded = np.empty((base.shape[1], base.shape[0] + 1))
+    padded[:, :-1] = base.T
+    padded[:, -1] = -np.inf
+    stacked = {}
+    maps = []
+    for cands in ((candidates.identity,),) + candidates.per_view:
+        key = tuple(map(id, cands))
+        if key not in stacked:
+            stacked[key] = np.stack([t.mapping for t in cands])
+        maps.append(stacked[key])
+    return padded, maps
 
 
 def _top_s(rows: np.ndarray, sparsity: int) -> np.ndarray:
     """The top-S score of each row of the (n, K) array ``rows``: -inf when
-    that row has fewer than S entries above -inf.
+    that row has fewer than S entries above -inf.  Partitions ``rows``
+    in place, so their order is lost.
 
-    ``np.partition`` finds the S largest entries of each row; sorted in
-    descending order they are the values that ``select_top_s`` sums, in
-    its order, so ``sum(axis=1)`` gives its score bit for bit.  A row
-    with fewer than S entries above -inf has -inf among them and sums to
-    -inf.  S outside 1..K raises ValueError.
+    ``partition`` moves the S largest entries of each row to its end;
+    sorted in descending order they are the values that ``select_top_s``
+    sums, in its order, so ``sum(axis=1)`` gives its score bit for bit.
+    A row with fewer than S entries above -inf has -inf among them and
+    sums to -inf.  S outside 1..K raises ValueError.
     """
     k = rows.shape[1]
     if sparsity < 1:
         raise ValueError("sparsity must be at least 1")
     if sparsity > k:
         raise ValueError(_NO_VALID_CANDIDATE)
-    top = np.partition(rows, k - sparsity, axis=1)[:, k - sparsity:]
+    rows.partition(k - sparsity, axis=1)
+    top = rows[:, k - sparsity:]
     return (-np.sort(-top, axis=1)).sum(axis=1)
 
 
-def _best(row: np.ndarray, table: np.ndarray, sparsity: int):
-    """(i, score) for the first i with the highest ``_top_s`` score of
-    ``row + table[i]``; (0, -inf) when every row keeps fewer than S
-    atoms."""
-    scores = _top_s(row + table, sparsity)
+def _scores(row: np.ndarray, padded: np.ndarray, maps: np.ndarray,
+            sparsity: int, scratch: np.ndarray) -> np.ndarray:
+    """The ``_top_s`` score of ``row`` plus each candidate of one view:
+    ``padded`` is that view's row of ``_gather``'s padded table, ``maps``
+    its (n, K) stacked mappings.  The sums are formed in the first n rows
+    of the (n_max, K) buffer ``scratch`` and partitioned there, so no
+    (n, K) array is allocated.  Each entry is ``table + row``, the same
+    float as the ``row + table`` of ``correlation_vector``."""
+    rows = scratch[:len(maps)]
+    padded.take(maps, out=rows, mode="wrap")
+    rows += row
+    return _top_s(rows, sparsity)
+
+
+def _best(row: np.ndarray, padded: np.ndarray, maps: np.ndarray,
+          sparsity: int, scratch: np.ndarray):
+    """(i, score) for the first candidate i with the highest ``_scores``
+    score; (0, -inf) when every candidate keeps fewer than S atoms."""
+    scores = _scores(row, padded, maps, sparsity, scratch)
     i = int(np.argmax(scores))
     return i, scores[i]
+
+
+def _scratch(maps) -> np.ndarray:
+    """The one (n_max, K) buffer a decode scores in."""
+    return np.empty((max(map(len, maps)), maps[0].shape[1]))
 
 
 def _winner(base: np.ndarray, sparsity: int, candidates: CandidateSet, picks):
@@ -258,58 +299,69 @@ def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
     correlation table ``base`` alone.
 
     An exact depth-first branch-and-bound over the views.  A node fixes
-    views 1..v, holds its per-view picks as a tuple, and holds their
-    partial d_T, ((0.0 + c_1) + c_2) + ... + c_v, the float additions of
-    ``correlation_vector``; leading views with one candidate are folded
-    into the root.  The top-S sum is subadditive, so no extension of a
-    node scores above the node's own top-S plus, for each later view, the
-    best top-S among that view's candidates.  Children are expanded in
-    descending bound order, and the last free view's candidates are
-    scored as leaves, the whole table in one call.  A node is pruned when
-    its bound is -inf (it keeps fewer than S entries above -inf under
-    every extension) or when its bound plus a rounding slack is strictly
-    below the incumbent's score; the slack covers the float error by
-    which a leaf's score can exceed its bound (see ``_SLACK_EPS``).  A
-    leaf replaces the incumbent when it scores higher, or the same with
-    picks that come first in enumeration order (the last view varies
-    fastest, so that is tuple order).  So the winner is the first strict maximizer in
-    enumeration order, as a scan of every vector would find it, whatever
-    order the nodes are visited in, and its score is bit-identical to
-    scoring it alone.  Only the winner becomes a ``TransformVector``.
+    views 1..v and holds its per-view picks as a tuple; its partial d_T,
+    ((0.0 + c_1) + c_2) + ... + c_v, the float additions of
+    ``correlation_vector``, is its parent's row plus its own pick's
+    gathered row, formed only when the node is popped and survives the
+    pruning test, so the stack holds no (n, K) array of children.
+    Leading views with one candidate are folded into the root.  The
+    top-S sum is subadditive, so no extension of a node scores above the
+    node's own top-S plus, for each later view, the best top-S among that
+    view's candidates.  Every top-S, those of the later views, the node
+    bounds and the leaves, is one ``_scores`` call in one scratch
+    buffer.  Children are expanded in descending bound order, and the
+    last free view's candidates are scored as leaves, all in one call.
+    A node is pruned when its bound is -inf (it keeps fewer than S
+    entries above -inf under every extension) or when its bound plus a
+    rounding slack is strictly below the incumbent's score; the slack
+    covers the float error by which a leaf's score can exceed its bound
+    (see ``_SLACK_EPS``).  A leaf replaces the incumbent when it scores
+    higher, or the same with picks that come first in enumeration order
+    (the last view varies fastest, so that is tuple order).  So the
+    winner is the first strict maximizer in enumeration order, as a scan
+    of every vector would find it, whatever order the nodes are visited
+    in, and its score is bit-identical to scoring it alone.  Only the
+    winner becomes a ``TransformVector``.
 
     Candidates that leave fewer than S entries above -inf are skipped; if
     that removes every candidate a ValueError is raised.  Returns
     (per-view supports, vector, score).
     """
-    tables = _gather(base, candidates)
+    padded, maps = _gather(base, candidates)
+    scratch = _scratch(maps)
+    last = len(maps) - 1
     root = zero = np.zeros(base.shape[0])
-    while len(tables) > 1 and len(tables[0]) == 1:
-        root = root + tables.pop(0)[0]
+    first = 0
+    while first < last and len(maps[first]) == 1:
+        root = root + padded[first].take(maps[first][0], mode="wrap")
+        first += 1
     # rest[v]: the most that the views after v can add to a top-S score
-    rest = [0.0] * len(tables)
-    for v in range(len(tables) - 2, -1, -1):
-        rest[v] = rest[v + 1] + _best(zero, tables[v + 1], sparsity)[1]
+    rest = [0.0] * len(maps)
+    for v in range(last - 1, first - 1, -1):
+        rest[v] = rest[v + 1] + _best(zero, padded[v + 1], maps[v + 1],
+                                      sparsity, scratch)[1]
     slack = (_SLACK_EPS * sparsity * (base.shape[1] + sparsity)
-             * np.abs(base).max(axis=0).sum() if len(tables) > 1 else 0.0)
+             * np.abs(base).max(axis=0).sum() if first < last else 0.0)
     best_score, best = -np.inf, None
-    # (bound, view v, picks of the views before v, their partial d_T);
+    # (bound, view v, picks of the views before v, the parent's partial
+    # d_T, the pick of view v - 1 that extends it, None at the root);
     # children are pushed worst first, so the best bound pops first
-    nodes = [(np.inf, 0, (0,) * (candidates.n_views - len(tables)), root)]
+    nodes = [(np.inf, first, (0,) * first, root, None)]
     while nodes:
-        bound, v, picks, row = nodes.pop()
+        bound, v, picks, row, pick = nodes.pop()
         if bound == -np.inf or bound + slack < best_score:
             continue
-        table = tables[v]
-        if v == len(tables) - 1:
-            i, score = _best(row, table, sparsity)
+        if pick is not None:
+            row = row + padded[v - 1].take(maps[v - 1][pick], mode="wrap")
+        if v == last:
+            i, score = _best(row, padded[v], maps[v], sparsity, scratch)
             if (score > best_score
                     or score == best_score > -np.inf and picks + (i,) < best):
                 best_score, best = score, picks + (i,)
             continue
-        children = row + table
-        bounds = _top_s(children, sparsity) + rest[v]
+        bounds = _scores(row, padded[v], maps[v], sparsity, scratch) + rest[v]
         for c in np.argsort(-bounds, kind="stable")[::-1]:
-            nodes.append((bounds[c], v + 1, picks + (int(c),), children[c]))
+            nodes.append((bounds[c], v + 1, picks + (int(c),), row, int(c)))
     if best is None:
         raise ValueError(_NO_VALID_CANDIDATE)
     return _winner(base, sparsity, candidates, best)
@@ -325,12 +377,14 @@ def _jt(base, measurements, dictionary, sparsity, candidates):
 def _gjt(base, measurements, dictionary, sparsity, candidates):
     """gjt's core: one running aggregate over ``base``, one view at a
     time, then least squares."""
+    padded, maps = _gather(base, candidates)
+    scratch = _scratch(maps)
     row, picks = np.zeros(base.shape[0]), []
-    for table in _gather(base, candidates):
-        i, score = _best(row, table, sparsity)
+    for view, stack in zip(padded, maps):
+        i, score = _best(row, view, stack, sparsity, scratch)
         if score == -np.inf:
             raise ValueError(_NO_VALID_CANDIDATE)
-        row = row + table[i]
+        row = row + view.take(stack[i], mode="wrap")
         picks.append(i)
     return _finalize(measurements, dictionary,
                      *_winner(base, sparsity, candidates, picks))

@@ -625,14 +625,17 @@ def _sample_truth(candidates: CandidateSet, rng) -> TransformVector:
     return TransformVector((candidates.identity,) + picks)
 
 
-def _load_signals(paths, dictionary: Dictionary) -> list[np.ndarray]:
-    """Read one single-column signal CSV per view."""
+def load_signals(paths, dictionary: DictionaryConfig) -> list[np.ndarray]:
+    """Read one single-column signal CSV per view, and check each against
+    the signal length of ``dictionary``, a checked config; nothing is
+    built."""
+    n = dictionary.signal_length()
     signals = [load_signal_csv(p) for p in paths]
     for path, y in zip(paths, signals):
-        if y.size != dictionary.signal_length:
+        if y.size != n:
             raise ValueError(
                 f"signal {path} has {y.size} samples but the dictionary's "
-                f"sample grid has {dictionary.signal_length}")
+                f"sample grid has {n}")
     return signals
 
 
@@ -673,8 +676,13 @@ def _decode_views(dictionary: Dictionary, candidates, signals,
     return decoded
 
 
-def run_experiment(config: ExperimentConfig) -> ResultTable:
+def run_experiment(config: ExperimentConfig,
+                   signals: list[np.ndarray] | None = None) -> ResultTable:
     """Validate the config and run every trial of every sweep cell.
+
+    ``signals`` are the views read from ``config.signal_paths`` by
+    :func:`load_signals`, for a caller that read them already; when None,
+    they are read here, before anything is built.
 
     The dictionary is built once and the candidate set realized once, for
     the largest view count; a cell with J views decodes with the first
@@ -690,12 +698,12 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     """
     validate_config(config)
     started = time.perf_counter()
+    if signals is None and config.signal_paths is not None:
+        signals = load_signals(config.signal_paths, config.dictionary)
     dictionary = config.dictionary.build()
     cells = _sweep_cells(config)
     full = CandidateSet.from_uniform_offsets(
         dictionary, config.candidate_offsets, max(j for _, j, _ in cells))
-    signals = (None if config.signal_paths is None
-               else _load_signals(config.signal_paths, dictionary))
     seeds = _trial_seeds(config.master_seed, len(cells) * config.trials)
     algorithms = EXPERIMENT_KINDS[config.kind].algorithms
     records = []
@@ -802,12 +810,18 @@ def validate_instance(instance) -> tuple[DecodeInstance, DictionaryConfig]:
     return inst, dictionary_config
 
 
-def decode_instance(instance: dict):
+def decode_instance(instance: dict,
+                    signals: list[np.ndarray] | None = None):
     """Decode one instance dict, checked by :func:`validate_instance`.
-    Returns (DecodeResult, summary dict); the summary is JSON-serializable."""
+
+    ``signals`` are the views read from its ``signal_csvs`` by
+    :func:`load_signals`, for a caller that read them already; when None,
+    they are read here, before anything is built.  Returns (DecodeResult,
+    summary dict); the summary is JSON-serializable."""
     inst, dictionary_config = validate_instance(instance)
+    if signals is None:
+        signals = load_signals(inst.signal_csvs, dictionary_config)
     dictionary = dictionary_config.build()
-    signals = _load_signals(inst.signal_csvs, dictionary)
     candidates = None
     if inst.algorithm != "it":
         candidates = CandidateSet.from_uniform_offsets(

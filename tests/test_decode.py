@@ -1,6 +1,7 @@
 """Decoders: correlation scores, top-S selection, JT/GJT/IT behavior."""
 
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -134,8 +135,11 @@ def kernel_scores(base, sparsity, candidates):
     exhaustive scan that the pruned search must agree with.  Each prefix
     row is ((0.0 + c_1) + c_2) + ..., as the search builds it, and
     ``decode._top_s`` scores it against every candidate of the last view
-    in one call."""
-    *prefix_tables, last = decode._gather(base, candidates)
+    in one call.  Each view's table is gathered whole from ``_gather``'s
+    padded table and stacked mappings."""
+    padded, maps = decode._gather(base, candidates)
+    *prefix_tables, last = [view.take(stack, mode="wrap")
+                            for view, stack in zip(padded, maps)]
     scores = []
     for prefix in itertools.product(*(range(len(t)) for t in prefix_tables)):
         row = np.zeros(base.shape[0])
@@ -723,12 +727,12 @@ class TestPrunedSearch:
         assert_jt_matches_exhaustive_scan(full_gaussian_dict, meas, cands)
 
     def test_wide_table_matches_oracle(self, full_gaussian_dict):
-        # 25 candidates per view: a 25 x 6144 table (1.2 MB) that jt's
-        # leaves and gjt's stages score whole
+        # 25 candidates per view: 25 x 6144 stacked mappings (1.2 MB)
+        # that jt's leaves and gjt's stages score whole
         meas, cands = full_scale_trial(full_gaussian_dict, 3, 40, seed=4,
                                        offsets=OFFSETS_5X5)
         base = atom_measurement_correlations(meas, full_gaussian_dict)
-        assert decode._gather(base, cands)[-1].nbytes > 1_000_000
+        assert decode._gather(base, cands)[1][-1].nbytes > 1_000_000
         for decoder, oracle in ((joint_threshold_decode, oracle_search),
                                 (greedy_joint_threshold_decode,
                                  oracle_greedy)):
@@ -763,6 +767,22 @@ class TestGreedyAggregate:
                                wraps=decode._gather) as gather:
             greedy_joint_threshold_decode(meas, d, 2, cands)
         assert gather.call_count == 1
+
+    def test_scoring_memory_does_not_grow_with_views(self,
+                                                     full_gaussian_dict):
+        # J = 20: one padded table, one shared (9, K) stack of mappings
+        # and one (9, K) scratch buffer, about 2 MB, where a (9, K) table
+        # per view would hold more than 8 MB
+        meas, cands = full_scale_trial(full_gaussian_dict, 20, 150, seed=20)
+        base = atom_measurement_correlations(meas, full_gaussian_dict)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(decode, "_finalize"):
+                decode._gjt(base, meas, full_gaussian_dict, 5, cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     @pytest.mark.parametrize("n_views", [
         10, pytest.param(20, marks=pytest.mark.slow)])

@@ -1112,16 +1112,24 @@ class TestCli:
          "N = 120"),
         (lambda inst: inst["dictionary"].update(t_start=0),
          "error: dictionary t_start must lie in 1..120, not 0"),
+        # and so do the signal files
+        (lambda inst: inst.update(signal_csvs=["view.csv", "gone.csv"]),
+         "error: gone.csv not found."),
+        (lambda inst: inst.update(signal_csvs=["view.csv", "short.csv"]),
+         "error: signal short.csv has 7 samples but the dictionary's sample "
+         "grid has 120"),
     ])
     def test_decode_invalid_instance_makes_no_out_dir(self, tmp_path, capsys,
-                                                      edit, message):
-        sig = tmp_path / "view.csv"
-        sig.write_text("0.5\n" * 120)
+                                                      monkeypatch, edit,
+                                                      message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "view.csv").write_text("0.5\n" * 120)
+        (tmp_path / "short.csv").write_text("0.5\n" * 7)
         instance = {
             "dictionary": {"variant": "gabor_1d", "length": 120,
                            "scales": [4.0], "omegas": [2.0]},
             "sparsity": 3, "identity_sensing": True,
-            "signal_csvs": [str(sig), str(sig)], "candidate_offsets": [0],
+            "signal_csvs": ["view.csv", "view.csv"], "candidate_offsets": [0],
         }
         edit(instance)
         inst_path = tmp_path / "instance.json"
@@ -1186,6 +1194,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert missing[0] in err
+
+    @pytest.mark.parametrize("signals, message", [
+        (["a.csv", "gone.csv"], "error: gone.csv not found."),
+        (["a.csv", "short.csv"], "error: signal short.csv has 7 samples but "
+                                 "the dictionary's sample grid has 120"),
+    ])
+    def test_run_bad_signals_make_no_out_dir(self, tmp_path, capsys,
+                                             monkeypatch, signals, message):
+        monkeypatch.chdir(tmp_path)
+        write_signal_pair(tmp_path)
+        (tmp_path / "short.csv").write_text("0.5\n" * 7)
+        save_config(tiny_gabor_config(), tmp_path / "config.json")
+        assert cli_main(["run", "config.json", "--out", "fresh",
+                         "--signals", *signals]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "fresh").exists()
 
     def test_emit_plots_directory_exits_2(self, tmp_path, capsys):
         assert cli_main(["emit-plots", str(tmp_path)]) == 2
