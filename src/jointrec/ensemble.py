@@ -22,6 +22,20 @@ the signal's footprint; a bound <= 0 rejects the draw, and any other
 draw gets the full margin over every atom.  The bound never falls below
 the full margin, so accepted ensembles, their margins and the draws made
 are those of the full check alone, bit for bit.
+
+The full margin's product runs on the unit signal times the exact power
+of two 2^k, k = _MARGIN_SCALE_EXP = 1000, and the margin is scaled back
+by 2^-k.  Atom samples are kept down to 1e-300 and a signal's tails reach
+as low, so their plain products (down to 1e-600) underflow to subnormal
+numbers, which the CPU handles on a slow path; times 2^1000 (about
+1e301), a product of two samples of at least 1e-300 is a normal number.
+No partial sum can overflow: by Cauchy-Schwarz each is at most
+2^k (1 + 1e-9) in magnitude.  Scaling by a power of two is exact, so
+every product and partial sum of the scaled product is 2^k times the
+plain one wherever the plain one is a normal number, and the margin can
+differ only through an intermediate below 2^-1022 in the plain product.
+That is checked on generated signals (tests/test_ensemble.py), not
+proven.
 """
 
 from __future__ import annotations
@@ -37,6 +51,9 @@ from .transforms import TransformVector
 COEFF_MAGNITUDE_RANGE = (0.5, 1.5)
 # |u_i| below this leaves row i out of the margin bound's products
 _ROW_FLOOR = 1e-4
+# thresholding_margin scales the unit signal by 2**_MARGIN_SCALE_EXP:
+# products of atom and signal tails (each down to 1e-300) stay normal
+_MARGIN_SCALE_EXP = 1000
 
 
 class EnsembleGenerationError(RuntimeError):
@@ -73,6 +90,14 @@ def thresholding_margin(signal, support, dictionary: Dictionary) -> float:
     Computes min over support atoms of |<y/||y||, atom>| minus the max of
     the same quantity over all other atoms.  A positive value witnesses
     the separation that thresholding decoders rely on.
+
+    The product runs on the unit signal times 2^k, k = _MARGIN_SCALE_EXP,
+    and the difference is scaled back by 2^-k.  Both scalings are exact,
+    and no partial sum can overflow: each is at most 2^k (1 + 1e-9) by
+    Cauchy-Schwarz.  So the result equals the plain product's margin
+    unless some intermediate of the plain product falls below 2^-1022,
+    where its rounding differs; the scaled product keeps the products
+    of atom and signal tails out of subnormal arithmetic.
     """
     signal = np.asarray(signal, dtype=float)
     support = np.asarray(support, dtype=np.int64)
@@ -84,12 +109,11 @@ def thresholding_margin(signal, support, dictionary: Dictionary) -> float:
         raise ValueError("support index out of range")
     if support.size >= dictionary.n_atoms:
         raise ValueError("support covers the whole dictionary; margin undefined")
-    corr = np.abs(dictionary.atoms.T @ _unit(signal))
+    scaled = _unit(signal) * 2.0 ** _MARGIN_SCALE_EXP
+    corr = np.abs(dictionary.atoms.T @ scaled)
     inside = corr[support].min()
-    mask = np.ones(dictionary.n_atoms, dtype=bool)
-    mask[support] = False
-    outside = corr[mask].max()
-    return float(inside - outside)
+    corr[support] = -np.inf
+    return float((inside - corr.max()) * 2.0 ** -_MARGIN_SCALE_EXP)
 
 
 def _unit(signal) -> np.ndarray:
@@ -123,7 +147,7 @@ def _margin_bound(signal, support, dictionary: Dictionary) -> float:
         return np.inf
     _, cells, grid = centers
     peers = grid[(slice(None), *cells[support].T)].ravel()
-    peers = peers[(peers >= 0) & ~np.isin(peers, support)]
+    peers = peers[(peers >= 0) & (peers[:, None] != support).all(axis=1)]
     if not peers.size:
         return np.inf
     kept = np.abs(unit) >= _ROW_FLOOR

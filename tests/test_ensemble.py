@@ -302,6 +302,60 @@ class TestSupportBlockMargin:
         assert sum(a > 1 for a in attempts_made) > 5
 
 
+class TestScaledMarginProduct:
+    """thresholding_margin multiplies the atoms by the unit signal times
+    2^k and scales back by 2^-k, which keeps the products of atom and
+    signal tails out of subnormal arithmetic.  Its margins must be those
+    of the plain product, bit for bit."""
+
+    @pytest.mark.parametrize("name, twins", [
+        ("full_gaussian_dict", ()),
+        # y = a_k ties with its negated twin: the margin is exactly 0
+        ("full_gabor_dict", (0, 1, 1001, 2999)),
+    ])
+    def test_same_bits_as_plain_product(self, request, name, twins):
+        dictionary = request.getfixturevalue(name)
+        k = ensemble_module._MARGIN_SCALE_EXP
+        draws = random_draws(dictionary, 40, seed=11) + [
+            (dictionary.atom(t).copy(), np.array([t])) for t in twins]
+        for y, support in draws:
+            u = y / np.linalg.norm(y)
+            plain = dictionary.atoms.T @ u
+            scaled = dictionary.atoms.T @ (u * 2.0 ** k) * 2.0 ** -k
+            # entries may differ only far below any margin's terms: on
+            # the Gabor atoms, products of far-apart atoms can sum to
+            # about 1e-306 through subnormal partial sums, whose rounding
+            # the scaled product does not share
+            differ = plain != scaled
+            assert np.all(np.abs(plain[differ]) < 2.0 ** -1000)
+            assert np.all(np.abs(scaled[differ]) < 2.0 ** -1000)
+            assert (thresholding_margin(y, support, dictionary)
+                    == full_scan_margin(y, support, dictionary.atoms))
+
+    def test_scaled_products_stay_normal(self, full_gaussian_dict):
+        # the smallest product of a nonzero atom sample and a nonzero
+        # unit-signal sample is a normal number once scaled, though not
+        # without the scaling
+        d = full_gaussian_dict
+        atoms = np.abs(d.atoms)
+        smallest_atom = atoms[atoms > 0.0].min()
+        scale = 2.0 ** ensemble_module._MARGIN_SCALE_EXP
+        transforms = TransformVector(
+            (identity_transform(d),)
+            + tuple(translation_transform(d, o) for o in ((2, 0), (0, -2))))
+        tiny = np.finfo(float).tiny
+        plain = []
+        for seed in range(10):
+            ens = generate_ensemble(d, 5, transforms, seed=seed,
+                                    coeff_range=(0.9, 1.1))
+            for y in ens.signals:
+                u = np.abs(y / np.linalg.norm(y))
+                smallest_u = u[u > 0.0].min()
+                assert smallest_atom * (smallest_u * scale) >= tiny
+                plain.append(smallest_atom * smallest_u)
+        assert min(plain) < tiny
+
+
 class TestPositivity:
     def test_holds_for_positive_combination(self, onb_dict):
         y = onb_dict.atom(1) + 2.0 * onb_dict.atom(2)

@@ -53,6 +53,11 @@ def tiny_gaussian_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def assert_holds_only(directory, names):
+    """A command that exits 2 writes nothing beside the test's own files."""
+    assert sorted(p.name for p in directory.iterdir()) == sorted(names)
+
+
 def write_signal_pair(directory):
     """Two views of one sparse 1D signal, the second shifted by 10 samples."""
     d = build_gabor_1d_dictionary(120, scales=[4.0, 8.0], omegas=[2.0, 4.0])
@@ -690,9 +695,11 @@ class TestCli:
         text = (out / "trials.csv").read_text()
         assert "# master_seed=5" in text
 
-    def test_run_unknown_name_exits_2(self, capsys):
+    def test_run_unknown_name_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert cli_main(["run", "definitely-not-a-preset"]) == 2
         assert "neither" in capsys.readouterr().err
+        assert_holds_only(tmp_path, [])
 
     @pytest.mark.parametrize("make, extra, message", [
         (lambda tmp: tiny_gaussian_config(measurements=[16, 16]), [],
@@ -838,13 +845,14 @@ class TestCli:
               ("t_start", 0, "lie in 1..120"),
               ("t_start", 5000, "lie in 1..120"))),
     ])
-    def test_run_invalid_config_exits_2(self, tmp_path, capsys, make, extra,
-                                        message):
+    def test_run_invalid_config_exits_2(self, tmp_path, capsys, monkeypatch,
+                                        make, extra, message):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "config.json"
         save_config(make(tmp_path), path)
         assert cli_main(["run", str(path), *extra]) == 2
         assert capsys.readouterr().err == message + "\n"
-        assert not (tmp_path / "never").exists()
+        assert_holds_only(tmp_path, ["config.json"])
 
     def test_run_signals_decodes_ingested_pair(self, tmp_path):
         cfg = tiny_gabor_config(output_dir=str(tmp_path / "res"))
@@ -893,8 +901,10 @@ class TestCli:
                          "--out", str(tmp_path / "plots")]) == 0
         assert (tmp_path / "plots" / "mse.tsv").exists()
 
-    def test_emit_plots_missing_table_exits_2(self, tmp_path):
+    def test_emit_plots_missing_table_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert cli_main(["emit-plots", str(tmp_path / "none.csv")]) == 2
+        assert_holds_only(tmp_path, [])
 
     # a one-trial two-view run: preamble lines 1-3, header 4, rows 5-6
     @pytest.mark.parametrize("edit, problem", [
@@ -908,13 +918,15 @@ class TestCli:
         (lambda text: text + "30,jt,1,5,1.0,0.0,yes,0\n",
          " line 7: 'yes' is not a 0/1 flag"),
     ])
-    def test_emit_plots_invalid_table_exits_2(self, tmp_path, capsys, edit,
-                                              problem):
-        path = run_experiment(tiny_gabor_config(trials=1)).write(
-            tmp_path)["trials"]
+    def test_emit_plots_invalid_table_exits_2(self, tmp_path, capsys,
+                                              monkeypatch, edit, problem):
+        monkeypatch.chdir(tmp_path)
+        written = run_experiment(tiny_gabor_config(trials=1)).write(tmp_path)
+        path = written["trials"]
         path.write_text(edit(path.read_text()))
         assert cli_main(["emit-plots", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}{problem}\n"
+        assert_holds_only(tmp_path, [p.name for p in written.values()])
 
     def test_decode_verb(self, tmp_path, capsys):
         # single-scale far-apart atoms keep the problem decodable exactly
@@ -1036,8 +1048,9 @@ class TestCli:
          "error: measurement counts must not exceed the signal length "
          "N = 120"),
     ])
-    def test_decode_invalid_instance_exits_2(self, tmp_path, capsys, edit,
-                                             message):
+    def test_decode_invalid_instance_exits_2(self, tmp_path, capsys,
+                                             monkeypatch, edit, message):
+        monkeypatch.chdir(tmp_path)
         sig = tmp_path / "view.csv"
         sig.write_text("0.5\n" * 120)
         instance = {
@@ -1051,6 +1064,7 @@ class TestCli:
         inst_path.write_text(json.dumps(instance))
         assert cli_main(["decode", str(inst_path)]) == 2
         assert capsys.readouterr().err == message + "\n"
+        assert_holds_only(tmp_path, ["instance.json", "view.csv"])
 
     # with or without --out, a rejected instance leaves no new directory
     @pytest.mark.parametrize("text, flags, message", [
@@ -1069,7 +1083,7 @@ class TestCli:
         inst_path.write_text(text)
         assert cli_main(["decode", str(inst_path), *flags]) == 2
         assert capsys.readouterr().err == message + "\n"
-        assert not (tmp_path / "fresh").exists()
+        assert_holds_only(tmp_path, ["instance.json"])
 
     @pytest.mark.parametrize("offsets, message", [
         ("[2.5]", "error: translation offset 2.5 must be an integer on a "
@@ -1081,8 +1095,9 @@ class TestCli:
         ("[]", "error: candidate_offsets must be null or a non-empty list, "
                "not []"),
     ])
-    def test_decode_malformed_offsets_exit_2(self, tmp_path, capsys, offsets,
-                                             message):
+    def test_decode_malformed_offsets_exit_2(self, tmp_path, capsys,
+                                             monkeypatch, offsets, message):
+        monkeypatch.chdir(tmp_path)
         instance = {
             "dictionary": {"variant": "gabor_1d", "length": 120,
                            "scales": [4.0], "omegas": [2.0]},
@@ -1094,6 +1109,7 @@ class TestCli:
         inst_path.write_text(json.dumps(instance))
         assert cli_main(["decode", str(inst_path)]) == 2
         assert capsys.readouterr().err == message + "\n"
+        assert_holds_only(tmp_path, ["a.csv", "b.csv", "instance.json"])
 
     # every rule group of the instance check runs before --out is made
     @pytest.mark.parametrize("edit, message", [
@@ -1137,7 +1153,7 @@ class TestCli:
         fresh = tmp_path / "fresh"
         assert cli_main(["decode", str(inst_path), "--out", str(fresh)]) == 2
         assert capsys.readouterr().err == message + "\n"
-        assert not fresh.exists()
+        assert_holds_only(tmp_path, ["instance.json", "short.csv", "view.csv"])
 
     def test_decode_identity_sensing_full_measurements(self, tmp_path):
         sig = tmp_path / "view.csv"
@@ -1153,8 +1169,10 @@ class TestCli:
         assert cli_main(["decode", str(inst_path)]) == 0
         assert (tmp_path / "decode_result.json").exists()
 
-    def test_decode_missing_instance_exits_2(self, tmp_path):
+    def test_decode_missing_instance_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert cli_main(["decode", str(tmp_path / "nope.json")]) == 2
+        assert_holds_only(tmp_path, [])
 
     # the source is named and the parser's position kept
     @pytest.mark.parametrize("verb, text, problem", [
@@ -1164,15 +1182,19 @@ class TestCli:
          "Expecting property name enclosed in double quotes: line 1 "
          "column 16 (char 15)"),
     ])
-    def test_malformed_json_exits_2(self, tmp_path, capsys, verb, text,
-                                    problem):
+    def test_malformed_json_exits_2(self, tmp_path, capsys, monkeypatch,
+                                    verb, text, problem):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "input.json"
         path.write_text(text)
         assert cli_main([verb, str(path)]) == 2
         assert capsys.readouterr().err == (
             f"error: {path} is not valid JSON: {problem}\n")
+        assert_holds_only(tmp_path, ["input.json"])
 
-    def test_decode_missing_signal_exits_2(self, tmp_path, capsys):
+    def test_decode_missing_signal_exits_2(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
         instance = {
             "dictionary": {"variant": "gabor_1d", "length": 120,
                            "scales": [4.0], "omegas": [2.0]},
@@ -1186,6 +1208,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(tmp_path / "gone.csv") in err
+        assert_holds_only(tmp_path, ["instance.json"])
 
     def test_run_missing_signals_exits_2(self, tmp_path, capsys):
         missing = [str(tmp_path / "nope1.csv"), str(tmp_path / "nope2.csv")]
@@ -1194,6 +1217,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert missing[0] in err
+        assert_holds_only(tmp_path, [])
 
     @pytest.mark.parametrize("signals, message", [
         (["a.csv", "gone.csv"], "error: gone.csv not found."),
@@ -1209,11 +1233,15 @@ class TestCli:
         assert cli_main(["run", "config.json", "--out", "fresh",
                          "--signals", *signals]) == 2
         assert capsys.readouterr().err == message + "\n"
-        assert not (tmp_path / "fresh").exists()
+        assert_holds_only(tmp_path, ["a.csv", "b.csv", "config.json",
+                                     "short.csv"])
 
-    def test_emit_plots_directory_exits_2(self, tmp_path, capsys):
+    def test_emit_plots_directory_exits_2(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert cli_main(["emit-plots", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+        assert_holds_only(tmp_path, [])
 
     def test_decode_unwritable_out_raises(self, tmp_path, monkeypatch):
         # only input errors exit 2; a failed write is not bad input, and
@@ -1234,7 +1262,9 @@ class TestCli:
             cli_main(["decode", str(inst_path), "--out", str(sig)])
         assert decodes == []
 
-    def test_decode_invalid_signal_exits_2(self, tmp_path, capsys):
+    def test_decode_invalid_signal_exits_2(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
         sig = tmp_path / "view.csv"
         sig.write_text("0.5\nnan\n")
         instance = {
@@ -1248,3 +1278,4 @@ class TestCli:
         assert cli_main(["decode", str(inst_path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: signal CSV {sig} has non-finite samples\n"
+        assert_holds_only(tmp_path, ["instance.json", "view.csv"])
