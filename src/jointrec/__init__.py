@@ -21,12 +21,11 @@ from .decode import (DecodeResult, LeastSquaresFit,
                      joint_threshold_decode, least_squares_reconstruct,
                      noiseless_score, select_top_s)
 from .dictionary import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
-                         babel_function, build_gabor_1d_dictionary,
-                         build_gaussian_2d_dictionary, gram_row,
-                         odd_translations)
+                         build_gabor_1d_dictionary,
+                         build_gaussian_2d_dictionary, odd_translations)
 from .ensemble import (EnsembleGenerationError, SignalEnsemble,
                        check_positivity, generate_ensemble, load_signal_csv,
-                       margin_lower_bound, thresholding_margin)
+                       thresholding_margin)
 from .experiments import (DictionaryConfig, ExperimentConfig, ResultTable,
                           TrialRecord, config_hash, decode_instance,
                           emit_plot_data, get_preset, load_config,
@@ -49,15 +48,15 @@ __all__ = [
     "TrialRecord",
     "BERNSTEIN_SCALE_COEFF", "BERNSTEIN_VARIANCE_COEFF",
     "RECOVERY_EXPONENT_COEFF",
-    "atom_measurement_correlations", "babel_function",
+    "atom_measurement_correlations",
     "build_gabor_1d_dictionary", "build_gaussian_2d_dictionary",
     "check_positivity", "concentration_tail_bound", "config_hash",
     "correlation_vector", "decode_instance", "emit_plot_data",
     "empirical_tail_frequency", "generate_ensemble", "get_preset",
-    "gram_row", "greedy_joint_threshold_decode", "identity_sensing",
+    "greedy_joint_threshold_decode", "identity_sensing",
     "identity_transform", "independent_threshold_decode",
     "joint_threshold_decode", "least_squares_reconstruct", "load_config",
-    "load_signal_csv", "margin_lower_bound", "measure", "measure_ensemble",
+    "load_signal_csv", "measure", "measure_ensemble",
     "min_measurements_for_recovery", "mse", "noiseless_score",
     "odd_translations", "preset_names", "read_trials_csv", "recovery_rate",
     "recovery_rate_bound", "run_experiment", "sample_sensing_matrix",

@@ -36,10 +36,13 @@ gathers -inf.  Every score runs one kernel, ``_scores``: it gathers a
 view's candidates into one (n_max, K) buffer allocated per decode, adds
 the running row and partitions the buffer in place, so scoring
 allocates no (n, K) array.  jt's search is an exact depth-first
-branch-and-bound over views 2..J.  The top-S sum is subadditive,
-topS(a + b) <= topS(a) + topS(b), so the vectors that fix views 1..v
-score at most the top-S of their partial d_T plus, for each later
-view, the best top-S of that view's candidates.  Children are
+branch-and-bound over views 2..J.  Its bounds use the per-atom envelope
+of the later views: E_w[i] is the largest value that any candidate of
+view w gathers at atom i, and env[v] = sum over w > v of E_w.  Every
+vector that fixes views 1..v has a d_T that is at most, entry by entry,
+the partial d_T of views 1..v plus env[v], and the top-S sum never
+decreases when an entry grows, so no such vector scores above the top-S
+of that sum.  The envelopes are formed once per decode.  Children are
 expanded best bound first.  A node is pruned when its bound is -inf, or
 when its bound plus a rounding slack is strictly below the incumbent;
 the slack covers the float error by which a leaf's score can exceed its
@@ -73,11 +76,17 @@ from .transforms import CandidateSet, TransformVector, apply_to_support
 
 LSTSQ_RCOND = 1e-10
 # _search prunes a node only when its bound plus a slack of _SLACK_EPS *
-# S (J + S) * A is below the incumbent, A = sum_j max |c_j|.  A leaf's
-# float top-S can exceed the float bound of its node by at most about
-# S (3S + 2J) u A, u = eps / 2 the unit roundoff (row entries carry J
-# roundings, each top-S sum S, the bound's sum J more); 2 eps leaves a
-# margin over that.
+# S (J + S) * A is below the incumbent, A = sum_j max |c_j|.  An entry of
+# a leaf and the same entry of its node's bound are each a float sum of
+# J terms, in another association, the bound's with each later view's
+# term raised to its envelope; every term is at most max |c_j| in
+# magnitude, so each sum is within (J - 1) u A of its exact value, u =
+# eps / 2 the unit roundoff, and the exact bound entry is at least the
+# exact leaf entry.  A top-S sum moves by at most S times the largest
+# entry change, and a float top-S sum, of S entries at most A in
+# magnitude, is within (S - 1) S u A of the exact one.  So a leaf's float
+# top-S exceeds its node's float bound by at most 2 S (J - 1) u A +
+# 2 (S - 1) S u A = 2 S (S + J - 2) u A, under half the slack.
 _SLACK_EPS = 2.0 * np.finfo(float).eps
 _NO_VALID_CANDIDATE = ("every candidate transformation leaves fewer valid "
                        "atoms than the sparsity level")
@@ -304,15 +313,18 @@ def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
     ``correlation_vector``, is its parent's row plus its own pick's
     gathered row, formed only when the node is popped and survives the
     pruning test, so the stack holds no (n, K) array of children.
-    Leading views with one candidate are folded into the root.  The
-    top-S sum is subadditive, so no extension of a node scores above the
-    node's own top-S plus, for each later view, the best top-S among that
-    view's candidates.  Every top-S, those of the later views, the node
-    bounds and the leaves, is one ``_scores`` call in one scratch
-    buffer.  Children are expanded in descending bound order, and the
-    last free view's candidates are scored as leaves, all in one call.
-    A node is pruned when its bound is -inf (it keeps fewer than S
-    entries above -inf under every extension) or when its bound plus a
+    Leading views with one candidate are folded into the root.  Before
+    the search, each later view w is gathered whole into the scratch
+    buffer once and reduced to its envelope E_w, the per-atom maximum over
+    its candidates, and env[v] sums the envelopes of the views after v.
+    A child c of a node at view v is bounded by the top-S of row + c's
+    gathered row + env[v]: every extension of c has a d_T no larger in
+    any entry, and the top-S sum is nondecreasing in each entry.  The
+    node bounds and the leaves are each one ``_scores`` call in the
+    scratch buffer.  Children are expanded in descending bound order, and
+    the last free view's candidates are scored as leaves, all in one
+    call.  A node is pruned when its bound is -inf (it keeps fewer than
+    S entries above -inf under every extension) or when its bound plus a
     rounding slack is strictly below the incumbent's score; the slack
     covers the float error by which a leaf's score can exceed its bound
     (see ``_SLACK_EPS``).  A leaf replaces the incumbent when it scores
@@ -330,16 +342,18 @@ def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
     padded, maps = _gather(base, candidates)
     scratch = _scratch(maps)
     last = len(maps) - 1
-    root = zero = np.zeros(base.shape[0])
+    root = np.zeros(base.shape[0])
     first = 0
     while first < last and len(maps[first]) == 1:
         root = root + padded[first].take(maps[first][0], mode="wrap")
         first += 1
-    # rest[v]: the most that the views after v can add to a top-S score
-    rest = [0.0] * len(maps)
+    # env[v][i]: the most that the views after v can add to entry i, the
+    # sum over those views of each one's largest gathered value at i
+    env = [np.zeros(base.shape[0])] * len(maps)
     for v in range(last - 1, first - 1, -1):
-        rest[v] = rest[v + 1] + _best(zero, padded[v + 1], maps[v + 1],
-                                      sparsity, scratch)[1]
+        rows = scratch[:len(maps[v + 1])]
+        padded[v + 1].take(maps[v + 1], out=rows, mode="wrap")
+        env[v] = env[v + 1] + rows.max(axis=0)
     slack = (_SLACK_EPS * sparsity * (base.shape[1] + sparsity)
              * np.abs(base).max(axis=0).sum() if first < last else 0.0)
     best_score, best = -np.inf, None
@@ -359,7 +373,7 @@ def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
                     or score == best_score > -np.inf and picks + (i,) < best):
                 best_score, best = score, picks + (i,)
             continue
-        bounds = _scores(row, padded[v], maps[v], sparsity, scratch) + rest[v]
+        bounds = _scores(row + env[v], padded[v], maps[v], sparsity, scratch)
         for c in np.argsort(-bounds, kind="stable")[::-1]:
             nodes.append((bounds[c], v + 1, picks + (int(c),), row, int(c)))
     if best is None:

@@ -361,35 +361,3 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
     if include_negated:
         np.negative(columns[..., 0], out=columns[..., 1])
     return Dictionary._own(atoms, params, "gabor_1d")
-
-
-def babel_function(dictionary: Dictionary, m: int) -> float:
-    """Cumulative coherence mu_1(m) of the dictionary.
-
-    mu_1(m) = max over atoms k of the largest sum of m absolute inner
-    products |<atom_l, atom_k>| with l ranging over m distinct atoms
-    other than k.  mu_1(0) = 0, and mu_1 vanishes for every m on an
-    orthonormal basis.
-    """
-    k_total = dictionary.n_atoms
-    if not 0 <= m < k_total:
-        raise ValueError(f"m must lie in 0..{k_total - 1}")
-    if m == 0:
-        return 0.0
-    atoms = dictionary.atoms
-    best = -np.inf
-    block = 512
-    for start in range(0, k_total, block):
-        stop = min(start + block, k_total)
-        gram = np.abs(atoms.T @ atoms[:, start:stop])
-        gram[np.arange(start, stop), np.arange(stop - start)] = -np.inf
-        top = np.partition(gram, k_total - m, axis=0)[k_total - m:, :]
-        best = max(best, float(top.sum(axis=0).max()))
-    return best
-
-
-def gram_row(dictionary: Dictionary, atom_index: int) -> np.ndarray:
-    """Inner products of every atom with the atom at ``atom_index``."""
-    if not 0 <= atom_index < dictionary.n_atoms:
-        raise ValueError("atom index out of range")
-    return dictionary.atoms.T @ dictionary.atoms[:, atom_index]

@@ -15,6 +15,18 @@ coefficients until every view satisfies two decodability conditions:
 The achieved margin (minimum over views) is recorded with the ensemble,
 and so is the number of draws made.
 
+The paper's coherence condition says when a margin is guaranteed.  Let
+mu_1(m), the cumulative coherence (Babel function), be the largest sum
+of m absolute inner products |<a_l, a_k>| of an atom a_k with m other
+atoms.  A view with coefficients x whose ratio r = min|x| / max|x|
+exceeds mu_1(S-1) + mu_1(S) has a margin of at least
+
+    (r - mu_1(S-1) - mu_1(S)) / sqrt(S (1 + mu_1(S-1))).
+
+On the 32x32 preset dictionary mu_1(4) = 3.88 and mu_1(5) = 4.81, so
+with r <= 1 the condition cannot hold at S = 5, and generation checks
+the margin itself.
+
 Most rejected draws lose to an atom that shares a center with a support
 atom.  So each view is first checked against a cheap upper bound on its
 margin, taken from the support atoms and their same-center peers over
@@ -276,41 +288,6 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
         )
     raise EnsembleGenerationError(
         f"no ensemble satisfied the decodability checks in {max_attempts} attempts")
-
-
-def margin_lower_bound(coefficients, mu1_s_minus_1: float, mu1_s: float) -> float:
-    """Coherence-based lower bound on the ensemble margin.
-
-    For each view with coefficients x the quantity
-
-        (min|x| / max|x| - mu1(S-1) - mu1(S))^2 / (S (1 + mu1(S-1)))
-
-    bounds the squared margin from below when the numerator's base is
-    positive; a nonpositive base makes the bound uninformative and
-    contributes zero.  Returns the square root of the worst (minimum)
-    view bound.
-    """
-    coefficients = [np.asarray(x, dtype=float) for x in coefficients]
-    if not coefficients:
-        raise ValueError("need coefficients for at least one view")
-    sparsity = coefficients[0].size
-    if sparsity < 1:
-        raise ValueError("coefficient vectors must be nonempty")
-    if any(x.size != sparsity for x in coefficients):
-        raise ValueError("all views must share the sparsity level")
-    if mu1_s_minus_1 < 0 or mu1_s < 0:
-        raise ValueError("cumulative coherence values cannot be negative")
-
-    worst = np.inf
-    for x in coefficients:
-        mags = np.abs(x)
-        base = mags.min() / mags.max() - mu1_s_minus_1 - mu1_s
-        if base > 0.0:
-            value = base * base / (sparsity * (1.0 + mu1_s_minus_1))
-        else:
-            value = 0.0
-        worst = min(worst, value)
-    return float(np.sqrt(worst))
 
 
 def load_signal_csv(path) -> np.ndarray:

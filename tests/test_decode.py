@@ -214,14 +214,17 @@ TIE_AFTER_BETTER_BRANCH = (
     [[0, 0, 0, 0], [0, 0, 5, -10], [-7, 3, -2, 0]],
     [[[0, 1, -1, -1], [2, 3, -1, -1]], [[0, 1, -1, -1], [2, 3, -1, -1]]],
     1)
-# Candidates 0 and 1 of view 2 both score 0x1.8p+0 with view 3's one
-# candidate, but candidate 0's float bound, (0.7 + 0.35) + (0.15 + 0.3),
-# rounds one ulp below that score, while candidate 1's, (0.6 + 0.45) +
-# (0.15 + 0.3), does not.  Only the rounding slack keeps candidate 0,
-# the first maximizer, from being pruned.
+# Candidates 0 and 1 of view 2 both score 0x1.8p+0 with the one candidate
+# of views 3 and 4: (0, 0, 0) first in enumeration order, (1, 0, 0)
+# last.  Candidate 0's leaf entries are (0.7 + 0.1) - 0.6 and
+# (0.6 + 0.2) + 0.5, but its envelope bound adds the same terms as
+# 0.7 + (-0.6 + 0.1) and 0.6 + (0.5 + 0.2), and the second rounds one ulp
+# lower, so the bound sits one ulp below the tied score; candidate 1's
+# bound does not.  Only the rounding slack keeps candidate 0, the first
+# maximizer, from being pruned.
 TIE_DECIDED_BY_SLACK = (
-    [[0, 0, 0, 0], [0.7, 0.35, 0.6, 0.45], [0.15, 0.3, -100, -100]],
-    [[[0, 1, -1, -1], [2, 3, -1, -1]], [[0, 1, 2, 3]]],
+    [[0, 0, 0, 0], [0.7, 0.6, 0.9, 0.4], [0.1, 0.2, 0, 0], [-0.6, 0.5, 0, 0]],
+    [[[0, 1, -1, -1], [2, 3, -1, -1]], [[0, 1, 2, 3]], [[0, 1, 2, 3]]],
     2)
 
 
@@ -710,8 +713,8 @@ class TestPrunedSearch:
         # the preconditions: equal leaves, one bound an ulp below them
         scores = kernel_scores(base, sparsity, cands)
         assert scores[0] == scores[1] == 1.5
-        assert (0.7 + 0.35) + (0.15 + 0.3) < 1.5
-        assert (0.6 + 0.45) + (0.15 + 0.3) == 1.5
+        assert (0.6 + (0.5 + 0.2)) + (0.7 + (-0.6 + 0.1)) < 1.5
+        assert (0.4 + (0.5 + 0.2)) + (0.9 + (-0.6 + 0.1)) == 1.5
         _, vector, _ = decode._search(base, sparsity, cands)
         assert vector[1] is cands.per_view[0][0]
         with mock.patch.object(decode, "_SLACK_EPS", 0.0):
@@ -739,6 +742,19 @@ class TestPrunedSearch:
             assert_matches_oracle(
                 decoder(meas, full_gaussian_dict, 5, cands),
                 oracle(base, 5, cands))
+
+    @pytest.mark.parametrize("n_views", [5, 6])
+    def test_envelope_bound_prunes(self, full_gaussian_dict, n_views):
+        # M = 40, the slow test's trials: a bound that adds top-S sums
+        # taken at different atoms made 23 and 125 kernel calls here; the
+        # envelope bound makes a few per free view
+        meas, cands = full_scale_trial(full_gaussian_dict, n_views, 40,
+                                       seed=n_views)
+        base = atom_measurement_correlations(meas, full_gaussian_dict)
+        with mock.patch.object(decode, "_scores",
+                               wraps=decode._scores) as scores:
+            decode._search(base, 5, cands)
+        assert scores.call_count <= 3 * (n_views - 1)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n_views", [5, 6])

@@ -1,4 +1,4 @@
-"""Dictionary construction and coherence measures."""
+"""Dictionary construction."""
 
 import hashlib
 import math
@@ -10,25 +10,13 @@ import pytest
 from conftest import (gabor_1d_oracle, gaussian_2d_oracle, gaussian_2d_rows,
                       gaussian_atom_2d, modulated_atom_1d, oracle_keep_first)
 from jointrec import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
-                      atom_measurement_correlations, babel_function,
+                      atom_measurement_correlations,
                       build_gabor_1d_dictionary, build_gaussian_2d_dictionary,
-                      gram_row, least_squares_reconstruct, measure_ensemble,
+                      least_squares_reconstruct, measure_ensemble,
                       odd_translations, sample_sensing_matrix,
                       thresholding_margin)
 from jointrec.dictionary import (_SAMPLE_FLOOR, DUPLICATE_ATOM_TOL,
                                  UNIT_NORM_TOL)
-
-
-def brute_force_babel(atoms: np.ndarray, m: int) -> float:
-    """Definition-level cumulative coherence, via explicit loops."""
-    k = atoms.shape[1]
-    worst = 0.0
-    for i in range(k):
-        inner = [abs(float(atoms[:, i] @ atoms[:, j]))
-                 for j in range(k) if j != i]
-        inner.sort(reverse=True)
-        worst = max(worst, sum(inner[:m]))
-    return worst
 
 
 def build_against_oracle(*grid):
@@ -457,42 +445,3 @@ class TestDictionaryType:
         col = onb_dict.atom(3)
         assert col.shape == (16,)
         assert col[3] == 1.0
-
-
-class TestBabelFunction:
-    def test_matches_brute_force(self, small_gabor_dict):
-        # restrict to a subset so the brute force stays cheap
-        sub = Dictionary(np.ascontiguousarray(small_gabor_dict.atoms[:, :12]))
-        for m in (1, 2, 5, 11):
-            assert babel_function(sub, m) == pytest.approx(
-                brute_force_babel(sub.atoms, m), abs=1e-12)
-
-    def test_nondecreasing_in_m(self, small_gaussian_dict):
-        values = [babel_function(small_gaussian_dict, m)
-                  for m in (1, 2, 4, 8, 16)]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_m_of_one_is_max_off_diagonal(self, small_gabor_dict):
-        gram = np.abs(small_gabor_dict.atoms.T @ small_gabor_dict.atoms)
-        np.fill_diagonal(gram, 0.0)
-        assert babel_function(small_gabor_dict, 1) == pytest.approx(
-            gram.max(), abs=1e-12)
-
-    def test_orthonormal_basis_is_zero(self, onb_dict):
-        assert babel_function(onb_dict, 1) == pytest.approx(0.0, abs=1e-12)
-        assert babel_function(onb_dict, 5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_m_is_zero(self, onb_dict):
-        assert babel_function(onb_dict, 0) == 0.0
-
-    def test_rejects_out_of_range_m(self, onb_dict):
-        with pytest.raises(ValueError):
-            babel_function(onb_dict, -1)
-        with pytest.raises(ValueError):
-            babel_function(onb_dict, 16)
-
-    def test_gram_row(self, small_gabor_dict):
-        row = gram_row(small_gabor_dict, 4)
-        direct = small_gabor_dict.atoms.T @ small_gabor_dict.atom(4)
-        assert np.allclose(row, direct, atol=1e-12)
-

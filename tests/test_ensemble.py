@@ -8,7 +8,7 @@ import pytest
 from jointrec import (Dictionary, EnsembleGenerationError,
                       build_gabor_1d_dictionary, build_gaussian_2d_dictionary,
                       check_positivity, generate_ensemble, identity_transform,
-                      load_signal_csv, margin_lower_bound, odd_translations,
+                      load_signal_csv, odd_translations,
                       thresholding_margin, translation_transform)
 from jointrec import dictionary as dictionary_module
 from jointrec import ensemble as ensemble_module
@@ -480,35 +480,6 @@ class TestGenerateEnsemble:
                                    identity_vector(small_gaussian_dict, 2),
                                    4, 10_000, True, (0.9, 1.1))
         assert ens.attempts == expected[0] > 1
-
-
-class TestMarginLowerBound:
-    def test_single_atom_onb(self):
-        # one atom, orthonormal columns: the bound is exactly 1
-        assert margin_lower_bound([np.array([1.0])], 0.0, 0.0) == (
-            pytest.approx(1.0))
-
-    def test_equal_coefficients_onb(self):
-        x = np.ones(4)
-        assert margin_lower_bound([x], 0.0, 0.0) == pytest.approx(0.5)
-
-    def test_clamps_to_zero_when_infeasible(self):
-        # heavy coherence swamps the coefficient ratio
-        x = np.array([0.5, 1.5])
-        assert margin_lower_bound([x], 0.6, 0.7) == 0.0
-
-    def test_never_exceeds_recorded_margin_on_onb(self, onb_dict):
-        for seed in range(10):
-            ens = generate_ensemble(onb_dict, 3,
-                                    identity_vector(onb_dict, 2), seed=seed)
-            bound = margin_lower_bound(ens.coefficients, 0.0, 0.0)
-            assert bound <= ens.margin + 1e-12
-
-    def test_worst_view_controls(self):
-        flat = np.ones(4)
-        skewed = np.array([0.5, 1.5, 1.5, 1.5])
-        joint = margin_lower_bound([flat, skewed], 0.0, 0.0)
-        assert joint == pytest.approx(margin_lower_bound([skewed], 0.0, 0.0))
 
 
 class TestPersistence:
