@@ -48,10 +48,11 @@ when its bound plus a rounding slack is strictly below the incumbent;
 the slack covers the float error by which a leaf's score can exceed its
 bound.  A leaf with an equal score replaces the incumbent only when its
 enumeration index is lower, so the winner is the first strict maximizer
-in enumeration order whatever order the nodes are visited in.  Leading
-views with one candidate, such as view 1's identity or every view of a
-single-offset list, are folded into the root, so a search with one free
-view is a plain scan.
+in enumeration order whatever order the nodes are visited in.  Both
+decoders fold the leading views with one candidate, such as view 1's
+identity or every view but the last of a single-offset list, into their
+starting row without a kernel call, so a search with one free view is a
+plain scan, and gjt's first stage is view 2.
 
 jt's node bounds and leaves (the last free view's candidates) and gjt's
 stages score all of a view's candidates in one kernel call; a partition
@@ -289,6 +290,20 @@ def _scratch(maps) -> np.ndarray:
     return np.empty((max(map(len, maps)), maps[0].shape[1]))
 
 
+def _fold(padded: np.ndarray, maps):
+    """(row, first): the partial d_T of the leading views with one
+    candidate, views 1..first, and the index of the first view after
+    them; the last view is never folded, so a decode still scores it.
+    The row is ((0.0 + c_1) + c_2) + ... in view order, the float
+    additions of ``correlation_vector``."""
+    row = np.zeros(padded.shape[1] - 1)
+    first = 0
+    while first < len(maps) - 1 and len(maps[first]) == 1:
+        row = row + padded[first].take(maps[first][0], mode="wrap")
+        first += 1
+    return row, first
+
+
 def _winner(base: np.ndarray, sparsity: int, candidates: CandidateSet, picks):
     """Candidate ``picks[j]`` of each view j (view 1: the identity) as a
     vector; ``correlation_vector`` and ``select_top_s`` give its supports
@@ -342,11 +357,7 @@ def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
     padded, maps = _gather(base, candidates)
     scratch = _scratch(maps)
     last = len(maps) - 1
-    root = np.zeros(base.shape[0])
-    first = 0
-    while first < last and len(maps[first]) == 1:
-        root = root + padded[first].take(maps[first][0], mode="wrap")
-        first += 1
+    root, first = _fold(padded, maps)
     # env[v][i]: the most that the views after v can add to entry i, the
     # sum over those views of each one's largest gathered value at i
     env = [np.zeros(base.shape[0])] * len(maps)
@@ -390,11 +401,15 @@ def _jt(base, measurements, dictionary, sparsity, candidates):
 
 def _gjt(base, measurements, dictionary, sparsity, candidates):
     """gjt's core: one running aggregate over ``base``, one view at a
-    time, then least squares."""
+    time, then least squares.  The leading views with one candidate are
+    folded into the row first, as ``_search`` folds them; a row that
+    keeps fewer than S atoms then leaves every candidate of the next
+    stage at -inf, which raises."""
     padded, maps = _gather(base, candidates)
     scratch = _scratch(maps)
-    row, picks = np.zeros(base.shape[0]), []
-    for view, stack in zip(padded, maps):
+    row, first = _fold(padded, maps)
+    picks = [0] * first
+    for view, stack in zip(padded[first:], maps[first:]):
         i, score = _best(row, view, stack, sparsity, scratch)
         if score == -np.inf:
             raise ValueError(_NO_VALID_CANDIDATE)
@@ -447,15 +462,16 @@ def greedy_joint_threshold_decode(measurements: MeasurementSet,
     """Greedy joint decoder: one running aggregate, one view at a time.
 
     View 1's one candidate, the identity, keeps all K atoms and is stage
-    1, so the row starts at 0.0 + c_1.  Stage V (V = 2..J) scores
-    row + c_V[T(.)] for each candidate T of view V, takes the first with
-    the highest top-S score, and adds its gathered correlations to the
-    row, so the row is ((0.0 + c_1) + c_2*) + ..., the partial aggregate
-    of the chosen vector.  A stage where every candidate leaves fewer
-    than S atoms valid raises a ValueError.  The chosen vector provides
-    the reference support and full score.  With one view it is the
-    identity alone; with two views the one stage is the scan the joint
-    decoder runs, so the results coincide.
+    1, so the row starts at 0.0 + c_1; it is added without being scored,
+    as is every later leading view with one candidate.  Stage V
+    (V = 2..J) scores row + c_V[T(.)] for each candidate T of view V,
+    takes the first with the highest top-S score, and adds its gathered
+    correlations to the row, so the row is ((0.0 + c_1) + c_2*) + ...,
+    the partial aggregate of the chosen vector.  A stage where every
+    candidate leaves fewer than S atoms valid raises a ValueError.  The
+    chosen vector provides the reference support and full score.  With
+    one view it is the identity alone; with two views the one stage is
+    the scan the joint decoder runs, so the results coincide.
     """
     return _gjt(atom_measurement_correlations(measurements, dictionary),
                 measurements, dictionary, sparsity, candidates)

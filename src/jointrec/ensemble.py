@@ -31,9 +31,14 @@ Most rejected draws lose to an atom that shares a center with a support
 atom.  So each view is first checked against a cheap upper bound on its
 margin, taken from the support atoms and their same-center peers over
 the signal's footprint; a bound <= 0 rejects the draw, and any other
-draw gets the full margin over every atom.  The bound never falls below
-the full margin, so accepted ensembles, their margins and the draws made
-are those of the full check alone, bit for bit.
+draw gets the full margin over every atom.  The bound reads the support
+atoms from the columns the view was synthesized from, and forms the
+peers' products in two stages: first the peers at the center of the
+support atom that correlates most with the signal, which settle most
+rejected draws alone, then, only if those leave the bound positive, the
+peers at the other support atoms' centers.  Every stage's value is at
+least the full margin, so accepted ensembles, their margins and the
+draws made are those of the full check alone, bit for bit.
 
 The full margin's product runs on the unit signal times the exact power
 of two 2^k, k = _MARGIN_SCALE_EXP = 1000, and the margin is scaled back
@@ -135,44 +140,76 @@ def _unit(signal) -> np.ndarray:
     return signal / norm
 
 
-def _margin_bound(signal, support, dictionary: Dictionary) -> float:
+def _margin_bound(signal, support, dictionary: Dictionary,
+                  columns) -> float:
     """An upper bound on thresholding_margin from the support atoms and
     their same-center peers over the signal's footprint, for a valid
-    support; +inf when the support has no peers outside it, or the
-    dictionary no (shape, center) grid.
+    support whose atoms are ``columns`` (``dictionary.atoms[:, support]``,
+    the columns the signal was synthesized from); +inf when the support
+    has no peers outside it, or the dictionary no (shape, center) grid.
 
-    The peers P are the atoms at a support atom's center.  Only the rows
-    R where the unit signal u has |u_i| >= _ROW_FLOOR are multiplied, and
-    p_k = |u_R . a_k,R|.  Atoms have norm at most 1 + 1e-9, so by
-    Cauchy-Schwarz the dropped rows move each correlation by at most
-    tail = ||u_~R||; each float dot product is within about N eps / 2 of
-    its exact value, so 8 N eps covers the four correlations a margin
-    compares with 4x room.  So min p over the support - max p over P
-    minus the support, plus 2 tail and 8 N eps of slack, is at least the
-    full margin: a value <= 0 rejects a draw that thresholding_margin
-    rejects too.  Raises ValueError on a zero signal, as
-    thresholding_margin does.
+    The peers of a support atom are the other atoms at its center.  Only
+    the rows R where the unit signal u has |u_i| >= _ROW_FLOOR are
+    multiplied, and p_k = |u_R . a_k,R|.  Atoms have norm at most
+    1 + 1e-9, so by Cauchy-Schwarz the dropped rows move each correlation
+    by at most tail = ||u_~R||; each float dot product, whichever kernel
+    forms it, is within about N eps / 2 of its exact value, so 8 N eps
+    covers the four correlations a margin compares with 4x room.  So with
+    floor = min p over the support + 2 tail (1 + 1e-6) + 8 N eps, floor
+    minus the largest p over any set of peers outside the support is at
+    least the full margin: a value <= 0 rejects a draw that
+    thresholding_margin rejects too.
+
+    The bound is formed in two stages.  Stage 1 multiplies only the peers
+    at the center of the support atom with the largest p, where most
+    rejected draws lose, and returns floor minus their largest p when
+    that is <= 0.  Otherwise stage 2 multiplies the peers at the other
+    support atoms' centers in one gather and returns floor minus the
+    largest p over every peer.  A partial maximum is at most the whole
+    one, so stage 1's value is at least stage 2's, the value over every
+    peer, and either is at least the full margin: a view rejected here
+    is rejected by thresholding_margin too, so the accepted views, their
+    margins and the draws made do not depend on the staging.  Stage 2's
+    value is that of one product over the support and every peer but
+    for the rounding of its products and sums, about N eps and far
+    inside the slack, so the views that reach thresholding_margin are
+    the same unless such a bound lies within that rounding of 0.  Raises
+    ValueError on a zero signal, as thresholding_margin does.
     """
     unit = _unit(signal)
     centers = dictionary._centers
     if centers is None:
         return np.inf
     _, cells, grid = centers
-    peers = grid[(slice(None), *cells[support].T)].ravel()
-    peers = peers[(peers >= 0) & (peers[:, None] != support).all(axis=1)]
-    if not peers.size:
-        return np.inf
     kept = np.abs(unit) >= _ROW_FLOOR
     tail = np.linalg.norm(unit[~kept])
     rows = np.flatnonzero(kept)
+    unit = unit[rows]
+    inside = np.abs(unit @ columns[rows])
+    n = dictionary.signal_length
+    floor = (inside.min() + 2.0 * tail * (1.0 + 1e-6)
+             + 8.0 * n * np.finfo(float).eps)
     # atoms is C-ordered: entry (i, k) sits at i * K + k of the flat array,
     # which take() reads faster than an np.ix_ gather
-    cols = np.concatenate([support, peers])
-    corr = np.abs(unit[rows] @ dictionary.atoms.take(
-        rows[:, np.newaxis] * dictionary.n_atoms + cols))
-    n = dictionary.signal_length
-    return float(corr[:support.size].min() - corr[support.size:].max()
-                 + 2.0 * tail * (1.0 + 1e-6) + 8.0 * n * np.finfo(float).eps)
+    offsets = rows[:, np.newaxis] * dictionary.n_atoms
+    strongest = int(np.argmax(inside))
+    bound = floor - _peer_max(unit, offsets, grid[
+        (slice(None), *cells[support[strongest]])], support, dictionary)
+    if bound <= 0.0:
+        return float(bound)
+    others = np.delete(support, strongest)
+    return float(min(bound, floor - _peer_max(unit, offsets, grid[
+        (slice(None), *cells[others].T)].ravel(), support, dictionary)))
+
+
+def _peer_max(unit, offsets, peers, support, dictionary: Dictionary) -> float:
+    """The largest |u_R . a_k,R| over the atoms k of ``peers`` that are
+    not -1 and not in ``support``, -inf when none is left: ``unit`` is
+    u_R and ``offsets`` the flat offsets R * K of its rows."""
+    peers = peers[(peers >= 0) & (peers[:, np.newaxis] != support).all(axis=1)]
+    if not peers.size:
+        return -np.inf
+    return np.abs(unit @ dictionary.atoms.take(offsets + peers)).max()
 
 
 def check_positivity(signal, support, dictionary: Dictionary) -> bool:
@@ -208,10 +245,12 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
     accepted once every view passes the thresholding margin and positivity
     checks; the keyword flags relax either check for models, such as
     dictionaries with negated atom pairs, where it cannot hold by
-    construction.  With the margin required, a view whose same-center
-    bound (``_margin_bound``) is <= 0 is rejected before the full margin
-    is computed; the bound only rejects views that the full margin
-    rejects too.  Highly coherent dictionaries only admit positive
+    construction.  Each view is synthesized from its support columns,
+    gathered once.  With the margin required, a view whose same-center
+    bound (``_margin_bound``, given those columns) is <= 0 is rejected
+    before the full margin is computed; the bound only rejects views
+    that the full margin rejects too, whichever of its two stages
+    settles it.  Highly coherent dictionaries only admit positive
     margins when coefficient magnitudes are nearly equal, so a narrower
     ``coeff_range`` may be needed to keep rejection sampling feasible.
     The recorded margin is the minimum over views regardless of whether
@@ -253,11 +292,12 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
         ok = True
         for t, x in zip(transforms, coeffs):
             view_support = t.mapping[reference]
-            y = dictionary.atoms[:, view_support] @ x
+            columns = dictionary.atoms[:, view_support]
+            y = columns @ x
             # most rejected draws lose to an atom at a support atom's
             # center: settle those from the signal's footprint alone
-            if (require_margin
-                    and _margin_bound(y, view_support, dictionary) <= 0.0):
+            if (require_margin and _margin_bound(
+                    y, view_support, dictionary, columns) <= 0.0):
                 ok = False
                 break
             margin = thresholding_margin(y, view_support, dictionary)

@@ -784,6 +784,33 @@ class TestGreedyAggregate:
             greedy_joint_threshold_decode(meas, d, 2, cands)
         assert gather.call_count == 1
 
+    @pytest.mark.parametrize("n_views", [2, 4])
+    def test_one_kernel_call_per_free_view(self, full_gaussian_dict,
+                                           n_views):
+        # view 1's identity is folded into the row, as jt's search folds
+        # it: one call per view 2..J, where scoring it too made J calls
+        meas, cands = full_scale_trial(full_gaussian_dict, n_views, 40,
+                                       seed=n_views)
+        with mock.patch.object(decode, "_scores",
+                               wraps=decode._scores) as scores:
+            greedy_joint_threshold_decode(meas, full_gaussian_dict, 5, cands)
+        assert scores.call_count == n_views - 1
+
+    def test_folded_single_offset_keeps_too_few_atoms(self,
+                                                      small_gaussian_dict):
+        # every view has one candidate, a translation whose domain holds
+        # fewer atoms than the sparsity level: folding views 1 and 2
+        # still ends in the error that scoring each one raised
+        d = small_gaussian_dict
+        cands = CandidateSet.from_uniform_offsets(d, [(6, 6)], 3)
+        kept = int(cands.per_view[0][0].domain_mask.sum())
+        assert 0 < kept < d.n_atoms - 1
+        meas, _, _, _ = random_problem(d, 3, 8, kept + 1, seed=1103)
+        for decoder in (joint_threshold_decode,
+                        greedy_joint_threshold_decode):
+            with pytest.raises(ValueError, match=decode._NO_VALID_CANDIDATE):
+                decoder(meas, d, kept + 1, cands)
+
     def test_scoring_memory_does_not_grow_with_views(self,
                                                      full_gaussian_dict):
         # J = 20: one padded table, one shared (9, K) stack of mappings

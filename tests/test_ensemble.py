@@ -43,6 +43,30 @@ def full_scan_margin(signal, support, atoms):
     return float(corr[support].min() - np.delete(corr, support).max())
 
 
+def one_shot_bound(signal, support, dictionary):
+    """The same-center margin bound formed in one product over the support
+    atoms and every peer at their centers, as generation formed it before
+    the bound was staged: min p over the support - max p over the peers
+    outside it + 2 tail (1 + 1e-6) + 8 N eps; +inf without peers or a
+    center grid."""
+    unit = signal / np.linalg.norm(signal)
+    if dictionary._centers is None:
+        return np.inf
+    _, cells, grid = dictionary._centers
+    peers = grid[(slice(None), *cells[support].T)].ravel()
+    peers = peers[(peers >= 0) & (peers[:, None] != support).all(axis=1)]
+    if not peers.size:
+        return np.inf
+    kept = np.abs(unit) >= ensemble_module._ROW_FLOOR
+    tail = np.linalg.norm(unit[~kept])
+    rows = np.flatnonzero(kept)
+    cols = np.concatenate([support, peers])
+    corr = np.abs(unit[rows] @ dictionary.atoms[np.ix_(rows, cols)])
+    n = dictionary.signal_length
+    return float(corr[:support.size].min() - corr[support.size:].max()
+                 + 2.0 * tail * (1.0 + 1e-6) + 8.0 * n * np.finfo(float).eps)
+
+
 def oracle_ensemble(dictionary, sparsity, transforms, seed, max_attempts,
                     require_margin, coeff_range):
     """generate_ensemble's rejection loop (shared coefficients, positivity
@@ -132,7 +156,9 @@ class TestThresholdingMargin:
 
 class TestMarginBound:
     """The rejection prefilter bounds the full margin from above: any draw
-    it rejects (bound <= 0) the full margin rejects too."""
+    it rejects (bound <= 0) the full margin rejects too.  Staged, it
+    decides as the one-shot bound over every peer (``one_shot_bound``)
+    does."""
 
     @pytest.mark.parametrize("name, positive", [
         ("full_gaussian_dict", 16),
@@ -146,12 +172,46 @@ class TestMarginBound:
         for y, support in random_draws(dictionary, 60, seed=5):
             full = full_scan_margin(y, support, dictionary.atoms)
             assert thresholding_margin(y, support, dictionary) == full
-            bound = ensemble_module._margin_bound(y, support, dictionary)
+            bound = ensemble_module._margin_bound(
+                y, support, dictionary, dictionary.atoms[:, support])
             assert bound >= full
+            # a stage's maximum covers part of the peers, and the bound
+            # covers them all when it comes out positive: it rejects the
+            # draws the one-shot bound rejects, and equals it up to the
+            # rounding of its products
+            oracle = one_shot_bound(y, support, dictionary)
+            assert (bound <= 0.0) == (oracle <= 0.0)
+            if bound > 0.0:
+                assert bound == pytest.approx(oracle, rel=0.0, abs=1e-12)
             margins.append(full)
             settled += bound <= 0.0
         assert sum(m > 0.0 for m in margins) == positive
         assert settled > 0
+
+    def test_stage_one_settles_most_rejections(self, full_gaussian_dict,
+                                               monkeypatch):
+        # most rejected draws lose to a peer of the strongest support
+        # atom: those are settled by one peer product, not two
+        d = full_gaussian_dict
+        products = []
+        peer_max = ensemble_module._peer_max
+
+        def peer_max_spy(*args):
+            products.append(args)
+            return peer_max(*args)
+
+        monkeypatch.setattr(ensemble_module, "_peer_max", peer_max_spy)
+        rejected = settled = 0
+        for y, support in random_draws(d, 60, seed=5):
+            if one_shot_bound(y, support, d) > 0.0:
+                continue
+            products.clear()
+            assert ensemble_module._margin_bound(
+                y, support, d, d.atoms[:, support]) <= 0.0
+            rejected += 1
+            settled += len(products) == 1
+        assert rejected >= 30
+        assert settled >= 0.9 * rejected
 
     @pytest.mark.parametrize("name", [
         "full_gaussian_dict", "full_gabor_dict", "untwinned_gabor_dict"])
@@ -161,8 +221,9 @@ class TestMarginBound:
         monkeypatch.setattr(ensemble_module, "_ROW_FLOOR", 0.05)
         dictionary = request.getfixturevalue(name)
         for y, support in random_draws(dictionary, 30, seed=7):
-            assert (ensemble_module._margin_bound(y, support, dictionary)
-                    >= full_scan_margin(y, support, dictionary.atoms))
+            bound = ensemble_module._margin_bound(
+                y, support, dictionary, dictionary.atoms[:, support])
+            assert bound >= full_scan_margin(y, support, dictionary.atoms)
 
     def test_twin_tie_falls_through(self, full_gabor_dict, monkeypatch):
         # y = a_k ties with its negated twin, so the full margin is 0 and
@@ -173,7 +234,8 @@ class TestMarginBound:
         for k in (0, 1, 1001, d.n_atoms - 1):
             y, support = d.atom(k).copy(), np.array([k])
             assert thresholding_margin(y, support, d) == 0.0
-            assert ensemble_module._margin_bound(y, support, d) > 0.0
+            assert ensemble_module._margin_bound(
+                y, support, d, d.atoms[:, support]) > 0.0
 
     def test_one_center_grid_per_dictionary(self, monkeypatch):
         # realizing candidates and drawing ensembles read one (shape,
@@ -297,7 +359,8 @@ class TestSupportBlockMargin:
                        in zip(ens.signals, signals, strict=True))
             assert ens.margin == margin > 0.0
             assert ensemble_module._margin_bound(
-                ens.signals[0], ens.supports[0], d) == np.inf
+                ens.signals[0], ens.supports[0], d,
+                d.atoms[:, ens.supports[0]]) == np.inf
             attempts_made.append(attempts)
         assert sum(a > 1 for a in attempts_made) > 5
 
