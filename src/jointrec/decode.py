@@ -21,21 +21,32 @@ its chosen transforms: stage V scores view V's candidates against it and
 adds the first best.  Both score with the same top-S kernel.
 
 Each decoder is a core with one call shape, (base, measurements,
-dictionary, sparsity, candidates), where ``base`` is the (K, J) table of
-c_j; ``_DECODERS`` names the cores, and the independent core takes
-|base| and ignores the candidates.  The caller of the cores computes the
-table once, through ``atom_measurement_correlations``, and passes it to
-every core it runs; each public decoder is that call for one core.
+dictionary, sparsity, candidates, workspace), where ``base`` is the
+(K, J) table of c_j; ``_DECODERS`` names the cores, and the independent
+core takes |base| and ignores the candidates and the workspace.  The
+caller of the cores computes the table once, through
+``atom_measurement_correlations``, and passes it to every core it runs;
+each public decoder is that call for one core, in a workspace of its
+own.
+
+The joint decoders' working memory lives in a ``Workspace`` made for the
+candidate set, which a run makes once and passes to every decode: the
+padded table, each candidate list's stacked mappings, the scoring
+buffer and the K-vectors a decode extends and bounds.  A decode then
+allocates no array of that size, and takes no fresh pages for one, as
+it did when each decode allocated them; the stacks are formed once per
+run.  One set of buffers is kept per run, about 2 MB at J = 20 on the
+32x32 dictionary.
 
 c_j is computed once per view into a (K, J) table, and d_T is assembled
 from that table alone by index gathering, so no per-candidate matrix
 product is ever formed.  ``_gather`` copies the table once per decode
-into a (J, K + 1) array padded with a -inf column and stacks each view's
-candidate mappings into an (n, K) index array, so a mapping of -1
-gathers -inf.  Every score runs one kernel, ``_scores``: it gathers a
-view's candidates into one (n_max, K) buffer allocated per decode, adds
-the running row and partitions the buffer in place, so scoring
-allocates no (n, K) array.  jt's search is an exact depth-first
+into the workspace's (J, K + 1) table, padded with a -inf column, next
+to each view's candidate mappings stacked into an (n, K) index array, so
+a mapping of -1 gathers -inf.  Every score runs one kernel, ``_scores``:
+it gathers a view's candidates into the workspace's (n_max, K) scratch
+buffer, adds the running row and partitions the buffer in place, so
+scoring allocates no (n, K) array.  jt's search is an exact depth-first
 branch-and-bound over views 2..J.  Its bounds use the per-atom envelope
 of the later views: E_w[i] is the largest value that any candidate of
 view w gathers at atom i, and env[v] = sum over w > v of E_w.  Every
@@ -214,12 +225,61 @@ def _finalize(measurements: MeasurementSet, dictionary: Dictionary,
     )
 
 
-def _gather(base: np.ndarray, candidates: CandidateSet):
+class Workspace:
+    """The arrays that jt and gjt decode in, made once for a candidate set
+    and reused by every decode over it or over a set of its leading views.
+
+    - ``table``: the (J, K + 1) buffer of ``_gather``'s padded c_j table.
+    - ``scratch``: the (n_max, K) buffer that ``_scores`` scores in, n_max
+      the length of the longest candidate list.
+    - ``rows(n)``: n K-vectors, the rows a decode extends, adds and
+      bounds; jt's search asks for 2J + 1 and gjt for 2.
+    - ``stacked(cands)``: each candidate list's mappings, stacked once.
+
+    A run makes one and passes it to every decode it runs, so a decode
+    takes no fresh pages for these arrays, and each list is stacked once
+    per run; the public decoders make their own.  No result holds a
+    buffer, so a decode that overwrites them changes no earlier result.
+    """
+
+    def __init__(self, candidates: CandidateSet):
+        k = candidates.identity.n_atoms
+        lists = ((candidates.identity,),) + candidates.per_view
+        self.table = np.empty((len(lists), k + 1))
+        self.scratch = np.empty((max(map(len, lists)), k))
+        self._rows = np.empty((0, k))
+        # id key -> (candidate list, its stacked mappings); the list is
+        # kept with its stack, so no id in a key can be reused.  The stacks
+        # stay writeable: ``take`` copies a read-only index array per call.
+        self._stacks = {}
+        for cands in lists:
+            key = tuple(map(id, cands))
+            if key not in self._stacks:
+                self._stacks[key] = (cands,
+                                     np.stack([t.mapping for t in cands]))
+
+    def rows(self, n: int) -> np.ndarray:
+        """An (n, K) float buffer, grown on the first call that needs more
+        rows than the last."""
+        if len(self._rows) < n:
+            self._rows = np.empty((n, self._rows.shape[1]))
+        return self._rows[:n]
+
+    def stacked(self, cands) -> np.ndarray:
+        """The (n, K) stacked mappings of one of the set's candidate lists;
+        lists that hold the same transforms share one array."""
+        return self._stacks[tuple(map(id, cands))][1]
+
+
+def _gather(base: np.ndarray, candidates: CandidateSet,
+            workspace: Workspace):
     """The (K, J) table ``base`` and the candidates in the form that
-    ``_scores`` reads: (padded, maps).
+    ``_scores`` reads: (padded, maps), both held by ``workspace``, which
+    must have been made for ``candidates`` or for a set whose leading
+    views they are.
 
     ``padded`` is the (J, K + 1) array ``base.T`` followed by a -inf
-    column.  ``maps[j]`` stacks view j's candidate mappings into an
+    column.  ``maps[j]`` is view j's candidate mappings stacked into an
     (n, K) index array; views whose candidate lists hold the same
     transforms share one stacked array, so ``from_uniform_offsets``
     stacks once.  ``padded[j].take(maps[j], mode="wrap")`` is view j's
@@ -228,17 +288,11 @@ def _gather(base: np.ndarray, candidates: CandidateSet):
     The candidate set must cover every view of the table."""
     if candidates.n_views != base.shape[1]:
         raise ValueError("candidate set and measurements disagree on view count")
-    padded = np.empty((base.shape[1], base.shape[0] + 1))
+    padded = workspace.table[:base.shape[1]]
     padded[:, :-1] = base.T
     padded[:, -1] = -np.inf
-    stacked = {}
-    maps = []
-    for cands in ((candidates.identity,),) + candidates.per_view:
-        key = tuple(map(id, cands))
-        if key not in stacked:
-            stacked[key] = np.stack([t.mapping for t in cands])
-        maps.append(stacked[key])
-    return padded, maps
+    lists = ((candidates.identity,),) + candidates.per_view
+    return padded, [workspace.stacked(cands) for cands in lists]
 
 
 def _top_s(rows: np.ndarray, sparsity: int) -> np.ndarray:
@@ -267,7 +321,7 @@ def _scores(row: np.ndarray, padded: np.ndarray, maps: np.ndarray,
     """The ``_top_s`` score of ``row`` plus each candidate of one view:
     ``padded`` is that view's row of ``_gather``'s padded table, ``maps``
     its (n, K) stacked mappings.  The sums are formed in the first n rows
-    of the (n_max, K) buffer ``scratch`` and partitioned there, so no
+    of the workspace's buffer ``scratch`` and partitioned there, so no
     (n, K) array is allocated.  Each entry is ``table + row``, the same
     float as the ``row + table`` of ``correlation_vector``."""
     rows = scratch[:len(maps)]
@@ -285,23 +339,20 @@ def _best(row: np.ndarray, padded: np.ndarray, maps: np.ndarray,
     return i, scores[i]
 
 
-def _scratch(maps) -> np.ndarray:
-    """The one (n_max, K) buffer a decode scores in."""
-    return np.empty((max(map(len, maps)), maps[0].shape[1]))
-
-
-def _fold(padded: np.ndarray, maps):
-    """(row, first): the partial d_T of the leading views with one
-    candidate, views 1..first, and the index of the first view after
-    them; the last view is never folded, so a decode still scores it.
-    The row is ((0.0 + c_1) + c_2) + ... in view order, the float
-    additions of ``correlation_vector``."""
-    row = np.zeros(padded.shape[1] - 1)
+def _fold(padded: np.ndarray, maps, row: np.ndarray,
+          gathered: np.ndarray) -> int:
+    """Write into ``row`` the partial d_T of the leading views with one
+    candidate, views 1..first, and return first, the index of the first
+    view after them; the last view is never folded, so a decode still
+    scores it.  The row is ((0.0 + c_1) + c_2) + ... in view order, the
+    float additions of ``correlation_vector``; each view is gathered into
+    ``gathered``."""
+    row[:] = 0.0
     first = 0
     while first < len(maps) - 1 and len(maps[first]) == 1:
-        row = row + padded[first].take(maps[first][0], mode="wrap")
+        row += padded[first].take(maps[first][0], out=gathered, mode="wrap")
         first += 1
-    return row, first
+    return first
 
 
 def _winner(base: np.ndarray, sparsity: int, candidates: CandidateSet, picks):
@@ -316,7 +367,8 @@ def _winner(base: np.ndarray, sparsity: int, candidates: CandidateSet, picks):
     return supports, vector, score
 
 
-def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
+def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet,
+            workspace: Workspace):
     """jt's candidate search: the first strict maximizer of the top-S
     score over every candidate vector in enumeration order (the product
     of the per-view lists, last view fastest), scored from the (K, J)
@@ -327,7 +379,8 @@ def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
     ((0.0 + c_1) + c_2) + ... + c_v, the float additions of
     ``correlation_vector``, is its parent's row plus its own pick's
     gathered row, formed only when the node is popped and survives the
-    pruning test, so the stack holds no (n, K) array of children.
+    pruning test, in the workspace's row for its view, so the stack holds
+    no (n, K) array of children.
     Leading views with one candidate are folded into the root.  Before
     the search, each later view w is gathered whole into the scratch
     buffer once and reduced to its envelope E_w, the per-atom maximum over
@@ -354,37 +407,50 @@ def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
     that removes every candidate a ValueError is raised.  Returns
     (per-view supports, vector, score).
     """
-    padded, maps = _gather(base, candidates)
-    scratch = _scratch(maps)
+    padded, maps = _gather(base, candidates, workspace)
+    scratch = workspace.scratch
     last = len(maps) - 1
-    root, first = _fold(padded, maps)
-    # env[v][i]: the most that the views after v can add to entry i, the
-    # sum over those views of each one's largest gathered value at i
-    env = [np.zeros(base.shape[0])] * len(maps)
+    # partial[v]: the partial d_T of the views before v at the node being
+    # expanded at view v, the root's in partial[0].  The stack is depth
+    # first, so a node's children are all popped before a sibling of the
+    # node overwrites the row they extend.  env[v][i]: the most that the
+    # views after v can add to entry i, the sum over those views of each
+    # one's largest gathered value at i.
+    partial, env, (work,) = np.split(workspace.rows(2 * len(maps) + 1),
+                                     [len(maps), 2 * len(maps)])
+    first = _fold(padded, maps, partial[0], work)
+    env[last] = 0.0
     for v in range(last - 1, first - 1, -1):
         rows = scratch[:len(maps[v + 1])]
         padded[v + 1].take(maps[v + 1], out=rows, mode="wrap")
-        env[v] = env[v + 1] + rows.max(axis=0)
+        np.max(rows, axis=0, out=env[v])
+        env[v] += env[v + 1]
+    # max |c_j| per view, as np.abs(base).max(axis=0) finds it but without
+    # a (K, J) temporary
     slack = (_SLACK_EPS * sparsity * (base.shape[1] + sparsity)
-             * np.abs(base).max(axis=0).sum() if first < last else 0.0)
+             * np.maximum(base.max(axis=0), -base.min(axis=0)).sum()
+             if first < last else 0.0)
     best_score, best = -np.inf, None
     # (bound, view v, picks of the views before v, the parent's partial
     # d_T, the pick of view v - 1 that extends it, None at the root);
     # children are pushed worst first, so the best bound pops first
-    nodes = [(np.inf, first, (0,) * first, root, None)]
+    nodes = [(np.inf, first, (0,) * first, partial[0], None)]
     while nodes:
         bound, v, picks, row, pick = nodes.pop()
         if bound == -np.inf or bound + slack < best_score:
             continue
         if pick is not None:
-            row = row + padded[v - 1].take(maps[v - 1][pick], mode="wrap")
+            row = np.add(row, padded[v - 1].take(maps[v - 1][pick],
+                                                 out=partial[v], mode="wrap"),
+                         out=partial[v])
         if v == last:
             i, score = _best(row, padded[v], maps[v], sparsity, scratch)
             if (score > best_score
                     or score == best_score > -np.inf and picks + (i,) < best):
                 best_score, best = score, picks + (i,)
             continue
-        bounds = _scores(row + env[v], padded[v], maps[v], sparsity, scratch)
+        bounds = _scores(np.add(row, env[v], out=work), padded[v], maps[v],
+                         sparsity, scratch)
         for c in np.argsort(-bounds, kind="stable")[::-1]:
             nodes.append((bounds[c], v + 1, picks + (int(c),), row, int(c)))
     if best is None:
@@ -392,48 +458,49 @@ def _search(base: np.ndarray, sparsity: int, candidates: CandidateSet):
     return _winner(base, sparsity, candidates, best)
 
 
-def _jt(base, measurements, dictionary, sparsity, candidates):
+def _jt(base, measurements, dictionary, sparsity, candidates, workspace):
     """jt's core: the branch-and-bound search on ``base``, then least
     squares."""
     return _finalize(measurements, dictionary,
-                     *_search(base, sparsity, candidates))
+                     *_search(base, sparsity, candidates, workspace))
 
 
-def _gjt(base, measurements, dictionary, sparsity, candidates):
+def _gjt(base, measurements, dictionary, sparsity, candidates, workspace):
     """gjt's core: one running aggregate over ``base``, one view at a
     time, then least squares.  The leading views with one candidate are
     folded into the row first, as ``_search`` folds them; a row that
     keeps fewer than S atoms then leaves every candidate of the next
     stage at -inf, which raises."""
-    padded, maps = _gather(base, candidates)
-    scratch = _scratch(maps)
-    row, first = _fold(padded, maps)
+    padded, maps = _gather(base, candidates, workspace)
+    scratch = workspace.scratch
+    row, gathered = workspace.rows(2)
+    first = _fold(padded, maps, row, gathered)
     picks = [0] * first
     for view, stack in zip(padded[first:], maps[first:]):
         i, score = _best(row, view, stack, sparsity, scratch)
         if score == -np.inf:
             raise ValueError(_NO_VALID_CANDIDATE)
-        row = row + view.take(stack[i], mode="wrap")
+        row += view.take(stack[i], out=gathered, mode="wrap")
         picks.append(i)
     return _finalize(measurements, dictionary,
                      *_winner(base, sparsity, candidates, picks))
 
 
-def _it(base, measurements, dictionary, sparsity, candidates):
+def _it(base, measurements, dictionary, sparsity, candidates, workspace):
     """it's core: top-S of each view's |c_j|, then least squares; the
-    candidates are not used."""
-    base = np.abs(base)
+    candidates and the workspace are not used.  Each view's |c_j| is
+    formed on its own, so no (K, J) array is allocated."""
     supports = []
     total = 0.0
     for j in range(base.shape[1]):
-        support, score = select_top_s(base[:, j], sparsity)
+        support, score = select_top_s(np.abs(base[:, j]), sparsity)
         supports.append(support)
         total += score
     return _finalize(measurements, dictionary, supports, None, total)
 
 
 # every decoder's core by algorithm name, each called as
-# (base, measurements, dictionary, sparsity, candidates)
+# (base, measurements, dictionary, sparsity, candidates, workspace)
 _DECODERS = {"jt": _jt, "gjt": _gjt, "it": _it}
 
 
@@ -453,7 +520,8 @@ def joint_threshold_decode(measurements: MeasurementSet,
     removes every candidate a ValueError is raised.
     """
     return _jt(atom_measurement_correlations(measurements, dictionary),
-               measurements, dictionary, sparsity, candidates)
+               measurements, dictionary, sparsity, candidates,
+               Workspace(candidates))
 
 
 def greedy_joint_threshold_decode(measurements: MeasurementSet,
@@ -474,7 +542,8 @@ def greedy_joint_threshold_decode(measurements: MeasurementSet,
     the scan the joint decoder runs, so the results coincide.
     """
     return _gjt(atom_measurement_correlations(measurements, dictionary),
-                measurements, dictionary, sparsity, candidates)
+                measurements, dictionary, sparsity, candidates,
+                Workspace(candidates))
 
 
 def independent_threshold_decode(measurements: MeasurementSet,
@@ -487,7 +556,7 @@ def independent_threshold_decode(measurements: MeasurementSet,
     and the score is the summed selected absolute correlations over views.
     """
     return _it(atom_measurement_correlations(measurements, dictionary),
-               measurements, dictionary, sparsity, None)
+               measurements, dictionary, sparsity, None, None)
 
 
 def noiseless_score(signals, dictionary: Dictionary, support,

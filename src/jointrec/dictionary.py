@@ -18,7 +18,12 @@ subnormal entries in the atoms, and every product with the atoms would
 run down the CPU's slow path for subnormal arithmetic.  Their squares
 underflow to 0, so no norm and no other entry changes.  The builders
 write each kept atom once, straight into its column of the matrix the
-dictionary keeps.
+dictionary keeps; the 2D builder writes a block of pixel rows at a time,
+in row order, each block one gather from the stacked shape patterns,
+divided in place by the atoms' norms.  Its duplicate check compares two
+cells in full only when two fingerprints of their unit rows, the row sum
+and a pseudo-random weighted sum, are both within a window that no pair
+within the tolerance exceeds (see ``build_gaussian_2d_dictionary``).
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ DUPLICATE_ATOM_TOL = 1e-12
 # squares of the zeroed samples underflow to 0 already, so every norm, and
 # so every kept sample's stored entry, keeps its bits.
 _SAMPLE_FLOOR = 1e-300
+# entries per block of pixel rows in the 2D builder's write: its indices
+# take 1 MB
+_WRITE_BLOCK = 1 << 17
 # the parameter fields that locate an atom's center, per dictionary family
 _CENTER_FIELDS = {"gaussian_2d": ("tx", "ty"), "gabor_1d": ("t",)}
 
@@ -164,15 +172,28 @@ class Dictionary:
 
 def _center_grid(params, centers):
     """The (shape, cells, grid) of ``Dictionary._centers`` for the records
-    ``params``, whose fields named in ``centers`` locate the center."""
+    ``params``, whose fields named in ``centers`` locate the center.
+
+    Shapes are numbered in lexicographic order of their fields, as
+    ``np.unique(axis=0)`` numbers them: the records are sorted by every
+    field but the center, and a new number starts wherever a field
+    changes."""
     names = [f.name for f in fields(params[0]) if f.name not in centers]
-    read = attrgetter(*names, *centers)
-    table = np.array([read(p) for p in params], dtype=float)
-    _, shape = np.unique(table[:, :len(names)], axis=0, return_inverse=True)
-    cells = table[:, len(names):].astype(np.int64)
+    count = len(params)
+    keys = [np.fromiter(map(attrgetter(name), params), float, count=count)
+            for name in names]
+    # lexsort's last key is the primary one
+    order = np.lexsort(keys[::-1])
+    ranked = np.stack([key[order] for key in keys])
+    shape = np.empty(count, dtype=np.int64)
+    shape[order] = np.concatenate(
+        ([0], np.cumsum(np.any(ranked[:, 1:] != ranked[:, :-1], axis=0))))
+    cells = np.column_stack([
+        np.fromiter(map(attrgetter(name), params), float, count=count)
+        for name in centers]).astype(np.int64)
     cells -= cells.min(axis=0)
     grid = np.full((shape.max() + 1, *(cells.max(axis=0) + 1)), -1)
-    grid[(shape, *cells.T)] = np.arange(len(params))
+    grid[(shape, *cells.T)] = np.arange(count)
     for a in (shape, cells, grid):
         a.setflags(write=False)
     return shape, cells, grid
@@ -206,8 +227,17 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
     to a table over (shape, distinct translation): a repeated
     translation repeats its first atoms exactly, and a cell is dropped
     when it lies within 1e-12 of a kept cell of an earlier shape at its
-    translation.  Two cells are compared in full only when their row
-    sums are within a fixed window that no pair within 1e-12 exceeds.
+    translation.  Two cells are compared in full only when both of their
+    fingerprints are within a fixed window that no pair within 1e-12
+    exceeds: the row sum, and a sum weighted by a fixed pseudo-random
+    vector that no symmetry of the pixel grid preserves, so mirror
+    images, whose row sums agree, are told apart without a comparison.
+
+    The kept atoms are written once, into the matrix the dictionary
+    keeps, a block of pixel rows at a time in row order: every shape's
+    pattern is stacked into one array, each block is one gather from it
+    at the flat index of (pixel, atom), and the block is then divided in
+    place by the atoms' norms.
 
     Parameters
     ----------
@@ -248,13 +278,26 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
     tys = np.array([t[1] for t in cells])
     n = width * height
     shapes = list(product(thetas, sxs, sys))
+    patterns = np.empty((len(shapes), 2 * height - 1, 2 * width - 1))
     windows = []
     norms = np.empty((len(shapes), len(cells)))
-    sums = np.empty_like(norms)
+    prints = np.empty((len(shapes), len(cells), 2))
     keep = np.zeros(norms.shape, dtype=bool)
-    # unit rows within DUPLICATE_ATOM_TOL have exact sums within n * tol,
-    # and the float sum of a unit row is off by less than n * eps * sqrt(n)
-    # (Cauchy-Schwarz); the window allows twice that error for both rows
+    # the fingerprints of a unit row u are w . u for the weights w in the
+    # columns of ``weights``: all ones, and a fixed pseudo-random vector in
+    # [-1, 1], which no symmetry of the pixel grid preserves, so mirror
+    # images (equal sums) differ in the second.  Rows within
+    # DUPLICATE_ATOM_TOL have exact fingerprints within n * tol.  A unit
+    # row is u = fl(b / nu) for the gathered row b and its norm nu, and its
+    # fingerprint is formed as fl(fl(b . w) / nu): the dot product is off
+    # by at most gamma_n sum |b_k| <= gamma_n sqrt(n) |b| (Cauchy-Schwarz),
+    # the division adds a relative u, and each entry of the unit row is off
+    # from b_k / nu by a relative u, so the fingerprint is within about
+    # (n + 2) u sqrt(n) |b| / nu of the exact w . u, u = eps / 2 the unit
+    # roundoff and |b| / nu < 1 + 1e-6.  That is below 2 n eps sqrt(n) for
+    # any n >= 1; the window allows it for both rows.
+    weights = np.ones((n, 2))
+    weights[:, 1] = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     window = (n * DUPLICATE_ATOM_TOL
               + 4 * n * np.finfo(float).eps * math.sqrt(n) * (1 + 1e-6))
 
@@ -265,36 +308,56 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
         s = np.sin(theta)
         rx = (du * c - dv * s) / sx
         ry = (dv * c + du * s) / sy
-        pattern = np.exp(-rx * rx - ry * ry)
+        pattern = patterns[i]
+        np.exp(-rx * rx - ry * ry, out=pattern)
         pattern[pattern < _SAMPLE_FLOOR] = 0.0
         windows.append(
             sliding_window_view(pattern, (height, width))[::-1, ::-1])
         block = windows[i][tys, txs].reshape(len(cells), n)
-        norms[i] = np.linalg.norm(block, axis=1)
-        block /= norms[i, :, np.newaxis]
-        sums[i] = block.sum(axis=1)
-        near = keep[:i] & (np.abs(sums[:i] - sums[i]) <= window)
+        # the arithmetic of np.linalg.norm(block, axis=1)
+        norms[i] = np.sqrt(np.add.reduce(block * block, axis=1))
+        np.divide(block @ weights, norms[i, :, np.newaxis], out=prints[i])
+        near = keep[:i] & np.all(np.abs(prints[:i] - prints[i]) <= window,
+                                 axis=2)
         keep[i] = True
         for j in np.flatnonzero(near.any(axis=1)):
             at = np.flatnonzero(near[j])
-            kept = _unit_atoms(windows[j], tys[at], txs[at], norms[j, at])
-            keep[i, at] &= (np.abs(block[at] - kept).max(axis=1)
-                            > DUPLICATE_ATOM_TOL)
+            keep[i, at] &= DUPLICATE_ATOM_TOL < np.abs(
+                block[at] / norms[i, at, np.newaxis]
+                - _unit_atoms(windows[j], tys[at], txs[at], norms[j, at])
+            ).max(axis=1)
 
-    # pass 2: each kept atom is written once, into its column
-    atoms = np.empty((n, np.count_nonzero(keep)))
-    params = []
-    for i, (theta, sx, sy) in enumerate(shapes):
-        at = np.flatnonzero(keep[i])
-        atoms[:, len(params):len(params) + at.size] = _unit_atoms(
-            windows[i], tys[at], txs[at], norms[i, at]).T
-        params.extend(GaussianAtom2D(theta, sx, sy, *cells[j]) for j in at)
+    # pass 2: atom (i, (tx, ty)) holds at pixel (x, y) pattern i's sample
+    # at offset (x - tx, y - ty), the entry offset[atom] + base[pixel] of
+    # the flattened patterns; each block of pixel rows is one take from
+    # there straight into the atoms' rows (mode "clip" writes into out
+    # unbuffered; every index is in range), divided in place by the norms
+    shape_of, cell_of = np.nonzero(keep)
+    k = shape_of.size
+    stride = 2 * width - 1
+    offset = (shape_of * patterns[0].size
+              + (height - 1 - tys[cell_of]) * stride
+              + (width - 1 - txs[cell_of]))
+    base = (np.arange(height)[:, np.newaxis] * stride
+            + np.arange(width)).ravel()
+    kept_norms = norms[shape_of, cell_of]
+    flat = patterns.ravel()
+    atoms = np.empty((n, k))
+    index = np.empty((max(1, _WRITE_BLOCK // k), k), dtype=np.int64)
+    for start in range(0, n, len(index)):
+        rows = atoms[start:start + len(index)]
+        at = np.add(base[start:start + len(rows), np.newaxis], offset,
+                    out=index[:len(rows)])
+        flat.take(at, out=rows, mode="clip")
+        rows /= kept_norms
+    params = [GaussianAtom2D(*shapes[i], *cells[j])
+              for i, j in zip(shape_of.tolist(), cell_of.tolist())]
     return Dictionary._own(atoms, params, "gaussian_2d")
 
 
 def _unit_atoms(windows, tys, txs, norms):
     """The pattern windows at translations (txs, tys) as rows, each divided
-    by its norm."""
+    by its norm: the kept cells that a new cell is compared with in full."""
     rows = windows[tys, txs].reshape(len(norms), windows[0, 0].size)
     rows /= norms[:, np.newaxis]
     return rows

@@ -650,14 +650,16 @@ def _sweep_cells(config: ExperimentConfig) -> list[tuple[int, int, int]]:
 
 def _decode_views(dictionary: Dictionary, candidates, signals,
                   n_measurements, identity: bool,
-                  seed: np.random.SeedSequence, sparsity: int, algorithms):
+                  seed: np.random.SeedSequence, sparsity: int, algorithms,
+                  workspace: decode.Workspace | None):
     """Measure every view and decode the measurements with each named core.
 
     The views are measured with identity sensing, or with one Gaussian
     matrix per view drawn from the children of ``seed``.  The per-view
     correlations c_j are computed once, and every core reads that one
-    table.  Returns (algorithm, DecodeResult, seconds) per algorithm, in
-    order; the seconds time the core alone, without c_j.
+    table and decodes in ``workspace`` (None when only it runs).  Returns (algorithm, DecodeResult,
+    seconds) per algorithm, in order; the seconds time the core alone,
+    without c_j.
     """
     n = dictionary.signal_length
     if identity:
@@ -671,7 +673,7 @@ def _decode_views(dictionary: Dictionary, candidates, signals,
     for algorithm in algorithms:
         start = time.perf_counter()
         result = decode._DECODERS[algorithm](
-            base, measurements, dictionary, sparsity, candidates)
+            base, measurements, dictionary, sparsity, candidates, workspace)
         decoded.append((algorithm, result, time.perf_counter() - start))
     return decoded
 
@@ -694,7 +696,8 @@ def run_experiment(config: ExperimentConfig,
     ensemble, so only the sensing varies.  Ingested signals have no
     ground truth, so their recovery and transform metrics are None.  Each
     record's wall time is its decoder core's alone, without the trial's
-    shared c_j table.
+    shared c_j table.  Every decode of the run reuses the arrays of one
+    ``decode.Workspace``, made for the full candidate set.
     """
     validate_config(config)
     started = time.perf_counter()
@@ -706,6 +709,7 @@ def run_experiment(config: ExperimentConfig,
         dictionary, config.candidate_offsets, max(j for _, j, _ in cells))
     seeds = _trial_seeds(config.master_seed, len(cells) * config.trials)
     algorithms = EXPERIMENT_KINDS[config.kind].algorithms
+    workspace = decode.Workspace(full)
     records = []
     for index, (sweep, n_views, n_measurements) in enumerate(cells):
         candidates = CandidateSet(full.identity, full.per_view[:n_views - 1])
@@ -729,7 +733,7 @@ def run_experiment(config: ExperimentConfig,
             for algorithm, result, wall in _decode_views(
                     dictionary, candidates, views, n_measurements,
                     config.identity_sensing, sensing_ss, config.sparsity,
-                    algorithms):
+                    algorithms, workspace):
                 recovery = transform_correct = None
                 if ensemble is not None:
                     recovery = recovery_rate(ensemble.supports,
@@ -829,7 +833,8 @@ def decode_instance(instance: dict,
     [(_, result, _)] = _decode_views(
         dictionary, candidates, signals, inst.measurements,
         inst.identity_sensing, np.random.SeedSequence(inst.seed),
-        inst.sparsity, (inst.algorithm,))
+        inst.sparsity, (inst.algorithm,),
+        None if candidates is None else decode.Workspace(candidates))
     summary = {
         "algorithm": inst.algorithm,
         "score": result.score,

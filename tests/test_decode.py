@@ -137,7 +137,8 @@ def kernel_scores(base, sparsity, candidates):
     ``decode._top_s`` scores it against every candidate of the last view
     in one call.  Each view's table is gathered whole from ``_gather``'s
     padded table and stacked mappings."""
-    padded, maps = decode._gather(base, candidates)
+    padded, maps = decode._gather(base, candidates,
+                                  decode.Workspace(candidates))
     *prefix_tables, last = [view.take(stack, mode="wrap")
                             for view, stack in zip(padded, maps)]
     scores = []
@@ -197,9 +198,10 @@ def assert_search_matches_oracle(columns, pools, sparsity):
         expected = oracle_search(base, sparsity, cands)
     except ValueError:
         with pytest.raises(ValueError):
-            decode._search(base, sparsity, cands)
+            decode._search(base, sparsity, cands, decode.Workspace(cands))
         return
-    supports, vector, score = decode._search(base, sparsity, cands)
+    supports, vector, score = decode._search(base, sparsity, cands,
+                                             decode.Workspace(cands))
     assert_matches_oracle(SimpleNamespace(
         score=score, reference_support=supports[0], transforms=vector,
         supports=supports), expected)
@@ -226,6 +228,20 @@ TIE_DECIDED_BY_SLACK = (
     [[0, 0, 0, 0], [0.7, 0.6, 0.9, 0.4], [0.1, 0.2, 0, 0], [-0.6, 0.5, 0, 0]],
     [[[0, 1, -1, -1], [2, 3, -1, -1]], [[0, 1, 2, 3]], [[0, 1, 2, 3]]],
     2)
+
+
+def assert_same_result(got, want):
+    """Two DecodeResults agree bit for bit, transforms by identity."""
+    assert got.score.hex() == want.score.hex()
+    assert got.rank_deficient == want.rank_deficient
+    if want.transforms is None:
+        assert got.transforms is None
+    else:
+        assert len(got.transforms) == len(want.transforms)
+        assert all(a is b for a, b in zip(got.transforms, want.transforms))
+    for field in ("supports", "coefficients", "reconstructions"):
+        assert ([x.tobytes() for x in getattr(got, field)]
+                == [x.tobytes() for x in getattr(want, field)])
 
 
 def assert_matches_oracle(result, oracle):
@@ -715,10 +731,12 @@ class TestPrunedSearch:
         assert scores[0] == scores[1] == 1.5
         assert (0.6 + (0.5 + 0.2)) + (0.7 + (-0.6 + 0.1)) < 1.5
         assert (0.4 + (0.5 + 0.2)) + (0.9 + (-0.6 + 0.1)) == 1.5
-        _, vector, _ = decode._search(base, sparsity, cands)
+        _, vector, _ = decode._search(base, sparsity, cands,
+                                      decode.Workspace(cands))
         assert vector[1] is cands.per_view[0][0]
         with mock.patch.object(decode, "_SLACK_EPS", 0.0):
-            _, vector, _ = decode._search(base, sparsity, cands)
+            _, vector, _ = decode._search(base, sparsity, cands,
+                                          decode.Workspace(cands))
         assert vector[1] is cands.per_view[0][1]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -735,7 +753,8 @@ class TestPrunedSearch:
         meas, cands = full_scale_trial(full_gaussian_dict, 3, 40, seed=4,
                                        offsets=OFFSETS_5X5)
         base = atom_measurement_correlations(meas, full_gaussian_dict)
-        assert decode._gather(base, cands)[1][-1].nbytes > 1_000_000
+        _, maps = decode._gather(base, cands, decode.Workspace(cands))
+        assert maps[-1].nbytes > 1_000_000
         for decoder, oracle in ((joint_threshold_decode, oracle_search),
                                 (greedy_joint_threshold_decode,
                                  oracle_greedy)):
@@ -753,7 +772,7 @@ class TestPrunedSearch:
         base = atom_measurement_correlations(meas, full_gaussian_dict)
         with mock.patch.object(decode, "_scores",
                                wraps=decode._scores) as scores:
-            decode._search(base, 5, cands)
+            decode._search(base, 5, cands, decode.Workspace(cands))
         assert scores.call_count <= 3 * (n_views - 1)
 
     @pytest.mark.slow
@@ -821,7 +840,8 @@ class TestGreedyAggregate:
         tracemalloc.start()
         try:
             with mock.patch.object(decode, "_finalize"):
-                decode._gjt(base, meas, full_gaussian_dict, 5, cands)
+                decode._gjt(base, meas, full_gaussian_dict, 5, cands,
+                            decode.Workspace(cands))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -893,20 +913,44 @@ class TestDecoderCores:
         table = base.copy()
         assert list(decode._DECODERS) == list(self.PUBLIC)
         for algorithm, core in decode._DECODERS.items():
-            got = core(base, meas, d, 3, cands)
-            want = self.PUBLIC[algorithm](meas, d, 3, cands)
-            assert got.score.hex() == want.score.hex()
-            assert got.rank_deficient == want.rank_deficient
-            if want.transforms is None:
-                assert got.transforms is None
-            else:
-                assert len(got.transforms) == len(want.transforms)
-                assert all(a is b for a, b in zip(got.transforms,
-                                                  want.transforms))
-            for field in ("supports", "coefficients", "reconstructions"):
-                assert ([x.tobytes() for x in getattr(got, field)]
-                        == [x.tobytes() for x in getattr(want, field)])
+            assert_same_result(
+                core(base, meas, d, 3, cands, decode.Workspace(cands)),
+                self.PUBLIC[algorithm](meas, d, 3, cands))
         assert np.array_equal(base, table)
+
+
+class TestWorkspace:
+    """A run's decodes share one workspace: once it is warm, a decode
+    allocates none of its arrays, and returns what a decode in a fresh
+    workspace returns."""
+
+    def test_warm_decodes_allocate_no_large_array(self,
+                                                  small_gaussian_dict):
+        # 121 translations per view: the (121, K) stacked mappings and
+        # the scratch buffer take 186 KB each, a K-vector 1.5 KB, so a
+        # traced peak below 128 KiB rules out every array that large
+        d = small_gaussian_dict
+        offsets = [[dx, dy] for dx in range(-10, 11, 2)
+                   for dy in range(-10, 11, 2)]
+        cands = CandidateSet.from_uniform_offsets(d, offsets, 3)
+        workspace = decode.Workspace(cands)
+        assert workspace.scratch.nbytes > 128 * 1024
+        problems = [random_problem(d, 3, 40, 3, seed=seed)[0]
+                    for seed in (2503, 2504)]
+        bases = [atom_measurement_correlations(meas, d) for meas in problems]
+        for algorithm in ("jt", "gjt"):
+            core = decode._DECODERS[algorithm]
+            first = core(bases[0], problems[0], d, 3, cands, workspace)
+            tracemalloc.start()
+            try:
+                second = core(bases[1], problems[1], d, 3, cands, workspace)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 128 * 1024
+            for meas, base, got in zip(problems, bases, (first, second)):
+                assert_same_result(got, core(base, meas, d, 3, cands,
+                                             decode.Workspace(cands)))
 
 
 class TestLeastSquares:

@@ -3,6 +3,8 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import fields
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from jointrec import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
                       least_squares_reconstruct, measure_ensemble,
                       odd_translations, sample_sensing_matrix,
                       thresholding_margin)
-from jointrec.dictionary import (_SAMPLE_FLOOR, DUPLICATE_ATOM_TOL,
-                                 UNIT_NORM_TOL)
+from jointrec import dictionary as dictionary_module
+from jointrec.dictionary import (_CENTER_FIELDS, _SAMPLE_FLOOR,
+                                 DUPLICATE_ATOM_TOL, UNIT_NORM_TOL,
+                                 _center_grid)
 
 
 def build_against_oracle(*grid):
@@ -71,6 +75,41 @@ class TestDuplicateOracle:
                 <= 1.5 * DUPLICATE_ATOM_TOL)
         assert abs(rows[0].sum() - rows[1].sum()) <= 1e-15
         assert keep == [0, 1]
+
+    def test_mirror_images_within_and_beyond_tolerance(self):
+        # rotations by -angle and +angle are mirror images of each other
+        # about both axes through the center, so at 18 of these 49 cells
+        # their row sums agree to 1e-15: 14 of those pairs lie within the
+        # tolerance and 4 just beyond it
+        angle = 2e-12
+        shifts = [(x, y) for x in range(7) for y in range(7)]
+        rows, keep = build_against_oracle(
+            7, 7, [-angle, angle], [2.0], [1.0], shifts)
+        mirrored = [i for i in range(49)
+                    if abs(rows[i].sum() - rows[49 + i].sum()) <= 1e-15]
+        within = [i for i in mirrored
+                  if gap(rows, i, 49 + i) <= DUPLICATE_ATOM_TOL]
+        assert (len(mirrored), len(within)) == (18, 14)
+        assert not any(49 + i in keep for i in within)
+        assert all(49 + i in keep for i in set(mirrored) - set(within))
+
+    def test_full_comparisons_only_for_true_duplicates(self, monkeypatch):
+        # the preset grid's only duplicates are theta = pi against
+        # theta = 0, 4 shapes x 256 cells; the row sums alone also send
+        # the 2378 mirror images (theta against pi - theta) to a full
+        # comparison, which re-gathers the kept cells
+        compared = []
+        unit_atoms = dictionary_module._unit_atoms
+
+        def spy(windows, tys, txs, norms):
+            compared.append(len(norms))
+            return unit_atoms(windows, tys, txs, norms)
+
+        monkeypatch.setattr(dictionary_module, "_unit_atoms", spy)
+        build_gaussian_2d_dictionary(
+            32, 32, np.linspace(0.0, np.pi, 7), [2.0, 4.0], [0.5, 1.0],
+            odd_translations(32, 32))
+        assert sum(compared) == 1024
 
 
 # sha256 of atoms.tobytes() for the conftest dictionaries, as built by
@@ -202,6 +241,45 @@ class TestSampleFloor:
                 for d in (floored, raw)]
             assert np.array_equal(fits[0].coefficients, fits[1].coefficients)
             assert fits[0].rank == fits[1].rank
+
+
+def center_grid_oracle(params, centers):
+    """``_center_grid`` with the shapes numbered by np.unique(axis=0)."""
+    names = [f.name for f in fields(params[0]) if f.name not in centers]
+    read = attrgetter(*names, *centers)
+    table = np.array([read(p) for p in params], dtype=float)
+    _, shape = np.unique(table[:, :len(names)], axis=0, return_inverse=True)
+    cells = table[:, len(names):].astype(np.int64)
+    cells -= cells.min(axis=0)
+    grid = np.full((shape.max() + 1, *(cells.max(axis=0) + 1)), -1)
+    grid[(shape, *cells.T)] = np.arange(len(params))
+    return shape, cells, grid
+
+
+def assert_center_grid_matches_oracle(dictionary):
+    centers = _CENTER_FIELDS[dictionary.variant]
+    got = _center_grid(dictionary.params, centers)
+    want = center_grid_oracle(dictionary.params, centers)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+class TestCenterGrid:
+    """Shapes are numbered in lexicographic order of their fields, as
+    np.unique(axis=0) numbers them."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ATOM_DIGESTS))
+    def test_matches_unique_oracle(self, request, name):
+        assert_center_grid_matches_oracle(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("name", ["small_gaussian_dict",
+                                      "small_gabor_dict"])
+    def test_records_in_no_grid_order(self, request, name):
+        d = request.getfixturevalue(name)
+        order = np.random.default_rng(2502).permutation(d.n_atoms)
+        assert_center_grid_matches_oracle(Dictionary(
+            d.atoms[:, order], [d.params[k] for k in order], d.variant))
 
 
 class TestBuildMemory:
