@@ -17,13 +17,17 @@ lie deep in the windows' tails; stored as they are, they would leave
 subnormal entries in the atoms, and every product with the atoms would
 run down the CPU's slow path for subnormal arithmetic.  Their squares
 underflow to 0, so no norm and no other entry changes.  The builders
-write each kept atom once, straight into its column of the matrix the
-dictionary keeps; the 2D builder writes a block of pixel rows at a time,
-in row order, each block one gather from the stacked shape patterns,
-divided in place by the atoms' norms.  Its duplicate check compares two
-cells in full only when two fingerprints of their unit rows, the row sum
-and a pseudo-random weighted sum, are both within a window that no pair
-within the tolerance exceeds (see ``build_gaussian_2d_dictionary``).
+write each kept atom once, into the matrix the dictionary keeps, a block
+of pixel or sample rows at a time in row order: each block is one gather
+from the stacked shape patterns, divided by the atoms' norms; the 1D
+builder writes the negated twins from the same block.  The 2D duplicate
+check compares two cells in full only when two fingerprints of their
+unit rows, the row sum and a pseudo-random weighted sum, are both within
+a window that no pair within the tolerance exceeds (see
+``build_gaussian_2d_dictionary``).  The builders hand the atoms'
+parameters over as a table with one column per parameter field, filled
+in one vectorized pass; the per-atom records are formed only when
+``Dictionary.params`` is read.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import product
+from itertools import product, starmap
 from operator import attrgetter
 
 import numpy as np
@@ -77,10 +81,22 @@ class ModulatedAtom1D:
 
 # the parameter record of each parametric dictionary family
 _RECORDS = {"gaussian_2d": GaussianAtom2D, "gabor_1d": ModulatedAtom1D}
+# the parameter table of each family: one field per record field, in the
+# record's order, int64 for an int field and float64 for a float one (the
+# annotations are the strings "int" and "float", which np.dtype reads)
+_TABLES = {variant: np.dtype([(f.name, f.type) for f in fields(record)])
+           for variant, record in _RECORDS.items()}
 
 
 class Dictionary:
     """A set of K unit-norm atoms stored as the columns of an N x K matrix.
+
+    A parametric dictionary keeps its parameters as a table: a structured
+    array with one row per atom and one field, a column, per record
+    field.  The (shape, center) grid is read from those columns.  The
+    builders fill the table in one vectorized pass and make no record;
+    ``params`` forms the records from the table on first access, with
+    Python int and float fields.
 
     Parameters
     ----------
@@ -92,24 +108,42 @@ class Dictionary:
         One hashable parameter record per atom, aligned with the columns.
         Required for parametric transforms; plain matrices may omit it.
         A ``"gaussian_2d"`` dictionary's records must be GaussianAtom2D,
-        and a ``"gabor_1d"`` dictionary's ModulatedAtom1D.
+        and a ``"gabor_1d"`` dictionary's ModulatedAtom1D; they are read
+        into the parameter table once.  For every variant, ``params``
+        returns the records as given.
     variant : str
         One of ``"gaussian_2d"``, ``"gabor_1d"`` or ``"custom"``; the
         variant names the parameter fields that translations shift.
     """
 
     def __init__(self, atoms, params=None, variant="custom"):
-        self._adopt(np.array(atoms, dtype=float, order="C"), params, variant)
+        self._adopt(np.array(atoms, dtype=float, order="C"), None, variant)
+        if params is None:
+            return
+        params = tuple(params)
+        if len(params) != self.n_atoms:
+            raise ValueError("need exactly one parameter record per atom")
+        record = _RECORDS.get(variant)
+        if record:
+            if not all(isinstance(p, record) for p in params):
+                raise ValueError(f"a {variant} dictionary needs "
+                                 f"{record.__name__} parameter records")
+            dtype = _TABLES[variant]
+            self._table = np.array(
+                list(map(attrgetter(*dtype.names), params)), dtype)
+            self._table.setflags(write=False)
+        self.params = params
 
     @classmethod
-    def _own(cls, atoms, params, variant):
+    def _own(cls, atoms, table, variant):
         """The builders' path: ``atoms`` is a fresh C-ordered float matrix
-        that no one else holds, so it is checked and frozen, not copied."""
+        that no one else holds, so it is checked and frozen, not copied;
+        ``table`` is the variant's parameter table, one row per atom."""
         dictionary = cls.__new__(cls)
-        dictionary._adopt(atoms, params, variant)
+        dictionary._adopt(atoms, table, variant)
         return dictionary
 
-    def _adopt(self, atoms, params, variant):
+    def _adopt(self, atoms, table, variant):
         if variant != "custom" and variant not in _RECORDS:
             raise ValueError(f"unknown dictionary variant {variant!r}; expected "
                              "'gaussian_2d', 'gabor_1d' or 'custom'")
@@ -125,34 +159,39 @@ class Dictionary:
             raise ValueError(
                 f"atom columns must be unit norm within {UNIT_NORM_TOL:g} "
                 f"(worst deviation {worst:g})")
+        if table is not None:
+            if len(table) != atoms.shape[1]:
+                raise ValueError("need exactly one parameter record per atom")
+            table.setflags(write=False)
         atoms.setflags(write=False)
         self.atoms = atoms
-        if params is not None:
-            params = tuple(params)
-            if len(params) != atoms.shape[1]:
-                raise ValueError("need exactly one parameter record per atom")
-            record = _RECORDS.get(variant)
-            if record and not all(isinstance(p, record) for p in params):
-                raise ValueError(f"a {variant} dictionary needs "
-                                 f"{record.__name__} parameter records")
-        self.params = params
+        self._table = table
         self.variant = variant
+
+    @cached_property
+    def params(self):
+        """One parameter record per atom, aligned with the columns, or
+        None without parameters; formed from the table on first access
+        when the dictionary was built."""
+        if self._table is None:
+            return None
+        return tuple(starmap(_RECORDS[self.variant], self._table.tolist()))
 
     @cached_property
     def _centers(self):
         """(shape, cells, grid) locating every atom by shape and center,
-        made on first use and shared by all its readers; None without
-        parameter records or for a variant with no center fields.
+        made on first use and shared by all its readers; None without a
+        parameter table (a custom dictionary, or one without records).
 
         ``shape[k]`` numbers atom k's shape (every parameter but the
         center) and ``cells[k]`` is its center cell, counted from the
-        smallest center on each axis; ``grid[shape[k], *cells[k]] == k``,
-        and -1 marks a (shape, cell) with no atom.  The arrays are
-        read-only.
+        smallest center on each axis; ``grid[shape[k], *cells[k]] == k``
+        unless a later atom repeats atom k's shape and center, and -1
+        marks a (shape, cell) with no atom.  The arrays are read-only.
         """
-        if self.params is None or self.variant not in _CENTER_FIELDS:
+        if self._table is None:
             return None
-        return _center_grid(self.params, _CENTER_FIELDS[self.variant])
+        return _center_grid(self._table, _CENTER_FIELDS[self.variant])
 
     @property
     def n_atoms(self) -> int:
@@ -170,27 +209,24 @@ class Dictionary:
                 f"n_atoms={self.n_atoms}, signal_length={self.signal_length})")
 
 
-def _center_grid(params, centers):
-    """The (shape, cells, grid) of ``Dictionary._centers`` for the records
-    ``params``, whose fields named in ``centers`` locate the center.
+def _center_grid(table, centers):
+    """The (shape, cells, grid) of ``Dictionary._centers`` for the
+    parameter table ``table``, whose fields named in ``centers`` locate
+    the center.
 
     Shapes are numbered in lexicographic order of their fields, as
-    ``np.unique(axis=0)`` numbers them: the records are sorted by every
+    ``np.unique(axis=0)`` numbers them: the rows are sorted by every
     field but the center, and a new number starts wherever a field
     changes."""
-    names = [f.name for f in fields(params[0]) if f.name not in centers]
-    count = len(params)
-    keys = [np.fromiter(map(attrgetter(name), params), float, count=count)
-            for name in names]
+    keys = [table[name] for name in table.dtype.names if name not in centers]
+    count = len(table)
     # lexsort's last key is the primary one
     order = np.lexsort(keys[::-1])
     ranked = np.stack([key[order] for key in keys])
     shape = np.empty(count, dtype=np.int64)
     shape[order] = np.concatenate(
         ([0], np.cumsum(np.any(ranked[:, 1:] != ranked[:, :-1], axis=0))))
-    cells = np.column_stack([
-        np.fromiter(map(attrgetter(name), params), float, count=count)
-        for name in centers]).astype(np.int64)
+    cells = np.column_stack([table[name] for name in centers])
     cells -= cells.min(axis=0)
     grid = np.full((shape.max() + 1, *(cells.max(axis=0) + 1)), -1)
     grid[(shape, *cells.T)] = np.arange(count)
@@ -350,9 +386,11 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
                     out=index[:len(rows)])
         flat.take(at, out=rows, mode="clip")
         rows /= kept_norms
-    params = [GaussianAtom2D(*shapes[i], *cells[j])
-              for i, j in zip(shape_of.tolist(), cell_of.tolist())]
-    return Dictionary._own(atoms, params, "gaussian_2d")
+    table = np.empty(k, _TABLES["gaussian_2d"])
+    for name, column in zip(table.dtype.names, (
+            *np.array(shapes)[shape_of].T, txs[cell_of], tys[cell_of])):
+        table[name] = column
+    return Dictionary._own(atoms, table, "gaussian_2d")
 
 
 def _unit_atoms(windows, tys, txs, norms):
@@ -377,7 +415,14 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
     as a distinct atom, which lets decoders represent sign flips by atom
     choice.  Order is deterministic with t outermost, then scale, then
     frequency, then sign.  No duplicates are removed: a repeated scale or
-    frequency repeats its atoms.
+    frequency repeats its atoms, and their parameters, so such a
+    dictionary has no translations.
+
+    Each atom's norm is taken first, from its contiguous slice of its
+    shape's pattern.  The atoms are then written a block of sample rows
+    at a time, in row order: each block is one gather from the stacked
+    patterns, divided by the norms straight into the atoms' columns, and
+    the negated twins are written from the same block.
     """
     if n <= 0:
         raise ValueError("signal length must be positive")
@@ -409,18 +454,40 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
             patterns[i, j] = window * np.cos(omega * u)
     patterns[np.abs(patterns) < _SAMPLE_FLOOR] = 0.0
     signs = (1, -1) if include_negated else (1,)
-    params = [ModulatedAtom1D(t, s, omega, sign) for t in centers
-              for s in scales for omega in omegas for sign in signs]
-    # no duplicates are removed, so each atom goes straight to its
-    # column, followed by its negated twin
-    atoms = np.empty((n, len(params)))
-    columns = atoms.reshape(n, len(centers), len(scales), len(omegas),
-                            len(signs))
-    for k, t in enumerate(centers):
-        for i, j in product(range(len(scales)), range(len(omegas))):
-            g = patterns[i, j, t_last - t:t_last - t + n]
-            # the norm of a 1-D vector, as np.linalg.norm computes it
-            columns[:, k, i, j, 0] = g / np.sqrt(g.dot(g))
-    if include_negated:
-        np.negative(columns[..., 0], out=columns[..., 1])
-    return Dictionary._own(atoms, params, "gabor_1d")
+    n_shapes = len(scales) * len(omegas)
+    table = np.empty(len(centers) * n_shapes * len(signs),
+                     _TABLES["gabor_1d"])
+    for name, column in zip(table.dtype.names, np.meshgrid(
+            centers, scales, omegas, signs, indexing="ij")):
+        table[name] = column.ravel()
+
+    # no duplicates are removed, and atom (t, s, omega) holds at sample x
+    # the entry start[atom] + x - 1 of the flattened patterns, for the
+    # atoms in column order with t outermost.  Each norm is that of the
+    # atom's contiguous pattern slice, as np.linalg.norm forms it for a
+    # 1-D vector
+    flat = patterns.ravel()
+    start = (np.arange(n_shapes) * offsets.size
+             + (t_last - np.array(centers))[:, np.newaxis]).ravel()
+    k = start.size
+    norms = np.empty(k)
+    for atom, first in enumerate(start.tolist()):
+        g = flat[first:first + n]
+        norms[atom] = g.dot(g)
+    np.sqrt(norms, out=norms)
+    # each block of sample rows is one take from the patterns, divided by
+    # the norms straight into the atoms' columns and negated from there
+    # into their twins
+    atoms = np.empty((n, k * len(signs)))
+    twins = atoms.reshape(n, k, len(signs))
+    index = np.empty((max(1, _WRITE_BLOCK // k), k), dtype=np.int64)
+    block = np.empty(index.shape)
+    for first in range(0, n, len(index)):
+        rows = twins[first:first + len(index)]
+        at = np.add(np.arange(first, first + len(rows))[:, np.newaxis],
+                    start, out=index[:len(rows)])
+        flat.take(at, out=block[:len(rows)], mode="clip")
+        np.divide(block[:len(rows)], norms, out=rows[..., 0])
+        if include_negated:
+            np.negative(rows[..., 0], out=rows[..., 1])
+    return Dictionary._own(atoms, table, "gabor_1d")

@@ -186,6 +186,13 @@ class DictionaryConfig:
 
     def _check_variant(self) -> None:
         _check_fields(self, self._FIELD_TYPES, prefix="dictionary ")
+        # the 1D builder keeps every (scale, frequency) it is given, so a
+        # repeated value would repeat its atoms, parameters included
+        for name in ("scales", "omegas"):
+            values = getattr(self, name) or []
+            for v in values:
+                if values.count(v) > 1:
+                    raise ValueError(f"dictionary {name} repeats the value {v}")
         if self.variant not in self._VARIANT_FIELDS:
             raise ValueError(f"unknown dictionary variant {self.variant!r}")
         missing = [name for name in self._VARIANT_FIELDS[self.variant]

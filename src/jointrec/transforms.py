@@ -105,14 +105,25 @@ def translation_transform(dictionary: Dictionary, offset) -> AtomTransform:
 
 def _translations(dictionary: Dictionary, offsets) -> dict:
     """Parsed shift -> translation transform for each offset, read from the
-    dictionary's one (shape, center) grid of atom indices."""
-    if dictionary.params is None:
+    dictionary's one (shape, center) grid of atom indices.  Raises
+    ValueError when two atoms share every parameter: the grid holds only
+    the later one, so no translation of theirs is injective."""
+    # a built dictionary keeps a parameter table and forms its records
+    # only on demand
+    if dictionary._table is None and dictionary.params is None:
         raise ValueError("translations need a dictionary with parameter records")
     shifts = {translation_shift(dictionary.variant, offset)
               for offset in offsets}
     if not shifts:
         return {}
     shape, cells, grid = dictionary._centers
+    if np.count_nonzero(grid >= 0) < dictionary.n_atoms:
+        lost = np.flatnonzero(grid[(shape, *cells.T)]
+                              != np.arange(dictionary.n_atoms))[0]
+        raise ValueError(
+            f"translations need distinct parameters per atom: atoms {lost} "
+            f"and {grid[(shape[lost], *cells[lost])]} both have "
+            f"{dictionary.params[lost]}")
     realized = {}
     for shift in shifts:
         # clamped into int64: a shift by the grid's extent already leaves it

@@ -11,16 +11,15 @@ import pytest
 
 from conftest import (gabor_1d_oracle, gaussian_2d_oracle, gaussian_2d_rows,
                       gaussian_atom_2d, modulated_atom_1d, oracle_keep_first)
-from jointrec import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
-                      atom_measurement_correlations,
+from jointrec import (CandidateSet, Dictionary, GaussianAtom2D,
+                      ModulatedAtom1D, atom_measurement_correlations,
                       build_gabor_1d_dictionary, build_gaussian_2d_dictionary,
-                      least_squares_reconstruct, measure_ensemble,
-                      odd_translations, sample_sensing_matrix,
+                      get_preset, least_squares_reconstruct, measure_ensemble,
+                      odd_translations, preset_names, sample_sensing_matrix,
                       thresholding_margin)
 from jointrec import dictionary as dictionary_module
-from jointrec.dictionary import (_CENTER_FIELDS, _SAMPLE_FLOOR,
-                                 DUPLICATE_ATOM_TOL, UNIT_NORM_TOL,
-                                 _center_grid)
+from jointrec.dictionary import (_CENTER_FIELDS, _SAMPLE_FLOOR, _TABLES,
+                                 DUPLICATE_ATOM_TOL, UNIT_NORM_TOL)
 
 
 def build_against_oracle(*grid):
@@ -32,6 +31,15 @@ def build_against_oracle(*grid):
     assert built.params == tuple(params[i] for i in keep)
     assert np.array_equal(built.atoms, rows[keep].T)
     return rows, keep
+
+
+def assert_same_records(got, want):
+    """The records are equal, field types included: Python int and float
+    fields, as the records the oracles make."""
+    assert got == tuple(want)
+    kinds = [[type(getattr(p, f.name)) for f in fields(p)] for p in got]
+    assert kinds == [[type(getattr(p, f.name)) for f in fields(p)]
+                     for p in want]
 
 
 def gap(rows, i, j):
@@ -153,27 +161,33 @@ class TestExactBits:
         built = build_gaussian_2d_dictionary(*grid)
         atoms, params = gaussian_2d_oracle(*grid)
         assert np.array_equal(built.atoms, atoms)
-        assert built.params == tuple(params)
+        assert_same_records(built.params, params)
 
-    @pytest.mark.parametrize("n, t_start, t_step, include_negated", [
-        (1000, 1, 10, True),
-        (97, 1, 7, True),      # t_step does not divide n
-        (120, 5, 10, True),    # t_start > 1
-        (120, 5, 7, False),    # no negated twins
-        (50, 1, 1, True),      # every sample a center
-        (60, 60, 3, True),     # one center, at the last sample
-        (1, 1, 1, False),      # a single sample
-    ])
+    @pytest.mark.parametrize(
+        "n, t_start, t_step, include_negated, scales, omegas", [
+            pytest.param(*case, [4.0, 8.0, 16.0], [2.0, 4.0, 6.0, 8.0, 10.0],
+                         id="-".join(map(str, case))) for case in [
+                (1000, 1, 10, True),
+                (97, 1, 7, True),      # t_step does not divide n
+                (120, 5, 10, True),    # t_start > 1
+                (120, 5, 7, False),    # no negated twins
+                (50, 1, 1, True),      # every sample a center
+                (60, 60, 3, True),     # one center, at the last sample
+                (1, 1, 1, False),      # a single sample
+            ]] + [
+            pytest.param(97, 1, 7, True, [8.0, 4.0, 8.0], [2.0, 4.0],
+                         id="repeated-scale"),
+            pytest.param(120, 5, 10, False, [4.0, 16.0],
+                         [10.0, 2.0, -6.0, 4.0], id="unsorted-omegas"),
+        ])
     def test_gabor_1d_matches_per_atom(self, n, t_start, t_step,
-                                       include_negated):
-        scales, omegas = [4.0, 8.0, 16.0], [2.0, 4.0, 6.0, 8.0, 10.0]
+                                       include_negated, scales, omegas):
         built = build_gabor_1d_dictionary(n, t_start, t_step, scales, omegas,
                                           include_negated)
         atoms, params = gabor_1d_oracle(n, t_start, t_step, scales, omegas,
                                         include_negated)
         assert np.array_equal(built.atoms, atoms)
-        assert built.params == tuple(params)
-        assert all(type(p.t) is int for p in built.params)
+        assert_same_records(built.params, params)
 
     def test_gabor_1d_rejects_fractional_step(self):
         with pytest.raises(TypeError):
@@ -257,9 +271,9 @@ def center_grid_oracle(params, centers):
 
 
 def assert_center_grid_matches_oracle(dictionary):
-    centers = _CENTER_FIELDS[dictionary.variant]
-    got = _center_grid(dictionary.params, centers)
-    want = center_grid_oracle(dictionary.params, centers)
+    got = dictionary._centers
+    want = center_grid_oracle(dictionary.params,
+                              _CENTER_FIELDS[dictionary.variant])
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
@@ -280,6 +294,51 @@ class TestCenterGrid:
         order = np.random.default_rng(2502).permutation(d.n_atoms)
         assert_center_grid_matches_oracle(Dictionary(
             d.atoms[:, order], [d.params[k] for k in order], d.variant))
+
+
+class TestParameterTable:
+    """The builders hand over a parameter table, not records; the records
+    are formed from it on demand, and a dictionary made from records
+    keeps them and reads them into the same table."""
+
+    @staticmethod
+    def count_records(monkeypatch):
+        made = []
+        for record in (GaussianAtom2D, ModulatedAtom1D):
+            def spy(self, *args, init=record.__init__, **kwargs):
+                made.append(self)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(record, "__init__", spy)
+        return made
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_preset_build_makes_no_record(self, monkeypatch, name):
+        made = self.count_records(monkeypatch)
+        config = get_preset(name)
+        d = config.dictionary.build()
+        CandidateSet.from_uniform_offsets(d, config.candidate_offsets, 2)
+        assert d._centers is not None
+        assert len(made) == 0
+        # the spy sees the records that params forms on first access
+        assert len(d.params) == len(made) == d.n_atoms
+        assert d.params is d.params
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ATOM_DIGESTS))
+    def test_records_read_back_into_the_same_table(self, request, name):
+        built = request.getfixturevalue(name)
+        made = Dictionary(built.atoms, list(built.params), built.variant)
+        assert made.params == built.params
+        assert made._table.dtype == built._table.dtype
+        assert np.array_equal(made._table, built._table)
+        for a, b in zip(made._centers, built._centers):
+            assert np.array_equal(a, b)
+
+    def test_custom_records_kept_as_given(self):
+        records = ["a", ("b", 1), 3.5, None]
+        d = Dictionary(np.eye(4), records)
+        assert d.params == tuple(records)
+        assert d._table is None and d._centers is None
 
 
 class TestBuildMemory:
@@ -482,16 +541,20 @@ class TestDictionaryType:
         made = []
         own = Dictionary._own
 
-        def spy(atoms, params, variant):
-            made.append(atoms)
-            return own(atoms, params, variant)
+        def spy(atoms, table, variant):
+            made.append((atoms, table))
+            return own(atoms, table, variant)
 
         monkeypatch.setattr(Dictionary, "_own", spy)
         d = build()
-        assert len(made) == 1 and d.atoms is made[0]
+        assert len(made) == 1
+        atoms, table = made[0]
+        assert d.atoms is atoms and d._table is table
         # the matrix owns its memory: no view into a larger array
-        assert made[0].base is None
+        assert atoms.base is None
         assert not d.atoms.flags.writeable
+        assert table.dtype == _TABLES[d.variant] and len(table) == d.n_atoms
+        assert not table.flags.writeable
 
     def test_owned_matrix_is_checked(self):
         bad = np.eye(4)

@@ -288,6 +288,35 @@ class TestPresets:
     def test_pinned_config_hash(self, name, digest):
         assert config_hash(get_preset(name)) == digest
 
+    # sha256 of trials.csv and results.csv written by each 2D preset at
+    # --trials 2; the same at one and at two BLAS threads.  two-view-1d is
+    # not pinned here: its least-squares product, (150, 1000) @ (1000, 50),
+    # is large enough for OpenBLAS to thread, and its last bits, and so
+    # the CSVs, differ between one thread and two
+    @pytest.mark.parametrize("name, trials_digest, results_digest", [
+        ("transform-error-vs-m",
+         "4a435c2a5b72a64dfb8e7c49a6f90552b6984af1581f440a34cd1dbd51a9093c",
+         "fcad7484cc08f49e16de90a343f5fd88b1c26e274b4a8218145a3973b225c471"),
+        ("transform-error-vs-m-small",
+         "e8984fdbca2484073ea39bf66f54d88c80766b011dc31a602d197afb87229460",
+         "84487ba920f942458a936d3645ea0a8f29d0fdd070fd3efc4564fd0f236e4979"),
+        ("recovery-vs-views",
+         "e1ab2f0df1b0b7bf6a9bac323bd6243719dc4fd4affdfb86fc935c98b88f785d",
+         "cb9419c48b7877da6712e26f5de7c1f1df2ee847dcf50315be9517e6b8a13d98"),
+        ("recovery-vs-views-desk",
+         "ae24c9fe26ceccacbcf734aba40d254cd0622a2c725d5ccbdf452ab542f15827",
+         "0fe1c73ed7c9a5be9ada2e4bc78dbb64276219034a70690e204825a2a7ed4825"),
+    ])
+    def test_pinned_preset_outputs(self, tmp_path, name, trials_digest,
+                                   results_digest):
+        config = get_preset(name)
+        config.trials = 2
+        paths = run_experiment(config).write(tmp_path)
+        assert (hashlib.sha256(paths["trials"].read_bytes()).hexdigest()
+                == trials_digest)
+        assert (hashlib.sha256(paths["results"].read_bytes()).hexdigest()
+                == results_digest)
+
     def test_nested_lists_are_fresh(self):
         hashes = {name: config_hash(get_preset(name))
                   for name in preset_names()}
@@ -853,6 +882,35 @@ class TestCli:
         assert cli_main(["run", str(path), *extra]) == 2
         assert capsys.readouterr().err == message + "\n"
         assert_holds_only(tmp_path, ["config.json"])
+
+    # the 1D builder keeps every scale and frequency it is given, so a
+    # repeated one would repeat its atoms' parameters; both verbs refuse
+    # it before anything is written
+    @pytest.mark.parametrize("name, values", [
+        ("scales", [4.0, 4.0]), ("omegas", [2.0, 4.0, 2])])
+    def test_repeated_1d_parameter_exits_2(self, tmp_path, capsys,
+                                           monkeypatch, name, values):
+        monkeypatch.chdir(tmp_path)
+        dictionary = {"variant": "gabor_1d", "length": 120, "scales": [4.0],
+                      "omegas": [2.0], name: values}
+        message = f"error: dictionary {name} repeats the value {values[0]}\n"
+        save_config(tiny_gabor_config(
+            output_dir=str(tmp_path / "never"),
+            dictionary=DictionaryConfig(**dictionary)),
+            tmp_path / "config.json")
+        (tmp_path / "view.csv").write_text("0.5\n" * 120)
+        (tmp_path / "instance.json").write_text(json.dumps({
+            "dictionary": dictionary, "sparsity": 3,
+            "identity_sensing": True, "signal_csvs": ["view.csv"] * 2,
+            "candidate_offsets": [0]}))
+        for args in (["run", "config.json"],
+                     ["run", "config.json", "--out", "fresh"],
+                     ["decode", "instance.json"],
+                     ["decode", "instance.json", "--out", "fresh"]):
+            assert cli_main(args) == 2
+            assert capsys.readouterr().err == message
+            assert_holds_only(tmp_path,
+                              ["config.json", "instance.json", "view.csv"])
 
     def test_run_signals_decodes_ingested_pair(self, tmp_path):
         cfg = tiny_gabor_config(output_dir=str(tmp_path / "res"))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import enumerate_vectors
 from jointrec import (AtomTransform, CandidateSet, Dictionary, ModulatedAtom1D,
-                      apply_to_support, identity_transform,
-                      translation_transform)
+                      apply_to_support, build_gabor_1d_dictionary,
+                      identity_transform, translation_transform)
 from jointrec.transforms import TransformVector
 
 
@@ -243,6 +243,26 @@ class TestOffsetParsing:
     def test_custom_dictionary_has_no_translations(self, onb_dict):
         with pytest.raises(ValueError, match="parameter records"):
             translation_transform(onb_dict, 1)
+
+    def test_repeated_parameters_are_named(self):
+        # the 1D builder keeps a repeated scale, and so its atoms: atom 10
+        # repeats atom 0's (t, s, omega, sign), and a dictionary made
+        # from records can repeat one too
+        built = build_gabor_1d_dictionary(100, scales=[4.0, 4.0],
+                                          omegas=[2.0])
+        records = [ModulatedAtom1D(t, 1.0, 1.0, 1) for t in (3, 1, 2, 1)]
+        made = Dictionary(np.eye(4), records, "gabor_1d")
+        for d, first, second, record in (
+                (built, 0, 2, "ModulatedAtom1D(t=1, s=4.0, omega=2.0, "
+                              "sign=1)"),
+                (made, 1, 3, "ModulatedAtom1D(t=1, s=1.0, omega=1.0, "
+                             "sign=1)")):
+            message = (f"translations need distinct parameters per atom: "
+                       f"atoms {first} and {second} both have {record}")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                translation_transform(d, 1)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                CandidateSet.from_uniform_offsets(d, [0, 10], 2)
 
     def test_no_offsets_on_a_custom_variant(self):
         # records but no center fields: an empty list parses no offset,
