@@ -24,7 +24,7 @@ from .dictionary import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
                          build_gabor_1d_dictionary,
                          build_gaussian_2d_dictionary, odd_translations)
 from .ensemble import (EnsembleGenerationError, SignalEnsemble,
-                       check_positivity, generate_ensemble, load_signal_csv,
+                       generate_ensemble, load_signal_csv,
                        thresholding_margin)
 from .experiments import (DictionaryConfig, ExperimentConfig, ResultTable,
                           TrialRecord, config_hash, decode_instance,
@@ -50,7 +50,7 @@ __all__ = [
     "RECOVERY_EXPONENT_COEFF",
     "atom_measurement_correlations",
     "build_gabor_1d_dictionary", "build_gaussian_2d_dictionary",
-    "check_positivity", "concentration_tail_bound", "config_hash",
+    "concentration_tail_bound", "config_hash",
     "correlation_vector", "decode_instance", "emit_plot_data",
     "empirical_tail_frequency", "generate_ensemble", "get_preset",
     "greedy_joint_threshold_decode", "identity_sensing",

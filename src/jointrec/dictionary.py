@@ -54,6 +54,9 @@ _SAMPLE_FLOOR = 1e-300
 # entries per block of pixel rows in the 2D builder's write: its indices
 # take 1 MB
 _WRITE_BLOCK = 1 << 17
+# entries per block of sample rows in the 1D builder's write: its indices
+# and gathered block take 128 kB each, and larger blocks write no faster
+_WRITE_BLOCK_1D = 1 << 14
 # the parameter fields that locate an atom's center, per dictionary family
 _CENTER_FIELDS = {"gaussian_2d": ("tx", "ty"), "gabor_1d": ("t",)}
 
@@ -480,7 +483,7 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
     # into their twins
     atoms = np.empty((n, k * len(signs)))
     twins = atoms.reshape(n, k, len(signs))
-    index = np.empty((max(1, _WRITE_BLOCK // k), k), dtype=np.int64)
+    index = np.empty((max(1, _WRITE_BLOCK_1D // k), k), dtype=np.int64)
     block = np.empty(index.shape)
     for first in range(0, n, len(index)):
         rows = twins[first:first + len(index)]

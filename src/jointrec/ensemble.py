@@ -8,9 +8,10 @@ coefficients until every view satisfies two decodability conditions:
 * a positive thresholding margin: the smallest absolute correlation of
   the normalized signal with its own support atoms exceeds the largest
   absolute correlation with any atom outside the support;
-* positivity: the raw correlation of the signal with each support atom
-  is nonnegative (dictionaries that include negated atoms let a model
-  swap an offending atom for its negation instead).
+* positivity: the raw correlation of the signal with each support atom,
+  read from the columns the view was synthesized from, is nonnegative
+  (on a dictionary of negated atom pairs, a failing draw could instead
+  swap each offending atom for its twin and negate its coefficient).
 
 The achieved margin (minimum over views) is recorded with the ensemble,
 and so is the number of draws made.
@@ -212,23 +213,6 @@ def _peer_max(unit, offsets, peers, support, dictionary: Dictionary) -> float:
     return np.abs(unit @ dictionary.atoms.take(offsets + peers)).max()
 
 
-def check_positivity(signal, support, dictionary: Dictionary) -> bool:
-    """Whether the signal correlates nonnegatively with each support atom.
-
-    A False result can be repaired, for dictionaries containing negated
-    atom pairs, by swapping each offending atom for its negation and
-    negating the matching coefficient; the signal is unchanged.
-    """
-    signal = np.asarray(signal, dtype=float)
-    support = np.asarray(support, dtype=np.int64)
-    if support.size == 0:
-        raise ValueError("support must be nonempty")
-    if support.min() < 0 or support.max() >= dictionary.n_atoms:
-        raise ValueError("support index out of range")
-    corr = dictionary.atoms[:, support].T @ signal
-    return bool(np.all(corr >= 0.0))
-
-
 def generate_ensemble(dictionary: Dictionary, sparsity: int,
                       transforms: TransformVector, coeff_rule: str = "shared",
                       seed=None, max_attempts: int = 10_000, *,
@@ -250,11 +234,12 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
     bound (``_margin_bound``, given those columns) is <= 0 is rejected
     before the full margin is computed; the bound only rejects views
     that the full margin rejects too, whichever of its two stages
-    settles it.  Highly coherent dictionaries only admit positive
-    margins when coefficient magnitudes are nearly equal, so a narrower
-    ``coeff_range`` may be needed to keep rejection sampling feasible.
-    The recorded margin is the minimum over views regardless of whether
-    it was enforced.
+    settles it.  Positivity is checked last, as the signs of the same
+    columns' products with the view.  Highly coherent dictionaries only
+    admit positive margins when coefficient magnitudes are nearly equal,
+    so a narrower ``coeff_range`` may be needed to keep rejection
+    sampling feasible.  The recorded margin is the minimum over views
+    regardless of whether it was enforced.
     """
     if sparsity < 1:
         raise ValueError("sparsity must be at least 1")
@@ -286,10 +271,7 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
         else:
             coeffs = [rng.uniform(lo, hi, size=sparsity) for _ in range(n_views)]
 
-        supports = []
-        signals = []
-        margins = []
-        ok = True
+        supports, signals, margins = [], [], []
         for t, x in zip(transforms, coeffs):
             view_support = t.mapping[reference]
             columns = dictionary.atoms[:, view_support]
@@ -298,34 +280,28 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
             # center: settle those from the signal's footprint alone
             if (require_margin and _margin_bound(
                     y, view_support, dictionary, columns) <= 0.0):
-                ok = False
                 break
             margin = thresholding_margin(y, view_support, dictionary)
-            if require_margin and margin <= 0.0:
-                ok = False
-                break
-            if require_positivity and not check_positivity(y, view_support,
-                                                           dictionary):
-                ok = False
+            if ((require_margin and margin <= 0.0) or (
+                    require_positivity and not np.all(columns.T @ y >= 0.0))):
                 break
             supports.append(view_support)
             signals.append(y)
             margins.append(margin)
-        if not ok:
-            continue
-
-        energies = [float(np.linalg.norm(y)) for y in signals]
-        return SignalEnsemble(
-            reference_support=reference,
-            transforms=transforms,
-            supports=tuple(supports),
-            coefficients=tuple(np.asarray(x, dtype=float) for x in coeffs),
-            signals=tuple(signals),
-            margin=float(min(margins)),
-            min_energy=min(energies),
-            max_energy=max(energies),
-            attempts=attempt,
-        )
+        else:
+            energies = [float(np.linalg.norm(y)) for y in signals]
+            return SignalEnsemble(
+                reference_support=reference,
+                transforms=transforms,
+                supports=tuple(supports),
+                coefficients=tuple(np.asarray(x, dtype=float)
+                                   for x in coeffs),
+                signals=tuple(signals),
+                margin=float(min(margins)),
+                min_energy=min(energies),
+                max_energy=max(energies),
+                attempts=attempt,
+            )
     raise EnsembleGenerationError(
         f"no ensemble satisfied the decodability checks in {max_attempts} attempts")
 

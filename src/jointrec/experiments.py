@@ -210,6 +210,18 @@ class DictionaryConfig:
             return int(self.width) * int(self.height)
         return int(self.length)
 
+    def max_atoms(self) -> int:
+        """The atom count a checked config fixes, without a build: exact
+        for gabor_1d; for gaussian_2d the count before duplicate removal,
+        so a 2D sparsity above the kept count but not above this one
+        still fails late, after the output directory is made."""
+        if self.variant == "gaussian_2d":
+            return (self.n_theta * len(self.sx_values) * len(self.sy_values)
+                    * len(odd_translations(self.width, self.height)))
+        return (len(range(self.t_start, self.length + 1, self.t_step))
+                * len(self.scales) * len(self.omegas)
+                * (2 if self.include_negated else 1))
+
     def build(self) -> Dictionary:
         self._check_variant()
         if self.variant == "gaussian_2d":
@@ -318,12 +330,16 @@ def _check_problem(dictionary: DictionaryConfig, sparsity: int,
                    candidate_offsets, measurements: list[int],
                    identity_sensing: bool) -> None:
     """The rules configs and decode instances share, checked after their
-    value types: a positive sparsity, a complete dictionary variant,
-    offsets that parse on it, measurement counts in 1..N for signal
-    length N, and under identity sensing every given count equal to N."""
+    value types: a complete dictionary variant, a sparsity from 1 to the
+    atoms it can hold, offsets that parse on it, measurement counts in
+    1..N for signal length N, and under identity sensing all equal to N."""
     if sparsity < 1:
         raise ValueError("sparsity must be at least 1")
     n = dictionary.signal_length()
+    atoms = dictionary.max_atoms()
+    if sparsity > atoms:
+        raise ValueError(f"sparsity {sparsity} exceeds the {atoms} atoms "
+                         f"the dictionary can hold")
     for offset in candidate_offsets or ():
         translation_shift(dictionary.variant, offset)
     if any(m < 1 for m in measurements):
@@ -390,6 +406,10 @@ def validate_config(config: ExperimentConfig) -> None:
                    config.candidate_offsets,
                    [m for *_, m in _sweep_cells(config)],
                    config.identity_sensing)
+    atoms = config.dictionary.max_atoms()
+    if config.signal_paths is None and config.sparsity == atoms:
+        raise ValueError(f"sparsity {atoms} leaves none of the {atoms} atoms "
+                         f"the dictionary can hold outside the support")
 
 
 @dataclass

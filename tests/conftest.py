@@ -48,7 +48,7 @@ def small_gaussian_dict():
 
 @pytest.fixture(scope="session")
 def small_gabor_dict():
-    """A length-100 1D dictionary with negated twins (40 atoms)."""
+    """A length-100 1D dictionary with negated twins (80 atoms)."""
     return build_gabor_1d_dictionary(100, scales=[4.0, 8.0],
                                      omegas=[2.0, 4.0])
 

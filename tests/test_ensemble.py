@@ -7,7 +7,7 @@ import pytest
 
 from jointrec import (Dictionary, EnsembleGenerationError,
                       build_gabor_1d_dictionary, build_gaussian_2d_dictionary,
-                      check_positivity, generate_ensemble, identity_transform,
+                      generate_ensemble, identity_transform,
                       load_signal_csv, odd_translations,
                       thresholding_margin, translation_transform)
 from jointrec import dictionary as dictionary_module
@@ -65,6 +65,13 @@ def one_shot_bound(signal, support, dictionary):
     n = dictionary.signal_length
     return float(corr[:support.size].min() - corr[support.size:].max()
                  + 2.0 * tail * (1.0 + 1e-6) + 8.0 * n * np.finfo(float).eps)
+
+
+def check_positivity(signal, support, dictionary):
+    """Whether the signal correlates nonnegatively with each support atom,
+    from a fresh gather of the support columns."""
+    corr = dictionary.atoms[:, support].T @ signal
+    return bool(np.all(corr >= 0.0))
 
 
 def oracle_ensemble(dictionary, sparsity, transforms, seed, max_attempts,
@@ -438,6 +445,29 @@ class TestPositivity:
         assert not check_positivity(y, [0, 40], small_gabor_dict)
         assert check_positivity(y, [0, 41], small_gabor_dict)
 
+    def test_generation_matches_oracle_on_signed_dictionary(
+            self, small_gabor_dict):
+        # the twinned atoms are signed, so positive coefficients can still
+        # leave a negative correlation with a support atom: generation must
+        # reject the same draws as the oracle's fresh gather
+        d = small_gabor_dict
+        transforms = TransformVector((identity_transform(d),
+                                      translation_transform(d, 10)))
+        attempts_made = []
+        for seed in range(10):
+            ens = generate_ensemble(d, 5, transforms, seed=seed,
+                                    max_attempts=50, require_margin=False)
+            attempts, reference, coeffs, signals, margin = oracle_ensemble(
+                d, 5, transforms, seed, 50, False, COEFF_MAGNITUDE_RANGE)
+            assert ens.attempts == attempts
+            assert np.array_equal(ens.reference_support, reference)
+            assert all(np.array_equal(x, coeffs) for x in ens.coefficients)
+            assert all(np.array_equal(y, y_oracle) for y, y_oracle
+                       in zip(ens.signals, signals, strict=True))
+            assert ens.margin == margin
+            attempts_made.append(attempts)
+        assert max(attempts_made) > 1
+
 
 class TestGenerateEnsemble:
     def test_basic_contract_on_onb(self, onb_dict):
@@ -507,6 +537,21 @@ class TestGenerateEnsemble:
         with pytest.raises(EnsembleGenerationError):
             generate_ensemble(small_gabor_dict, 3, transforms, seed=5,
                               max_attempts=50)
+
+    @pytest.mark.parametrize("require_margin", [True, False])
+    @pytest.mark.parametrize("seed", [616, 654, 660, 871, 948])
+    def test_cancelling_view_raises(self, small_gabor_dict, seed,
+                                    require_margin):
+        # with equal coefficients, a draw of an atom and its negated twin
+        # synthesizes a zero view, whose margin is undefined whether or
+        # not it is required
+        d = small_gabor_dict
+        transforms = TransformVector((identity_transform(d),
+                                      translation_transform(d, 0)))
+        with pytest.raises(ValueError, match="zero signal has no margin"):
+            generate_ensemble(d, 2, transforms, seed=seed,
+                              coeff_range=(1.0, 1.0),
+                              require_margin=require_margin)
 
     def test_rejects_bad_sparsity(self, onb_dict):
         with pytest.raises(ValueError):

@@ -236,6 +236,25 @@ class TestConfig:
         assert ({name for name, *_ in rules}
                 == {f.name for f in fields(cls)} - {"dictionary"})
 
+    # exact for the 1D family; for the 2D one, the count before duplicate
+    # removal (theta = 0 and pi give the same atoms)
+    @pytest.mark.parametrize("dictionary, bound, built", [
+        (DictionaryConfig(variant="gabor_1d", length=120, scales=[4.0],
+                          omegas=[2.0]), 24, 24),
+        (DictionaryConfig(variant="gabor_1d", length=100, t_start=3,
+                          t_step=7, scales=[4.0, 8.0], omegas=[2.0],
+                          include_negated=False), 28, 28),
+        (DictionaryConfig(variant="gaussian_2d", width=8, height=7,
+                          n_theta=2, sx_values=[2.0], sy_values=[1.0, 3.0]),
+         48, 24),
+        (DictionaryConfig(variant="gaussian_2d", width=8, height=8,
+                          n_theta=3, sx_values=[2.0], sy_values=[1.0]),
+         48, 32),
+    ])
+    def test_max_atoms_bounds_the_build(self, dictionary, bound, built):
+        assert dictionary.max_atoms() == bound
+        assert dictionary.build().n_atoms == built
+
 
 class TestPresets:
     def test_names_and_retrieval(self):
@@ -873,6 +892,22 @@ class TestCli:
               ("omegas", [], "be a non-empty list"),
               ("t_start", 0, "lie in 1..120"),
               ("t_start", 5000, "lie in 1..120"))),
+        # a sparsity the dictionary cannot hold, from its fields alone: 12
+        # centers x 1 scale x 1 frequency x 2 signs, and for the 2D
+        # dictionary 3 angles x 16 translations before duplicate removal
+        *((lambda tmp, sparsity=sparsity: tiny_gabor_config(
+            output_dir=str(tmp / "never"), sparsity=sparsity,
+            dictionary=DictionaryConfig(variant="gabor_1d", length=120,
+                                        scales=[4.0], omegas=[2.0])), [],
+           message)
+          for sparsity, message in (
+              (60, "error: sparsity 60 exceeds the 24 atoms the dictionary "
+                   "can hold"),
+              (24, "error: sparsity 24 leaves none of the 24 atoms the "
+                   "dictionary can hold outside the support"))),
+        (lambda tmp: tiny_gaussian_config(output_dir=str(tmp / "never"),
+                                          sparsity=49), [],
+         "error: sparsity 49 exceeds the 48 atoms the dictionary can hold"),
     ])
     def test_run_invalid_config_exits_2(self, tmp_path, capsys, monkeypatch,
                                         make, extra, message):
@@ -1186,6 +1221,9 @@ class TestCli:
          "N = 120"),
         (lambda inst: inst["dictionary"].update(t_start=0),
          "error: dictionary t_start must lie in 1..120, not 0"),
+        # 12 centers x 1 scale x 1 frequency x 2 signs
+        (lambda inst: inst.update(sparsity=25),
+         "error: sparsity 25 exceeds the 24 atoms the dictionary can hold"),
         # and so do the signal files
         (lambda inst: inst.update(signal_csvs=["view.csv", "gone.csv"]),
          "error: gone.csv not found."),
