@@ -16,17 +16,19 @@ grid, with samples below 1e-300 in magnitude stored as 0.  Those samples
 lie deep in the windows' tails; stored as they are, they would leave
 subnormal entries in the atoms, and every product with the atoms would
 run down the CPU's slow path for subnormal arithmetic.  Their squares
-underflow to 0, so no norm and no other entry changes.  The builders
-write each kept atom once, into the matrix the dictionary keeps, a block
-of pixel or sample rows at a time in row order: each block is one gather
-from the stacked shape patterns, divided by the atoms' norms; the 1D
-builder writes the negated twins from the same block.  The 2D duplicate
+underflow to 0, so no norm and no other entry changes.  Both builders
+hand their stacked shape patterns to one writer, which writes each kept
+atom once, into the matrix the dictionary keeps, a block of pixel or
+sample rows at a time in row order, with one block size for both
+families: each block is one gather from the patterns into a block
+buffer, divided by the atoms' norms into their columns, and negated from
+there into the twins when the dictionary has them.  The 2D duplicate
 check compares two cells in full only when two fingerprints of their
 unit rows, the row sum and a pseudo-random weighted sum, are both within
 a window that no pair within the tolerance exceeds (see
-``build_gaussian_2d_dictionary``).  The builders hand the atoms'
-parameters over as a table with one column per parameter field, filled
-in one vectorized pass; the per-atom records are formed only when
+``build_gaussian_2d_dictionary``).  The writer also fills the atoms'
+parameter table, one column per parameter field, in one vectorized
+pass; the per-atom records are formed only when
 ``Dictionary.params`` is read.
 """
 
@@ -51,12 +53,9 @@ DUPLICATE_ATOM_TOL = 1e-12
 # squares of the zeroed samples underflow to 0 already, so every norm, and
 # so every kept sample's stored entry, keeps its bits.
 _SAMPLE_FLOOR = 1e-300
-# entries per block of pixel rows in the 2D builder's write: its indices
-# take 1 MB
-_WRITE_BLOCK = 1 << 17
-# entries per block of sample rows in the 1D builder's write: its indices
+# entries per block of rows in the builders' shared write: its indices
 # and gathered block take 128 kB each, and larger blocks write no faster
-_WRITE_BLOCK_1D = 1 << 14
+_WRITE_BLOCK = 1 << 14
 # the parameter fields that locate an atom's center, per dictionary family
 _CENTER_FIELDS = {"gaussian_2d": ("tx", "ty"), "gabor_1d": ("t",)}
 
@@ -272,11 +271,10 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
     vector that no symmetry of the pixel grid preserves, so mirror
     images, whose row sums agree, are told apart without a comparison.
 
-    The kept atoms are written once, into the matrix the dictionary
-    keeps, a block of pixel rows at a time in row order: every shape's
-    pattern is stacked into one array, each block is one gather from it
-    at the flat index of (pixel, atom), and the block is then divided in
-    place by the atoms' norms.
+    Every shape's pattern is stacked into one array, and the kept atoms
+    are written from it by the writer the 1D builder shares, a block of
+    pixel rows at a time in row order, each block one gather at the flat
+    index of (pixel, atom), divided by the atoms' norms.
 
     Parameters
     ----------
@@ -368,32 +366,18 @@ def build_gaussian_2d_dictionary(width, height, thetas, sxs, sys, translations):
 
     # pass 2: atom (i, (tx, ty)) holds at pixel (x, y) pattern i's sample
     # at offset (x - tx, y - ty), the entry offset[atom] + base[pixel] of
-    # the flattened patterns; each block of pixel rows is one take from
-    # there straight into the atoms' rows (mode "clip" writes into out
-    # unbuffered; every index is in range), divided in place by the norms
+    # the flattened patterns
     shape_of, cell_of = np.nonzero(keep)
-    k = shape_of.size
     stride = 2 * width - 1
     offset = (shape_of * patterns[0].size
               + (height - 1 - tys[cell_of]) * stride
               + (width - 1 - txs[cell_of]))
     base = (np.arange(height)[:, np.newaxis] * stride
             + np.arange(width)).ravel()
-    kept_norms = norms[shape_of, cell_of]
-    flat = patterns.ravel()
-    atoms = np.empty((n, k))
-    index = np.empty((max(1, _WRITE_BLOCK // k), k), dtype=np.int64)
-    for start in range(0, n, len(index)):
-        rows = atoms[start:start + len(index)]
-        at = np.add(base[start:start + len(rows), np.newaxis], offset,
-                    out=index[:len(rows)])
-        flat.take(at, out=rows, mode="clip")
-        rows /= kept_norms
-    table = np.empty(k, _TABLES["gaussian_2d"])
-    for name, column in zip(table.dtype.names, (
-            *np.array(shapes)[shape_of].T, txs[cell_of], tys[cell_of])):
-        table[name] = column
-    return Dictionary._own(atoms, table, "gaussian_2d")
+    return _write_atoms(
+        patterns.ravel(), base, offset, norms[shape_of, cell_of], (1,),
+        (*np.array(shapes)[shape_of].T, txs[cell_of], tys[cell_of]),
+        "gaussian_2d")
 
 
 def _unit_atoms(windows, tys, txs, norms):
@@ -422,9 +406,8 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
     dictionary has no translations.
 
     Each atom's norm is taken first, from its contiguous slice of its
-    shape's pattern.  The atoms are then written a block of sample rows
-    at a time, in row order: each block is one gather from the stacked
-    patterns, divided by the norms straight into the atoms' columns, and
+    shape's pattern.  The atoms are then written by the writer the 2D
+    builder shares, a block of sample rows at a time in row order, and
     the negated twins are written from the same block.
     """
     if n <= 0:
@@ -458,11 +441,6 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
     patterns[np.abs(patterns) < _SAMPLE_FLOOR] = 0.0
     signs = (1, -1) if include_negated else (1,)
     n_shapes = len(scales) * len(omegas)
-    table = np.empty(len(centers) * n_shapes * len(signs),
-                     _TABLES["gabor_1d"])
-    for name, column in zip(table.dtype.names, np.meshgrid(
-            centers, scales, omegas, signs, indexing="ij")):
-        table[name] = column.ravel()
 
     # no duplicates are removed, and atom (t, s, omega) holds at sample x
     # the entry start[atom] + x - 1 of the flattened patterns, for the
@@ -472,25 +450,41 @@ def build_gabor_1d_dictionary(n, t_start=1, t_step=10,
     flat = patterns.ravel()
     start = (np.arange(n_shapes) * offsets.size
              + (t_last - np.array(centers))[:, np.newaxis]).ravel()
-    k = start.size
-    norms = np.empty(k)
+    norms = np.empty(start.size)
     for atom, first in enumerate(start.tolist()):
         g = flat[first:first + n]
         norms[atom] = g.dot(g)
     np.sqrt(norms, out=norms)
-    # each block of sample rows is one take from the patterns, divided by
-    # the norms straight into the atoms' columns and negated from there
-    # into their twins
+    return _write_atoms(flat, np.arange(n), start, norms, signs, [
+        column.ravel() for column in np.meshgrid(
+            centers, scales, omegas, signs, indexing="ij")], "gabor_1d")
+
+
+def _write_atoms(flat, base, offset, norms, signs, columns, variant):
+    """The dictionary whose atom k holds at row r the entry
+    ``flat[base[r] + offset[k]] / norms[k]``, followed by its negated
+    twin when ``signs`` is (1, -1), with the parameter table ``columns``
+    (one column per field of the variant's record, one entry per atom).
+
+    The atoms are written once, a block of rows at a time in row order:
+    each block is one take from ``flat`` into a block buffer (mode
+    "clip" writes into out unbuffered; every index is in range), divided
+    by the norms straight into the atoms' columns and negated from there
+    into their twins."""
+    n, k = base.size, offset.size
     atoms = np.empty((n, k * len(signs)))
     twins = atoms.reshape(n, k, len(signs))
-    index = np.empty((max(1, _WRITE_BLOCK_1D // k), k), dtype=np.int64)
+    index = np.empty((min(n, max(1, _WRITE_BLOCK // k)), k), dtype=np.int64)
     block = np.empty(index.shape)
     for first in range(0, n, len(index)):
         rows = twins[first:first + len(index)]
-        at = np.add(np.arange(first, first + len(rows))[:, np.newaxis],
-                    start, out=index[:len(rows)])
+        at = np.add(base[first:first + len(rows), np.newaxis], offset,
+                    out=index[:len(rows)])
         flat.take(at, out=block[:len(rows)], mode="clip")
         np.divide(block[:len(rows)], norms, out=rows[..., 0])
-        if include_negated:
+        if len(signs) > 1:
             np.negative(rows[..., 0], out=rows[..., 1])
-    return Dictionary._own(atoms, table, "gabor_1d")
+    table = np.empty(atoms.shape[1], _TABLES[variant])
+    for name, column in zip(table.dtype.names, columns):
+        table[name] = column
+    return Dictionary._own(atoms, table, variant)

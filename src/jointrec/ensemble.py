@@ -13,8 +13,10 @@ coefficients until every view satisfies two decodability conditions:
   (on a dictionary of negated atom pairs, a failing draw could instead
   swap each offending atom for its twin and negate its coefficient).
 
-The achieved margin (minimum over views) is recorded with the ensemble,
-and so is the number of draws made.
+A draw with a view that cancels exactly, a zero signal, is rejected
+whether or not either condition is required.  The achieved margin
+(minimum over views) is recorded with the ensemble, and so is the number
+of draws made.
 
 The paper's coherence condition says when a margin is guaranteed.  Let
 mu_1(m), the cumulative coherence (Babel function), be the largest sum
@@ -58,6 +60,7 @@ proven.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -230,7 +233,9 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
     checks; the keyword flags relax either check for models, such as
     dictionaries with negated atom pairs, where it cannot hold by
     construction.  Each view is synthesized from its support columns,
-    gathered once.  With the margin required, a view whose same-center
+    gathered once.  A view that cancels exactly (a zero signal, which has
+    no margin) rejects the draw whatever the flags.  With the margin
+    required, a view whose same-center
     bound (``_margin_bound``, given those columns) is <= 0 is rejected
     before the full margin is computed; the bound only rejects views
     that the full margin rejects too, whichever of its two stages
@@ -276,9 +281,10 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
             view_support = t.mapping[reference]
             columns = dictionary.atoms[:, view_support]
             y = columns @ x
-            # most rejected draws lose to an atom at a support atom's
-            # center: settle those from the signal's footprint alone
-            if (require_margin and _margin_bound(
+            # a view that cancels exactly has no margin, taken or not;
+            # most other rejected draws lose to an atom at a support
+            # atom's center: settle those from the signal's footprint alone
+            if not y.any() or (require_margin and _margin_bound(
                     y, view_support, dictionary, columns) <= 0.0):
                 break
             margin = thresholding_margin(y, view_support, dictionary)
@@ -307,12 +313,21 @@ def generate_ensemble(dictionary: Dictionary, sparsity: int,
 
 
 def load_signal_csv(path) -> np.ndarray:
-    """Read one view's signal from a single-column CSV (one sample per row)."""
-    values = np.loadtxt(Path(path), dtype=float, delimiter=",", ndmin=1)
-    if values.ndim != 1:
-        raise ValueError("signal CSV must contain a single column")
+    """Read one view's signal from a single-column CSV (one sample per row).
+
+    Raises ValueError naming the file when it holds no sample, more than
+    one column, or a non-finite sample."""
+    with warnings.catch_warnings():
+        # an empty file is refused below, by name, in one message
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # two dimensions, so that a single row of several values reads as
+        # a row, not as a column
+        values = np.loadtxt(Path(path), dtype=float, delimiter=",", ndmin=2)
+    if values.shape[1] != 1:
+        raise ValueError(f"signal CSV {path} must contain a single column")
+    values = values[:, 0]
     if values.size == 0:
-        raise ValueError("signal CSV is empty")
+        raise ValueError(f"signal CSV {path} is empty")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"signal CSV {path} has non-finite samples")
     return values

@@ -193,6 +193,31 @@ class TestExactBits:
         with pytest.raises(TypeError):
             build_gabor_1d_dictionary(100, t_step=2.5)
 
+    # the shared writer's block boundaries: _WRITE_BLOCK = 1 writes one
+    # row per block, 3 K (K atoms before twinning) three rows per block
+    # and a partial last block, since neither 64 nor 100 rows is a
+    # multiple of 3, and 2^30 a single block
+    @pytest.mark.parametrize("size", ["1", "3K", "2^30"])
+    @pytest.mark.parametrize("build, signs", [
+        pytest.param(lambda: build_gaussian_2d_dictionary(
+            8, 8, np.linspace(0.0, np.pi, 7), [2.0], [0.5, 1.0],
+            odd_translations(8, 8)), 1, id="gaussian_2d"),
+        pytest.param(lambda: build_gabor_1d_dictionary(
+            100, scales=[4.0, 8.0], omegas=[2.0, 4.0]), 2, id="gabor_1d"),
+        pytest.param(lambda: build_gabor_1d_dictionary(
+            100, scales=[4.0, 8.0], omegas=[2.0, 4.0],
+            include_negated=False), 1, id="gabor_1d-no-twins"),
+    ])
+    def test_block_size_keeps_the_bits(self, monkeypatch, build, signs,
+                                       size):
+        default = build()
+        block = {"1": 1, "3K": 3 * default.n_atoms // signs,
+                 "2^30": 1 << 30}[size]
+        monkeypatch.setattr(dictionary_module, "_WRITE_BLOCK", block)
+        built = build()
+        assert built.atoms.tobytes() == default.atoms.tobytes()
+        assert built._table.tobytes() == default._table.tobytes()
+
 
 @pytest.fixture(scope="module")
 def unfloored():

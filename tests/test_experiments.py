@@ -1332,6 +1332,54 @@ class TestCli:
         assert_holds_only(tmp_path, ["a.csv", "b.csv", "config.json",
                                      "short.csv"])
 
+    # an empty file, a two-column one and a single row of as many values
+    # as the signal has samples are refused by name, in one line,
+    # through both verbs that read signal CSVs; numpy's warning on an
+    # empty file must not escape either
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verb", ["decode", "run"])
+    @pytest.mark.parametrize("text, fault", [
+        pytest.param("", "is empty", id="empty"),
+        pytest.param("0.5,1.0\n" * 120, "must contain a single column",
+                     id="two-columns"),
+        pytest.param("0.5," * 119 + "0.5\n", "must contain a single column",
+                     id="one-row")])
+    def test_bad_signal_csv_named_in_one_line(self, tmp_path, capsys,
+                                              monkeypatch, verb, text, fault):
+        monkeypatch.chdir(tmp_path)
+        write_signal_pair(tmp_path)
+        (tmp_path / "bad.csv").write_text(text)
+        save_config(tiny_gabor_config(output_dir="never"),
+                    tmp_path / "config.json")
+        (tmp_path / "instance.json").write_text(json.dumps({
+            "dictionary": {"variant": "gabor_1d", "length": 120,
+                           "scales": [4.0, 8.0], "omegas": [2.0, 4.0]},
+            "sparsity": 4, "identity_sensing": True,
+            "signal_csvs": ["a.csv", "bad.csv"], "candidate_offsets": [0]}))
+        args = {"decode": ["decode", "instance.json", "--out", "fresh"],
+                "run": ["run", "config.json", "--out", "fresh",
+                        "--signals", "a.csv", "bad.csv"]}[verb]
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err == f"error: signal CSV bad.csv {fault}\n"
+        assert_holds_only(tmp_path, ["a.csv", "b.csv", "bad.csv",
+                                     "config.json", "instance.json"])
+
+    def test_run_cancelling_view_is_redrawn(self, tmp_path, capsys):
+        # with equal coefficients on a twinned dictionary, this seed's
+        # first draw holds an atom and its negated twin in one view, which
+        # cancels exactly; the draw is rejected and the run completes
+        cfg = tiny_gabor_config(
+            dictionary=DictionaryConfig(variant="gabor_1d", length=100,
+                                        scales=[4.0, 8.0], omegas=[2.0, 4.0]),
+            sparsity=2, measurements=40, candidate_offsets=[0],
+            coeff_range=[1.0, 1.0], trials=1, master_seed=102,
+            output_dir=str(tmp_path / "res"))
+        save_config(cfg, tmp_path / "config.json")
+        assert cli_main(["run", str(tmp_path / "config.json")]) == 0
+        assert capsys.readouterr().err == ""
+        assert_holds_only(tmp_path / "res",
+                          ["results.csv", "run_meta.json", "trials.csv"])
+
     def test_emit_plots_directory_exits_2(self, tmp_path, capsys,
                                           monkeypatch):
         monkeypatch.chdir(tmp_path)
