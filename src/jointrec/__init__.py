@@ -19,7 +19,7 @@ from .decode import (DecodeResult, LeastSquaresFit,
                      atom_measurement_correlations, correlation_vector,
                      greedy_joint_threshold_decode, independent_threshold_decode,
                      joint_threshold_decode, least_squares_reconstruct,
-                     noiseless_score, select_top_s)
+                     select_top_s)
 from .dictionary import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
                          build_gabor_1d_dictionary,
                          build_gaussian_2d_dictionary, odd_translations)
@@ -57,8 +57,8 @@ __all__ = [
     "identity_transform", "independent_threshold_decode",
     "joint_threshold_decode", "least_squares_reconstruct", "load_config",
     "load_signal_csv", "measure", "measure_ensemble",
-    "min_measurements_for_recovery", "mse", "noiseless_score",
-    "odd_translations", "preset_names", "read_trials_csv", "recovery_rate",
+    "min_measurements_for_recovery", "mse", "odd_translations",
+    "preset_names", "read_trials_csv", "recovery_rate",
     "recovery_rate_bound", "run_experiment", "sample_sensing_matrix",
     "save_config", "select_top_s", "thresholding_margin",
     "translation_transform", "validate_config",

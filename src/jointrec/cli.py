@@ -11,11 +11,10 @@ Invalid or unreadable input (a bad or missing config, instance, table
 or signal file, or malformed JSON) ends with a one-line ``error:``
 message and exit status 2.  ``run`` exits with status 1 when ensemble
 generation fails, so callers can tell infeasible configurations from
-crashes.  ``run`` and ``decode`` check their config or instance and
-read their signal files, then make their output directory before any
-computation, so a bad config, instance or signal file leaves no
-directory and an unusable one fails before the run; errors while making
-it or writing output are not caught.
+crashes.  ``run`` and ``decode`` check their config or instance, then
+make their output directory and remove what they made, so an unusable
+one fails before the run and a run that fails leaves no directory; the
+writers make it again.  Errors while making it or writing are not caught.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from pathlib import Path
 from .ensemble import EnsembleGenerationError
 from .experiments import (_parse_json, decode_instance, describe_presets,
                           emit_plot_data, get_preset, load_config,
-                          load_signals, preset_names, read_trials_csv,
-                          run_experiment, validate_config, validate_instance)
+                          preset_names, read_trials_csv, run_experiment,
+                          validate_config, validate_instance)
 
 
 @contextlib.contextmanager
@@ -43,6 +42,19 @@ def _reading():
         # the exception's filename
         raise ValueError(f"{exc.filename}: {exc.strerror}" if exc.filename
                          else str(exc)) from None
+
+
+def _check_out(out) -> None:
+    """Make the directory ``out``, then remove, leaf first, the ones this
+    call made; on the resolved path, so ``..`` and symlinked parents name
+    the real directories."""
+    path = Path(out).resolve()
+    missing = [p for p in (path, *path.parents) if not p.exists()]
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    finally:
+        for made in filter(Path.is_dir, missing):
+            made.rmdir()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,16 +116,11 @@ def _cmd_run(args) -> int:
     if args.signals is not None:
         config.signal_paths = args.signals
 
-    # a bad config or signal file exits 2 before the output directory is
-    # made
     validate_config(config)
-    signals = None
-    if config.signal_paths is not None:
-        with _reading():
-            signals = load_signals(config.signal_paths, config.dictionary)
-    Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+    _check_out(config.output_dir)
     try:
-        table = run_experiment(config, signals)
+        with _reading():
+            table = run_experiment(config)
     except EnsembleGenerationError as exc:
         print(f"error: ensemble generation failed: {exc}", file=sys.stderr)
         return 1
@@ -151,15 +158,13 @@ def _cmd_decode(args) -> int:
     with _reading():
         text = instance_path.read_text(encoding="utf-8")
     instance = _parse_json(text, args.instance)
-    # a bad instance or signal file exits 2 before the output directory
-    # is made
-    inst, dictionary_config = validate_instance(instance)
-    with _reading():
-        signals = load_signals(inst.signal_csvs, dictionary_config)
+    validate_instance(instance)
     out_dir = Path(args.out) if args.out else instance_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result, summary = decode_instance(instance, signals)
+    _check_out(out_dir)
+    with _reading():
+        result, summary = decode_instance(instance)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     result_path = out_dir / "decode_result.json"
     result_path.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")

@@ -557,22 +557,3 @@ def independent_threshold_decode(measurements: MeasurementSet,
     """
     return _it(atom_measurement_correlations(measurements, dictionary),
                measurements, dictionary, sparsity, None, None)
-
-
-def noiseless_score(signals, dictionary: Dictionary, support,
-                    transforms) -> float:
-    """Score of a (support, transforms) pair against the signals themselves.
-
-    Sums, over views and support atoms, the correlation of view j's
-    signal with the transformed atom; this equals the expectation of the
-    measured score over Gaussian sensing draws.  Raises when a support
-    atom leaves some transform's domain.
-    """
-    signals = [np.asarray(y, dtype=float) for y in signals]
-    if len(signals) != len(transforms):
-        raise ValueError("need exactly one transform per signal")
-    total = 0.0
-    for y, t in zip(signals, transforms):
-        image = apply_to_support(t, support)
-        total += float(np.sum(dictionary.atoms[:, image].T @ y))
-    return total

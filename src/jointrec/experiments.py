@@ -25,7 +25,7 @@ import time
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -210,17 +210,27 @@ class DictionaryConfig:
             return int(self.width) * int(self.height)
         return int(self.length)
 
-    def max_atoms(self) -> int:
-        """The atom count a checked config fixes, without a build: exact
-        for gabor_1d; for gaussian_2d the count before duplicate removal,
-        so a 2D sparsity above the kept count but not above this one
-        still fails late, after the output directory is made."""
+    def max_atoms(self, shift: tuple[int, ...] | None = None) -> int:
+        """The atom count a checked config fixes, without a build; with a
+        parsed translation ``shift``, the count of atoms whose center,
+        moved by the shift, is again an atom center (the translation's
+        domain).  Exact for gabor_1d; for gaussian_2d an upper bound, the
+        count before duplicate removal, so a 2D sparsity above the kept
+        count but not above this one fails only once the run has begun."""
         if self.variant == "gaussian_2d":
-            return (self.n_theta * len(self.sx_values) * len(self.sy_values)
-                    * len(odd_translations(self.width, self.height)))
-        return (len(range(self.t_start, self.length + 1, self.t_step))
-                * len(self.scales) * len(self.omegas)
-                * (2 if self.include_negated else 1))
+            axes = (range(1, self.width, 2), range(1, self.height, 2))
+            count = self.n_theta * len(self.sx_values) * len(self.sy_values)
+        else:
+            axes = (range(self.t_start, self.length + 1, self.t_step),)
+            count = (len(self.scales) * len(self.omegas)
+                     * (2 if self.include_negated else 1))
+        for centers, s in zip(axes, shift or (0,) * len(axes)):
+            # the centers c with c + s again a center, or none when s is
+            # off the centers' step
+            count *= 0 if s % centers.step else len(range(
+                max(centers.start, centers.start - s),
+                min(centers.stop, centers.stop - s), centers.step))
+        return count
 
     def build(self) -> Dictionary:
         self._check_variant()
@@ -352,6 +362,29 @@ def _check_problem(dictionary: DictionaryConfig, sparsity: int,
                          "equal to the signal length")
 
 
+def _check_domains(dictionary: DictionaryConfig, sparsity: int, offsets,
+                   each: bool) -> None:
+    """Refuse candidate offsets whose translation domain, as
+    :meth:`DictionaryConfig.max_atoms` counts it, holds fewer atoms than
+    the sparsity: any such offset when ``each`` (a drawn truth may use
+    it), and otherwise the offsets when every one is such (a candidate
+    vector's domain is the intersection of its transforms' domains, so
+    then no vector can be scored)."""
+    counts = [(dictionary.max_atoms(translation_shift(dictionary.variant,
+                                                      offset)), offset)
+              for offset in offsets]
+    count, offset = (min if each else max)(counts, key=lambda c: c[0])
+    if count >= sparsity:
+        return
+    if each:
+        raise ValueError(f"candidate offset {offset} leaves at most {count} "
+                         f"atoms in its translation domain, fewer than the "
+                         f"sparsity {sparsity}")
+    raise ValueError(f"no candidate offset leaves as many atoms in its "
+                     f"translation domain as the sparsity {sparsity}: "
+                     f"offset {offset} leaves at most {count}")
+
+
 def validate_config(config: ExperimentConfig) -> None:
     """Raise ValueError on structurally invalid configs.
 
@@ -402,14 +435,18 @@ def validate_config(config: ExperimentConfig) -> None:
             and config.views != len(config.signal_paths)):
         raise ValueError("signal ingestion needs a fixed view count and one "
                          "CSV path per view")
+    cells = _sweep_cells(config)
     _check_problem(config.dictionary, config.sparsity,
-                   config.candidate_offsets,
-                   [m for *_, m in _sweep_cells(config)],
+                   config.candidate_offsets, [m for *_, m in cells],
                    config.identity_sensing)
     atoms = config.dictionary.max_atoms()
     if config.signal_paths is None and config.sparsity == atoms:
         raise ValueError(f"sparsity {atoms} leaves none of the {atoms} atoms "
                          f"the dictionary can hold outside the support")
+    if max(j for _, j, _ in cells) > 1:
+        _check_domains(config.dictionary, config.sparsity,
+                       config.candidate_offsets,
+                       each=config.signal_paths is None)
 
 
 @dataclass
@@ -430,10 +467,10 @@ class TrialRecord:
 
 
 # trials.csv columns: the TrialRecord fields but wall_time, in order, with
-# the type of each cell
-_TRIAL_COLUMNS = {"sweep": "int", "algorithm": "str", "trial": "int",
-                  "seed": "int", "recovery_rate": "float", "mse": "float",
-                  "transform_correct": "bool", "rank_deficient": "bool"}
+# the field type that each cell is read as
+_TRIAL_COLUMNS = {name: hint
+                  for name, hint in get_type_hints(TrialRecord).items()
+                  if name != "wall_time"}
 
 
 @dataclass
@@ -549,25 +586,33 @@ def _format_csv(value) -> str:
     return str(value)
 
 
-def _parse_csv_value(text: str, kind: str):
+def _parse_csv_value(text: str, name: str, hint):
+    """The cell ``text`` of column ``name``, read as its field type
+    ``hint``: empty only where the field may be None, and floats finite,
+    as :meth:`ResultTable.write` writes them."""
+    kind, *rest = get_args(hint) or (hint,)
     if text == "":
+        if type(None) not in rest:
+            raise ValueError(f"{name} must not be empty")
         return None
-    if kind == "bool":
+    if kind is bool:
         if text not in ("0", "1"):
             raise ValueError(f"{text!r} is not a 0/1 flag")
         return text == "1"
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    return text
+    value = kind(text)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {text!r}")
+    return value
 
 
 def read_trials_csv(path) -> ResultTable:
     """Rebuild a ResultTable (without timings) from a trials.csv file.
 
     Raises a ValueError naming the file when its preamble lacks a line or
-    names an unknown experiment kind, or when a row is malformed.
+    names an unknown experiment kind, or when a row is malformed: a cell
+    count off the header's, a cell that does not parse as its
+    :class:`TrialRecord` field type, an empty cell whose field may not be
+    None, or a float that is not finite.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -597,7 +642,8 @@ def read_trials_csv(path) -> ResultTable:
                              f"expected {len(_TRIAL_COLUMNS)}")
         try:
             records.append(TrialRecord(
-                *map(_parse_csv_value, cells, _TRIAL_COLUMNS.values()),
+                *map(_parse_csv_value, cells, _TRIAL_COLUMNS,
+                     _TRIAL_COLUMNS.values()),
                 wall_time=None))
         except ValueError as exc:
             raise ValueError(f"{path} line {number}: {exc}") from None
@@ -705,17 +751,14 @@ def _decode_views(dictionary: Dictionary, candidates, signals,
     return decoded
 
 
-def run_experiment(config: ExperimentConfig,
-                   signals: list[np.ndarray] | None = None) -> ResultTable:
+def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Validate the config and run every trial of every sweep cell.
 
-    ``signals`` are the views read from ``config.signal_paths`` by
-    :func:`load_signals`, for a caller that read them already; when None,
-    they are read here, before anything is built.
-
-    The dictionary is built once and the candidate set realized once, for
-    the largest view count; a cell with J views decodes with the first
-    J - 1 candidate lists.  Trial seeds follow (cell, trial) order, and
+    The views in ``config.signal_paths``, if any, are read by
+    :func:`load_signals` before anything is built.  The dictionary is
+    built once and the candidate set realized once, for the largest view
+    count; a cell with J views decodes with the first J - 1 candidate
+    lists.  Trial seeds follow (cell, trial) order, and
     each trial seed spawns the truth, ensemble and sensing seeds.  A trial
     decodes the ingested signals if there are any, and otherwise an
     ensemble drawn from its truth and ensemble seeds; with
@@ -728,8 +771,8 @@ def run_experiment(config: ExperimentConfig,
     """
     validate_config(config)
     started = time.perf_counter()
-    if signals is None and config.signal_paths is not None:
-        signals = load_signals(config.signal_paths, config.dictionary)
+    signals = (None if config.signal_paths is None
+               else load_signals(config.signal_paths, config.dictionary))
     dictionary = config.dictionary.build()
     cells = _sweep_cells(config)
     full = CandidateSet.from_uniform_offsets(
@@ -822,8 +865,10 @@ def validate_instance(instance) -> tuple[DecodeInstance, DictionaryConfig]:
     ``measurements`` (per-view count for Gaussian sensing, required
     unless ``identity_sensing``, and then the signal length if given)
     and ``seed`` (sensing seed, default 0) are optional.  Value types
-    are checked first, then the rules a config shares.  Returns the
-    instance and its dictionary config.
+    are checked first, then the rules a config shares, and for jt and
+    gjt on two or more views the candidate offsets' translation domains
+    (see :func:`_check_domains`).  Returns the instance and its
+    dictionary config.
     """
     inst = _dataclass_from(DecodeInstance, instance, noun="instance")
     _check_fields(inst, _INSTANCE_TYPES)
@@ -838,20 +883,20 @@ def validate_instance(instance) -> tuple[DecodeInstance, DictionaryConfig]:
     _check_problem(dictionary_config, inst.sparsity, inst.candidate_offsets,
                    [] if inst.measurements is None else [inst.measurements],
                    inst.identity_sensing)
+    if inst.algorithm != "it" and len(inst.signal_csvs) > 1:
+        _check_domains(dictionary_config, inst.sparsity,
+                       inst.candidate_offsets, each=False)
     return inst, dictionary_config
 
 
-def decode_instance(instance: dict,
-                    signals: list[np.ndarray] | None = None):
+def decode_instance(instance: dict):
     """Decode one instance dict, checked by :func:`validate_instance`.
 
-    ``signals`` are the views read from its ``signal_csvs`` by
-    :func:`load_signals`, for a caller that read them already; when None,
-    they are read here, before anything is built.  Returns (DecodeResult,
-    summary dict); the summary is JSON-serializable."""
+    Its ``signal_csvs`` are read by :func:`load_signals` before anything
+    is built.  Returns (DecodeResult, summary dict); the summary is
+    JSON-serializable."""
     inst, dictionary_config = validate_instance(instance)
-    if signals is None:
-        signals = load_signals(inst.signal_csvs, dictionary_config)
+    signals = load_signals(inst.signal_csvs, dictionary_config)
     dictionary = dictionary_config.build()
     candidates = None
     if inst.algorithm != "it":

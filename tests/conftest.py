@@ -2,8 +2,9 @@
 
 The full-size dictionaries take a few seconds to build, so they are
 session-scoped and shared between the unit tests and the acceptance
-suite.  ``enumerate_vectors`` is the oracle of enumeration order, and
-``argsort_top_s`` the oracle of top-S selection.
+suite.  ``enumerate_vectors`` is the oracle of enumeration order,
+``argsort_top_s`` the oracle of top-S selection, and ``noiseless_score``
+the expected score of a (support, transforms) pair.
 ``gaussian_atom_2d`` and ``modulated_atom_1d`` sample one atom at a time,
 and ``gaussian_2d_oracle`` and ``gabor_1d_oracle`` evaluate every atom
 on its full grid; they are the oracles of the dictionary builders, which
@@ -22,6 +23,7 @@ from jointrec import (Dictionary, GaussianAtom2D, ModulatedAtom1D,
                       TransformVector, build_gabor_1d_dictionary,
                       build_gaussian_2d_dictionary, odd_translations)
 from jointrec.dictionary import _SAMPLE_FLOOR, DUPLICATE_ATOM_TOL
+from jointrec.transforms import apply_to_support
 
 
 @pytest.fixture(scope="session")
@@ -81,6 +83,24 @@ def argsort_top_s(values, sparsity):
     first entries by (-value, index), summed in that order."""
     chosen = np.argsort(-values, kind="stable")[:sparsity]
     return np.sort(chosen), float(values[chosen].sum())
+
+
+def noiseless_score(signals, dictionary, support, transforms) -> float:
+    """Score of a (support, transforms) pair against the signals themselves.
+
+    Sums, over views and support atoms, the correlation of view j's
+    signal with the transformed atom; this equals the expectation of the
+    measured score over Gaussian sensing draws.  Raises when a support
+    atom leaves some transform's domain.
+    """
+    signals = [np.asarray(y, dtype=float) for y in signals]
+    if len(signals) != len(transforms):
+        raise ValueError("need exactly one transform per signal")
+    total = 0.0
+    for y, t in zip(signals, transforms):
+        image = apply_to_support(t, support)
+        total += float(np.sum(dictionary.atoms[:, image].T @ y))
+    return total
 
 
 def gaussian_atom_2d(width: int, height: int, params) -> np.ndarray:

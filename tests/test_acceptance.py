@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import enumerate_vectors
+from conftest import enumerate_vectors, noiseless_score
 
 from jointrec import (BERNSTEIN_SCALE_COEFF, BERNSTEIN_VARIANCE_COEFF,
                       RECOVERY_EXPONENT_COEFF, AtomTransform, BoundInputs,
@@ -23,8 +23,8 @@ from jointrec import (BERNSTEIN_SCALE_COEFF, BERNSTEIN_VARIANCE_COEFF,
                       greedy_joint_threshold_decode, identity_transform,
                       independent_threshold_decode, joint_threshold_decode,
                       least_squares_reconstruct, measure_ensemble,
-                      noiseless_score, odd_translations, recovery_rate_bound,
-                      run_experiment, sample_sensing_matrix)
+                      odd_translations, recovery_rate_bound, run_experiment,
+                      sample_sensing_matrix)
 from jointrec.dictionary import UNIT_NORM_TOL
 from jointrec.transforms import TransformVector
 

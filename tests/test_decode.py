@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import (argsort_top_s, enumerate_vectors,
+from conftest import (argsort_top_s, enumerate_vectors, noiseless_score,
                       random_orthonormal_dictionary)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +18,7 @@ from jointrec import (AtomTransform, CandidateSet, Dictionary,
                       identity_sensing, identity_transform,
                       independent_threshold_decode, joint_threshold_decode,
                       least_squares_reconstruct, measure_ensemble,
-                      noiseless_score, sample_sensing_matrix, select_top_s,
+                      sample_sensing_matrix, select_top_s,
                       translation_transform)
 from jointrec import decode
 from jointrec.transforms import TransformVector

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 import types
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from jointrec.cli import _build_parser
 from jointrec.cli import main as cli_main
 from jointrec.ensemble import load_signal_csv
 from jointrec.experiments import load_config, save_config
+from jointrec.transforms import translation_transform
 
 
 def tiny_gabor_config(**overrides):
@@ -207,6 +208,47 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             validate_config(config)
 
+    # a 10-center twinned dictionary, 20 atoms: a shift of 10 keeps 18,
+    # one of 5 (off the center step) keeps none
+    def test_offset_domains_against_sparsity(self, tmp_path):
+        signals = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        dictionary = DictionaryConfig(variant="gabor_1d", length=100,
+                                      scales=[4.0], omegas=[2.0])
+        small = dict(dictionary=dictionary, sparsity=3)
+        # a drawn truth may use any offset, so each must hold the sparsity
+        with pytest.raises(ValueError, match=re.escape(
+                "candidate offset 5 leaves at most 0 atoms in its "
+                "translation domain, fewer than the sparsity 3") + "$"):
+            validate_config(tiny_gabor_config(**small,
+                                              candidate_offsets=[0, 5]))
+        with pytest.raises(ValueError, match="offset 10 leaves at most 18"):
+            validate_config(tiny_gabor_config(dictionary=dictionary,
+                                              sparsity=19,
+                                              candidate_offsets=[0, 10]))
+        # ingested signals and decode instances need one offset that does
+        validate_config(tiny_gabor_config(**small, candidate_offsets=[0, 5],
+                                          signal_paths=signals))
+        instance = {"dictionary": asdict(dictionary), "sparsity": 3,
+                    "identity_sensing": True, "signal_csvs": signals,
+                    "candidate_offsets": [5, 0]}
+        experiments.validate_instance(instance)
+        message = re.escape("no candidate offset leaves as many atoms in "
+                            "its translation domain as the sparsity 3: "
+                            "offset 5 leaves at most 0") + "$"
+        with pytest.raises(ValueError, match=message):
+            validate_config(tiny_gabor_config(**small, candidate_offsets=[5],
+                                              signal_paths=signals))
+        with pytest.raises(ValueError, match=message):
+            experiments.validate_instance({**instance,
+                                           "candidate_offsets": [5]})
+        # no offset applies to one view, or to the independent decoder
+        validate_config(tiny_gaussian_config(
+            kind="recovery-vs-J", views=[1], measurements=30,
+            candidate_offsets=[[1, 0]]))
+        for changed in ({"signal_csvs": signals[:1]}, {"algorithm": "it"}):
+            experiments.validate_instance({**instance, **changed,
+                                           "candidate_offsets": [5]})
+
     def test_from_dict_names_unknown_key(self):
         data = tiny_gabor_config().to_dict()
         data["dictionary"]["lenght"] = 120
@@ -250,10 +292,24 @@ class TestConfig:
         (DictionaryConfig(variant="gaussian_2d", width=8, height=8,
                           n_theta=3, sx_values=[2.0], sy_values=[1.0]),
          48, 32),
+        (DictionaryConfig(variant="gabor_1d", length=120, scales=[4.0, 8.0],
+                          omegas=[2.0, 4.0]), 96, 96),
     ])
     def test_max_atoms_bounds_the_build(self, dictionary, bound, built):
         assert dictionary.max_atoms() == bound
-        assert dictionary.build().n_atoms == built
+        d = dictionary.build()
+        assert d.n_atoms == built
+        # with a shift, the count of the translation's domain, on and off
+        # the center grid and past its edge; duplicate removal drops whole
+        # shapes, so each 2D domain keeps the built share of its count
+        shifts = {"gabor_1d": [(10,), (110,), (-110,), (5,), (500,), (7,),
+                               (-14,), (91,)],
+                  "gaussian_2d": [(2, 0), (0, -2), (2, 2), (1, 0), (40, 0),
+                                  (-6, 6), (0, 6)]}[dictionary.variant]
+        for shift in shifts:
+            kept = np.count_nonzero(
+                translation_transform(d, list(shift)).domain_mask)
+            assert dictionary.max_atoms(shift) * built == kept * bound
 
 
 class TestPresets:
@@ -908,6 +964,16 @@ class TestCli:
         (lambda tmp: tiny_gaussian_config(output_dir=str(tmp / "never"),
                                           sparsity=49), [],
          "error: sparsity 49 exceeds the 48 atoms the dictionary can hold"),
+        # an offset whose translation domain cannot hold the sparsity: 10
+        # centers, 10 apart, on a twinned 20-atom dictionary
+        *((lambda tmp, offset=offset: tiny_gabor_config(
+            output_dir=str(tmp / "never"), sparsity=3,
+            candidate_offsets=[0, offset],
+            dictionary=DictionaryConfig(variant="gabor_1d", length=100,
+                                        scales=[4.0], omegas=[2.0])), [],
+           f"error: candidate offset {offset} leaves at most 0 atoms in its "
+           f"translation domain, fewer than the sparsity 3")
+          for offset in (5, 500)),
     ])
     def test_run_invalid_config_exits_2(self, tmp_path, capsys, monkeypatch,
                                         make, extra, message):
@@ -971,6 +1037,60 @@ class TestCli:
         assert cli_main(["run", str(path)]) == 1
         assert "ensemble generation failed" in capsys.readouterr().err
 
+    # failures past the config or instance check, once the output
+    # directory has been checked: it is made only to be removed again, so
+    # a run that fails leaves no directory at any depth
+    @pytest.mark.parametrize("verb, make, out, status, message", [
+        # the 2D build keeps 32 of the 48 atoms max_atoms allows
+        ("run", lambda: tiny_gaussian_config(
+            sparsity=40, candidate_offsets=[[0, 0]]), "fresh/one/two", 2,
+         "sparsity must leave at least one atom outside the support"),
+        ("run", lambda: tiny_gaussian_config(
+            sparsity=40, candidate_offsets=[[0, 0]]), "sub/../fresh/deep", 2,
+         "sparsity must leave at least one atom outside the support"),
+        # margin required on the twinned 1D dictionary: infeasible
+        ("run", lambda: tiny_gabor_config(require_margin=True,
+                                          max_attempts=20),
+         "fresh/one/two", 1, "ensemble generation failed: no ensemble "
+                             "satisfied the decodability checks in 20 "
+                             "attempts"),
+        ("decode", lambda: {
+            "dictionary": {"variant": "gaussian_2d", "width": 8,
+                           "height": 8, "n_theta": 3, "sx_values": [2.0],
+                           "sy_values": [1.0]},
+            "sparsity": 40, "algorithm": "it", "identity_sensing": True,
+            "signal_csvs": ["view.csv", "view.csv"]}, "fresh/one/two", 2,
+         "fewer valid entries than the sparsity level"),
+    ])
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys,
+                                            monkeypatch, verb, make, out,
+                                            status, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "view.csv").write_text("0.5\n" * 64)
+        path = tmp_path / "input.json"
+        if verb == "run":
+            save_config(make(), path)
+        else:
+            path.write_text(json.dumps(make()))
+        assert cli_main([verb, str(path), "--out", out]) == status
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert_holds_only(tmp_path, ["input.json", "view.csv"])
+
+    def test_failed_run_keeps_existing_out(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        path = tmp_path / "config.json"
+        save_config(tiny_gaussian_config(sparsity=40,
+                                         candidate_offsets=[[0, 0]]), path)
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: sparsity must leave at least one atom outside the "
+            "support\n")
+        assert_holds_only(tmp_path, ["config.json", "out"])
+        assert_holds_only(out, ["notes.txt"])
+        assert (out / "notes.txt").read_text() == "kept\n"
+
     def test_run_unusable_out_fails_before_running(self, tmp_path,
                                                    monkeypatch):
         # the output directory is made first, so a regular file in its
@@ -1010,6 +1130,15 @@ class TestCli:
         (lambda text: text + "30,jt,1\n", " line 7 has 3 cells, expected 8"),
         (lambda text: text + "30,jt,1,5,1.0,0.0,yes,0\n",
          " line 7: 'yes' is not a 0/1 flag"),
+        # cells that ResultTable.write never writes
+        *((lambda text, row=row: text + row + "\n", f" line 7: {problem}")
+          for row, problem in (
+              ("30,,1,5,1.0,0.0,1,0", "algorithm must not be empty"),
+              (",jt,1,5,1.0,0.0,1,0", "sweep must not be empty"),
+              ("30,jt,1,5,1.0,0.0,1,", "rank_deficient must not be empty"),
+              ("30,jt,1,5,1.0,nan,1,0", "mse must be finite, not 'nan'"),
+              ("30,jt,1,5,-inf,0.0,1,0",
+               "recovery_rate must be finite, not '-inf'"))),
     ])
     def test_emit_plots_invalid_table_exits_2(self, tmp_path, capsys,
                                               monkeypatch, edit, problem):
@@ -1224,6 +1353,13 @@ class TestCli:
         # 12 centers x 1 scale x 1 frequency x 2 signs
         (lambda inst: inst.update(sparsity=25),
          "error: sparsity 25 exceeds the 24 atoms the dictionary can hold"),
+        # no candidate offset keeps the sparsity in its translation
+        # domain: 12 centers, 10 apart
+        *((lambda inst, offsets=offsets: inst.update(
+            candidate_offsets=offsets),
+           "error: no candidate offset leaves as many atoms in its "
+           "translation domain as the sparsity 3: offset 5 leaves at most 0")
+          for offsets in ([5], [5, 500])),
         # and so do the signal files
         (lambda inst: inst.update(signal_csvs=["view.csv", "gone.csv"]),
          "error: gone.csv not found."),
